@@ -153,9 +153,6 @@ class OpSignature:
     def __eq__(self, other) -> bool:
         return isinstance(other, OpSignature) and self.operations == other.operations
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __repr__(self) -> str:
         return f"OpSignature({self.operations})"
 
@@ -203,9 +200,6 @@ class TermAlg(Algebra):
                 and self.signature == other.signature
                 and self.variables == other.variables)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __repr__(self) -> str:
         return f"TermAlg({self.signature}, vars={sorted(self.variables)})"
 
@@ -224,9 +218,6 @@ class NatPlus(Algebra):
     def __eq__(self, other) -> bool:
         return isinstance(other, NatPlus)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __repr__(self) -> str:
         return "NatPlus()"
 
@@ -244,9 +235,6 @@ class FiniteEnum(Algebra):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteEnum) and self.values == other.values
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __repr__(self) -> str:
         return f"FiniteEnum({sorted(self.values)})"
@@ -325,9 +313,6 @@ class AlgebraMorphism:
                 and self.source == other.source
                 and self.target == other.target
                 and self.assignment == other.assignment)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __repr__(self) -> str:
         if self.is_identity:

@@ -50,13 +50,10 @@ class AttributedGraph:
         return AttributedGraph(self.graph, self.algebra, merged)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, AttributedGraph)
-                and self.graph == other.graph
-                and self.algebra == other.algebra
-                and self.labeling == other.labeling)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        return self is other or (isinstance(other, AttributedGraph)
+                                 and self.graph == other.graph
+                                 and self.algebra == other.algebra
+                                 and self.labeling == other.labeling)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{x}:{self.labeling[x].render()}"
@@ -130,9 +127,6 @@ class AttrMorphism:
                 and self.target == other.target
                 and self.sigma == other.sigma
                 and self.alpha == other.alpha)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __repr__(self) -> str:
         return f"AttrMorphism({self.sigma.node_map}, {self.alpha!r})"

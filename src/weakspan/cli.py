@@ -20,10 +20,10 @@ from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, save_graph, save_system)
 from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
 from .presets import fibonacci_system
-from .rewriting import IncoherentSetError, Match, apply_direct, find_matches, pct
+from .rewriting import IncoherentSetError, Match, apply_direct, find_matches
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, cmd_hexca, cmd_run,
-                     relabel_direct_result, relabel_parallel_result)
+                     finish_parallel_step, relabel_direct_result)
 
 __all__ = [
     "main", "entry", "UsageError",
@@ -227,15 +227,11 @@ def _cmd_pct(args) -> int:
                 raise ValidationError(
                     f"match index {idx} out of range: host has {len(matches)} matches")
         gammas = [apply_direct(matches[idx]) for idx in indices]
-        step = pct(gammas)
-        result = relabel_parallel_result(step, 0)
-        report = StepReport(index=0, mode="pct", applied=len(gammas), coherent=True,
-                            witness_count=len(step.witnesses),
-                            dprime_elements=step.Dprime.graph.element_count(),
-                            hprime_elements=step.Hprime.graph.element_count())
+        report = StepReport(index=0, mode="pct")
         for rule in system.rules:
             report.matches_per_rule[rule.name] = sum(
                 1 for g in gammas if g.rule.name == rule.name)
+        result, report = finish_parallel_step(gammas, report)
     _emit(report.describe(), args.report)
     if args.out:
         save_graph(result, args.out)

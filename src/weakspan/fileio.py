@@ -38,13 +38,23 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _list_field(data: dict, key: str, where: str) -> list:
+    value = data.get(key, [])
+    _require(isinstance(value, list), f"{where}: {key!r} must be a list")
+    return value
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _parse_signature(data) -> SortSignature:
     _require(isinstance(data, dict), "'sorts' must be an object")
-    _require("nodes" in data, "'sorts' needs a 'nodes' list")
-    _require("edges" in data, "'sorts' needs an 'edges' object")
+    _require(_is_names(data.get("nodes")), "'sorts' needs a 'nodes' list of names")
+    _require(isinstance(data.get("edges"), dict), "'sorts' needs an 'edges' object")
     edges = {}
     for name, pair in data["edges"].items():
-        _require(isinstance(pair, list) and len(pair) == 2,
+        _require(_is_names(pair) and len(pair) == 2,
                  f"edge sort {name!r} needs [source sort, target sort]")
         edges[name] = (pair[0], pair[1])
     try:
@@ -57,8 +67,9 @@ def _parse_algebra(data) -> Algebra:
     if data == "nat":
         return NatPlus()
     if isinstance(data, dict) and "enum" in data:
-        return FiniteEnum(str(v) for v in data["enum"])
+        return FiniteEnum(str(v) for v in _list_field(data, "enum", "algebra"))
     if isinstance(data, dict) and "terms" in data:
+        _require(_is_names(data["terms"]), "algebra: 'terms' must be a list of names")
         return TermAlg(PLUS_SIGNATURE, data["terms"])
     raise ValidationError(f"unknown algebra declaration {data!r}")
 
@@ -88,17 +99,21 @@ def _parse_graph(data, signature: SortSignature, algebra: Algebra,
     nodes = {}
     edges = {}
     labeling = {}
-    for entry in data.get("nodes", []):
-        _require("id" in entry and "sort" in entry, f"{where}: node needs 'id' and 'sort'")
+    for entry in _list_field(data, "nodes", where):
+        _require(isinstance(entry, dict) and "id" in entry and "sort" in entry,
+                 f"{where}: node needs 'id' and 'sort'")
         nid = str(entry["id"])
         _require(nid not in nodes, f"{where}: duplicate node id {nid!r}")
+        _require(isinstance(entry["sort"], str), f"{where}: node {nid!r} needs a sort name")
         nodes[nid] = entry["sort"]
         labeling[nid] = [_parse_label(v, algebra, f"{where} node {nid!r}")
-                         for v in entry.get("label", [])]
-    for entry in data.get("edges", []):
+                         for v in _list_field(entry, "label", f"{where} node {nid!r}")]
+    for entry in _list_field(data, "edges", where):
+        _require(isinstance(entry, dict), f"{where}: edge must be an object")
         for key in ("id", "sort", "src", "tgt"):
             _require(key in entry, f"{where}: edge needs {key!r}")
         eid = str(entry["id"])
+        _require(isinstance(entry["sort"], str), f"{where}: edge {eid!r} needs a sort name")
         _require(eid not in edges, f"{where}: duplicate edge id {eid!r}")
         _require(str(entry["src"]) in nodes,
                  f"{where}: edge {eid!r} names unknown source node {entry['src']!r}")
@@ -106,7 +121,7 @@ def _parse_graph(data, signature: SortSignature, algebra: Algebra,
                  f"{where}: edge {eid!r} names unknown target node {entry['tgt']!r}")
         edges[eid] = (entry["sort"], str(entry["src"]), str(entry["tgt"]))
         labeling[eid] = [_parse_label(v, algebra, f"{where} edge {eid!r}")
-                         for v in entry.get("label", [])]
+                         for v in _list_field(entry, "label", f"{where} edge {eid!r}")]
     try:
         graph = Graph(signature, nodes, edges)
         return AttributedGraph(graph, algebra, labeling)
@@ -117,6 +132,8 @@ def _parse_graph(data, signature: SortSignature, algebra: Algebra,
 def _parse_map(data, source: AttributedGraph, target: AttributedGraph,
                alpha: AlgebraMorphism, where: str) -> AttrMorphism:
     _require(isinstance(data, dict), f"{where} must be an object with 'nodes' and 'edges'")
+    _require(isinstance(data.get("nodes", {}), dict) and isinstance(data.get("edges", {}), dict),
+             f"{where}: 'nodes' and 'edges' must be objects")
     node_map = {str(k): str(v) for k, v in data.get("nodes", {}).items()}
     edge_map = {str(k): str(v) for k, v in data.get("edges", {}).items()}
     try:
@@ -136,7 +153,7 @@ def _parse_rule(data, signature: SortSignature, host_algebra: Algebra) -> WeakSp
                  f"{where}: enumerated systems use variable-free rules")
         rule_alg: Algebra = host_algebra
     else:
-        rule_alg = TermAlg(PLUS_SIGNATURE, [str(v) for v in data.get("variables", [])])
+        rule_alg = TermAlg(PLUS_SIGNATURE, [str(v) for v in _list_field(data, "variables", where)])
     graphs = {}
     for tag in ("L", "K", "I", "R"):
         _require(tag in data, f"{where} needs graph {tag!r}")
@@ -162,7 +179,8 @@ def loads_system(text: str, source: str = "<string>") -> SystemSpec:
     _require("algebra" in data, f"{source}: missing 'algebra'")
     signature = _parse_signature(data["sorts"])
     algebra = _parse_algebra(data["algebra"])
-    rules = [_parse_rule(entry, signature, algebra) for entry in data.get("rules", [])]
+    rules = [_parse_rule(entry, signature, algebra)
+             for entry in _list_field(data, "rules", source)]
     host = None
     if "host" in data:
         host = _parse_graph(data["host"], signature, algebra, "host")

@@ -24,9 +24,6 @@ class SortSignature:
                 and self.node_sorts == other.node_sorts
                 and self.edge_sorts == other.edge_sorts)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __repr__(self) -> str:
         return f"SortSignature({sorted(self.node_sorts)}, {self.edge_sorts})"
 
@@ -85,13 +82,10 @@ class Graph:
         raise KeyError(x)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph)
-                and self.signature == other.signature
-                and self.nodes == other.nodes
-                and self.edges == other.edges)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        return self is other or (isinstance(other, Graph)
+                                 and self.signature == other.signature
+                                 and self.nodes == other.nodes
+                                 and self.edges == other.edges)
 
     def __repr__(self) -> str:
         return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -152,9 +146,6 @@ class GraphMorphism:
                 and self.target == other.target
                 and self.node_map == other.node_map
                 and self.edge_map == other.edge_map)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __repr__(self) -> str:
         return f"GraphMorphism({self.node_map}, {self.edge_map})"

@@ -6,14 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebras import (Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
-                       NatPlus, OpApp, TermAlg, Value, Var,
-                       render_value, term_variables, value_sort_key)
+from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
+                       LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
+                       apply_to_labelset, render_value, term_variables,
+                       value_sort_key)
 from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr,
                          identity_attr, validate_attr_morphism)
-from .constructions import (colimit_of_neutrals, limit_of_neutrals,
-                            pushout_along_neutral, pushout_complement)
-from .graphs import GraphMorphism, enumerate_morphisms, is_mono
+from .constructions import pushout_along_neutral, pushout_complement
+from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 
 
 class IncoherentSetError(Exception):
@@ -116,6 +116,13 @@ class DirectTransformation:
     g: AttrMorphism      # D -> H, neutral
     n: AttrMorphism      # R -> H, carries alpha
 
+    def __post_init__(self):
+        sigma = self.f.sigma
+        keeps_ids = (all(k == v for k, v in sigma.node_map.items())
+                     and all(k == v for k, v in sigma.edge_map.items()))
+        if self.f.target != self.host or not self.f.is_neutral or not keeps_ids:
+            raise ValueError("the context leg must be a neutral inclusion that keeps host ids")
+
     @property
     def rule(self) -> WeakSpan:
         return self.match.rule
@@ -151,16 +158,18 @@ class CoherenceCheckResult:
 
 @dataclass
 class ParallelStep:
-    """A parallel coherent transformation: contexts intersected, additions glued."""
+    """A parallel coherent transformation: contexts intersected, additions glued.
+
+    D' and H' use host ids: D' is the part of the host that every context
+    keeps, and H' is D' plus each application's additions.  ``born[c]`` maps
+    each right-side element of application c to its id in H'.
+    """
 
     gammas: list
     witnesses: dict
     Dprime: AttributedGraph
-    e_legs: list
-    mediators: list
-    H_primes: list
     Hprime: AttributedGraph
-    h_legs: list
+    born: list
 
 
 def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterable[dict]:
@@ -304,49 +313,30 @@ def _context_witness(required: AttributedGraph, via: AttrMorphism,
                      ctx: DirectTransformation) -> tuple[Optional[AttrMorphism], Optional[tuple[str, str]]]:
     """The unique j with ctx.f o j == via, if it exists.
 
-    ``via`` runs from ``required`` into the common host.  Returns either the
-    witness or (element, reason) for the first obstruction.
+    ``via`` runs from ``required`` into the common host.  The context keeps
+    host ids, so j is ``via`` with its target narrowed to the context.
+    Returns either the witness or (element, reason) for the first obstruction.
     """
-    preimage = {}
-    for x in ctx.D.element_ids():
-        preimage[ctx.f.apply(x)] = x
-    node_map: dict[str, str] = {}
-    edge_map: dict[str, str] = {}
     for x in required.element_ids():
         target = via.apply(x)
-        if target not in preimage:
+        if not ctx.D.graph.has_element(target):
             return None, (x, f"host element {target!r} is deleted from the context")
-        if required.graph.is_node(x):
-            node_map[x] = preimage[target]
-        else:
-            edge_map[x] = preimage[target]
-    sigma = GraphMorphism(required.graph, ctx.D.graph, node_map, edge_map)
+    sigma = GraphMorphism(required.graph, ctx.D.graph, via.sigma.node_map, via.sigma.edge_map)
     j = AttrMorphism(required, ctx.D, sigma, via.alpha, check=False)
     report = validate_attr_morphism(j)
     if not report.ok:
         worst = report.violations[0]
         return None, (worst.element, worst.describe())
-    if compose_attr(ctx.f, j) != via:
-        return None, (required.element_ids()[0] if required.element_ids() else "",
-                      "witness does not commute")
     return j, None
 
 
 def check_parallel_coherent(g1: DirectTransformation,
                             g2: DirectTransformation) -> Optional[tuple[CoherenceWitness, CoherenceWitness]]:
     """Witnesses embedding each rule's required part into the other's context."""
-    if g1.host != g2.host:
-        raise ValueError("direct transformations live on different hosts")
-    via1 = compose_attr(g1.f, compose_attr(g1.k, g1.rule.i))
-    via2 = compose_attr(g2.f, compose_attr(g2.k, g2.rule.i))
-    j1, _ = _context_witness(g1.rule.I, via1, g2)
-    if j1 is None:
+    check = coherent_set_check([g1, g2])
+    if not check.ok:
         return None
-    j2, _ = _context_witness(g2.rule.I, via2, g1)
-    if j2 is None:
-        return None
-    return (CoherenceWitness(j1, from_index=0, into_index=1),
-            CoherenceWitness(j2, from_index=1, into_index=0))
+    return check.matrix[(0, 1)], check.matrix[(1, 0)]
 
 
 def check_parallel_independent(g1: DirectTransformation,
@@ -397,11 +387,23 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
     return CoherenceCheckResult(matrix=matrix)
 
 
+def _fresh_id(candidate: str, used: set[str]) -> str:
+    while candidate in used:
+        candidate += "'"
+    used.add(candidate)
+    return candidate
+
+
 def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     """Parallel coherent transformation of a host by a coherent set.
 
-    Intersects all contexts, maps each rule's required part into the
-    intersection, pushes out each right side there, and glues the results.
+    Every context keeps host ids, so the limit D' of the contexts is the set
+    of host elements that all of them keep, labelled by the intersection of
+    their labels.  The colimit H' glues each right side onto D': images of
+    the required part land on their host ids with labels unioned, and every
+    other right-side element is added under a fresh ``<c>:<id>`` id.
+    ``limit_of_neutrals`` and ``colimit_of_neutrals`` are the general
+    constructions this computes.
     """
     gammas = list(gammas)
     check = coherent_set_check(gammas)
@@ -410,45 +412,37 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
             check.failing_pair, check.failing_element,
             f"pair {check.failing_pair} is not parallel coherent at "
             f"element {check.failing_element!r}: {check.reason}")
-    for g in gammas:
-        if not (g.f.is_neutral and g.g.is_neutral):
-            raise ValueError("direct transformations must have neutral context legs")
 
-    dprime, e_legs = limit_of_neutrals([g.f for g in gammas])
-    index: dict[tuple, str] = {}
-    for z in dprime.element_ids():
-        key = tuple(leg.apply(z) for leg in e_legs)
-        if key in index:
-            raise RuntimeError("limit legs fail to separate elements")
-        index[key] = z
+    host = gammas[0].host
+    contexts = [g.D.labeling for g in gammas]
+    kept = {x: frozenset.intersection(*(labels[x] for labels in contexts))
+            for x in host.labeling if all(x in labels for labels in contexts)}
+    nodes = {n: s for n, s in host.graph.nodes.items() if n in kept}
+    edges = {e: d for e, d in host.graph.edges.items() if e in kept}
+    dprime = AttributedGraph(Graph(host.graph.signature, nodes, edges), host.algebra, kept)
 
-    mediators = []
-    p = len(gammas)
+    nodes, edges, labels = dict(nodes), dict(edges), dict(kept)
+    used = set(kept)
+    born = []
     for c, gc in enumerate(gammas):
-        node_map: dict[str, str] = {}
-        edge_map: dict[str, str] = {}
-        for x in gc.rule.I.element_ids():
-            key = tuple(check.matrix[(c, a)].j.apply(x) for a in range(p))
-            z = index.get(key)
-            if z is None:
-                raise RuntimeError("witness images miss the limit object")
-            if gc.rule.I.graph.is_node(x):
-                node_map[x] = z
+        rule = gc.rule
+        # the required part lands on the host ids its images kept in the context
+        ids = {rule.r.apply(y): gc.k.apply(rule.i.apply(y)) for y in rule.I.element_ids()}
+        for x in rule.R.element_ids():
+            if x not in ids:
+                ids[x] = _fresh_id(f"{c}:{x}", used)
+            z = ids[x]
+            if rule.R.graph.is_node(x):
+                nodes[z] = rule.R.graph.nodes[x]
             else:
-                edge_map[x] = z
-        sigma = GraphMorphism(gc.rule.I.graph, dprime.graph, node_map, edge_map)
-        d_c = AttrMorphism(gc.rule.I, dprime, sigma, gc.match.alpha)
-        for a in range(p):
-            if compose_attr(e_legs[a], d_c) != check.matrix[(c, a)].j:
-                raise RuntimeError("mediator disagrees with a coherence witness")
-        mediators.append(d_c)
-
-    h_primes = [pushout_along_neutral(gc.rule.r, d_c)
-                for gc, d_c in zip(gammas, mediators)]
-    hprime, h_legs = colimit_of_neutrals([po.leg_from_other_side for po in h_primes])
-    return ParallelStep(
-        gammas=gammas, witnesses=check.matrix, Dprime=dprime, e_legs=e_legs,
-        mediators=mediators, H_primes=h_primes, Hprime=hprime, h_legs=h_legs)
+                sort, src, tgt = rule.R.graph.edges[x]
+                edges[z] = (sort, ids[src], ids[tgt])
+            added = apply_to_labelset(gc.match.alpha, rule.R.label(x))
+            labels[z] = labels.get(z, EMPTY_LABELS) | added
+        born.append(ids)
+    hprime = AttributedGraph(Graph(host.graph.signature, nodes, edges), host.algebra, labels)
+    return ParallelStep(gammas=gammas, witnesses=check.matrix, Dprime=dprime,
+                        Hprime=hprime, born=born)
 
 
 def _rename_rule_variables(rule: WeakSpan, taken: set[str]) -> WeakSpan:
@@ -562,11 +556,17 @@ def derive_span_from_pct(rules: Sequence[WeakSpan],
             if match.host != shared_l or not match.m.sigma.is_identity() \
                     or not match.m.is_neutral:
                 raise ValueError("matches must be identity occurrences of the shared left side")
-    gammas = [apply_direct(m) for m in matches]
-    step = pct(gammas)
-    left_leg = compose_attr(gammas[0].f, step.e_legs[0])
-    right_leg = compose_attr(step.h_legs[0], step.H_primes[0].leg_from_other_side)
+    step = pct([apply_direct(m) for m in matches])
     return WeakSpan(
         name="+".join(r.name for r in rules),
         L=shared_l, K=step.Dprime, I=step.Dprime, R=step.Hprime,
-        l=left_leg, i=identity_attr(step.Dprime), r=right_leg)
+        l=_inclusion(step.Dprime, shared_l), i=identity_attr(step.Dprime),
+        r=_inclusion(step.Dprime, step.Hprime))
+
+
+def _inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:
+    """The neutral map sending each element to the element of ``big`` with its id."""
+    sigma = GraphMorphism(small.graph, big.graph,
+                          {n: n for n in small.graph.nodes},
+                          {e: e for e in small.graph.edges})
+    return AttrMorphism(small, big, sigma, AlgebraMorphism.identity(small.algebra))

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .attrgraphs import AttrMorphism, AttributedGraph, compose_attr, rename_attributed
+from .attrgraphs import AttrMorphism, AttributedGraph, rename_attributed
 from .constructions import GluingError
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, hex_system, live_cells
-from .rewriting import (DirectTransformation, Match, ParallelStep, apply_direct,
-                        find_matches, pct)
+from .rewriting import (DirectTransformation, Match, ParallelStep, _fresh_id,
+                        apply_direct, find_matches, pct)
 
 
 @dataclass
@@ -70,27 +70,16 @@ class RunResult:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def _fresh_id(candidate: str, used: set[str]) -> str:
-    while candidate in used:
-        candidate += "'"
-    used.add(candidate)
-    return candidate
-
-
 def relabel_parallel_result(step: ParallelStep, step_index: int) -> AttributedGraph:
-    """Rename the glued result back onto host ids plus fresh ids for additions."""
-    through_first = compose_attr(step.h_legs[0], step.H_primes[0].leg_from_other_side)
-    into_host = compose_attr(step.gammas[0].f, step.e_legs[0])
+    """Rename the additions of the glued result to fresh `s<step>:<c>:<id>` ids;
+    D' keeps its host ids."""
+    kept = step.Dprime.graph
     mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for z in step.Dprime.element_ids():
-        mapping[through_first.apply(z)] = _fresh_id(into_host.apply(z), used)
-    for c, (gamma, po, leg) in enumerate(zip(step.gammas, step.H_primes, step.h_legs)):
-        born = compose_attr(leg, po.leg_from_neutral_side)
+    used = set(kept.element_ids())
+    for c, (gamma, born) in enumerate(zip(step.gammas, step.born)):
         for x in gamma.rule.R.element_ids():
-            y = born.apply(x)
-            if y not in mapping:
-                mapping[y] = _fresh_id(f"s{step_index}:{c}:{x}", used)
+            if not kept.has_element(born[x]):
+                mapping[born[x]] = _fresh_id(f"s{step_index}:{c}:{x}", used)
     return rename_attributed(step.Hprime, mapping)
 
 
@@ -141,13 +130,20 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
     if not gammas:
         report.fixpoint = True
         return host, report
-    report.applied = len(gammas)
+    return finish_parallel_step(gammas, report)
+
+
+def finish_parallel_step(gammas: list[DirectTransformation],
+                         report: StepReport) -> tuple[AttributedGraph, StepReport]:
+    """Apply the applications jointly, record the step in the report, and
+    rename the result for step ``report.index``."""
     step = pct(gammas)
+    report.applied = len(gammas)
     report.coherent = True
     report.witness_count = len(step.witnesses)
     report.dprime_elements = step.Dprime.graph.element_count()
     report.hprime_elements = step.Hprime.graph.element_count()
-    return relabel_parallel_result(step, step_index), report
+    return relabel_parallel_result(step, report.index), report
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,

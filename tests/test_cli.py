@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -250,6 +251,18 @@ class TestRun:
                      "--mode", "seq", "--out", str(out)]) == 0
         assert "sum@1" in capsys.readouterr().out
         assert labels_of(out) == {"x": LabelSet([2]), "y": LabelSet([2])}
+
+    def test_hex_run_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of the saved graph and the report as the iterated
+        # limit/colimit construction wrote them; the one-pass step keeps both
+        preset, out, report = (tmp_path / name for name in ("hex.json", "final.json", "report"))
+        assert main(["preset", "hex", "--radius", "5", "--out", str(preset)]) == 0
+        assert main(["run", "--rules", str(preset), "--host", str(preset), "--steps", "3",
+                     "--mode", "pct", "--out", str(out), "--report", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("3 steps; final graph has 571 elements\n")
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == [
+            "e33e149329078f715a077b4aa8d6754bf6d3c935417c28a72c252faaa363ca4d",
+            "1dbd92a44f28963a5278e5656aa219f4e95860c32a653b13f132fc301cac36a1"]
 
 
 class TestHexca:

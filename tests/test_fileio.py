@@ -21,6 +21,7 @@ from weakspan import (
     save_graph,
     save_system,
 )
+from weakspan.cli import main
 
 MINIMAL = {
     "sorts": {"nodes": ["p"], "edges": {"a": ["p", "p"]}},
@@ -96,6 +97,26 @@ class TestParseFailures:
         data = dict(MINIMAL, sorts={"nodes": ["p"], "edges": {"a": ["p"]}})
         with pytest.raises(ValidationError, match="source sort, target sort"):
             loads_system(json.dumps(data))
+
+
+MALFORMED_SHAPES = {
+    "host nodes not a list": with_host(nodes=5),
+    "edge sorts not an object": dict(MINIMAL, sorts={"nodes": ["p"], "edges": [["p", "p"]]}),
+    "label not a list": with_host(nodes=[{"id": "x", "sort": "p", "label": 7}]),
+    "enum values not a list": dict(MINIMAL, algebra={"enum": 3}),
+    "sort not a string": with_host(nodes=[{"id": "x", "sort": ["p"]}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+def test_malformed_shapes_exit_with_code_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_SHAPES[case]))
+    code = main(["export", "--host", str(path), "--dot", str(tmp_path / "bad.dot")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input: ")
+    assert "Traceback" not in err
 
 
 class TestHostValidation:

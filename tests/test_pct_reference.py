@@ -1,0 +1,189 @@
+"""The one-pass joint step against the categorical construction it computes.
+
+`reference_step` takes the general route: the limit of the contexts as
+iterated pullbacks, a mediator from each required part into that limit, a
+pushout of each right side along its mediator, and the colimit of those
+pushouts.  It then maps the limit and the glued result to host ids through
+their legs.  `pct` must give exactly the same graphs, ids and labels
+included.
+"""
+
+import random
+
+import pytest
+
+from weakspan import (
+    PLUS_SIGNATURE,
+    AlgebraMorphism,
+    AttrMorphism,
+    AttributedGraph,
+    GluingError,
+    Graph,
+    GraphMorphism,
+    HexGridSpec,
+    IncoherentSetError,
+    LabelSet,
+    Lit,
+    Match,
+    NatPlus,
+    SortSignature,
+    TermAlg,
+    Var,
+    WeakSpan,
+    apply_direct,
+    cmd_hexca,
+    cmd_run,
+    coherent_set_check,
+    colimit_of_neutrals,
+    compose_attr,
+    fibonacci_system,
+    find_matches,
+    hex_system,
+    limit_of_neutrals,
+    pct,
+    pushout_along_neutral,
+    rename_attributed,
+)
+from weakspan.runner import relabel_parallel_result
+
+from randgen import random_host, random_independent_pair, random_instance
+
+
+def _fresh(candidate, used):
+    while candidate in used:
+        candidate += "'"
+    used.add(candidate)
+    return candidate
+
+
+def reference_step(gammas, witnesses, step_index):
+    """D' and the renamed H' of the categorical joint step, in host ids."""
+    p = len(gammas)
+    dprime, e_legs = limit_of_neutrals([g.f for g in gammas])
+    index = {tuple(leg.apply(z) for leg in e_legs): z for z in dprime.element_ids()}
+    assert len(index) == dprime.element_count(), "limit legs fail to separate elements"
+
+    mediators = []
+    for c, gc in enumerate(gammas):
+        required = gc.rule.I
+        image = {x: index[tuple(witnesses[(c, a)].j.apply(x) for a in range(p))]
+                 for x in required.element_ids()}
+        sigma = GraphMorphism(
+            required.graph, dprime.graph,
+            {x: image[x] for x in required.graph.nodes},
+            {x: image[x] for x in required.graph.edges})
+        d_c = AttrMorphism(required, dprime, sigma, gc.match.alpha)
+        for a in range(p):
+            assert compose_attr(e_legs[a], d_c) == witnesses[(c, a)].j
+        mediators.append(d_c)
+
+    pushouts = [pushout_along_neutral(gc.rule.r, d_c) for gc, d_c in zip(gammas, mediators)]
+    hprime, h_legs = colimit_of_neutrals([po.leg_from_other_side for po in pushouts])
+
+    into_host = compose_attr(gammas[0].f, e_legs[0])
+    through_first = compose_attr(h_legs[0], pushouts[0].leg_from_other_side)
+    host_ids = {z: into_host.apply(z) for z in dprime.element_ids()}
+    mapping = {through_first.apply(z): host_ids[z] for z in dprime.element_ids()}
+    used = set(host_ids.values())
+    for c, (gc, po, leg) in enumerate(zip(gammas, pushouts, h_legs)):
+        born = compose_attr(leg, po.leg_from_neutral_side)
+        for x in gc.rule.R.element_ids():
+            y = born.apply(x)
+            if y not in mapping:
+                mapping[y] = _fresh(f"s{step_index}:{c}:{x}", used)
+    return rename_attributed(dprime, host_ids), rename_attributed(hprime, mapping)
+
+
+def assert_same_graph(got, want):
+    """Exact equality, compared part by part to keep a failure report short."""
+    assert got.graph.nodes == want.graph.nodes
+    assert got.graph.edges == want.graph.edges
+    assert got.labeling == want.labeling
+    assert got == want
+
+
+def assert_agrees_with_reference(gammas, step_index=0):
+    """Run both routes on one coherent set and return the renamed result."""
+    step = pct(gammas)
+    for (a, b), witness in step.witnesses.items():
+        via = compose_attr(gammas[a].f, step.witnesses[(a, a)].j)
+        assert compose_attr(gammas[b].f, witness.j) == via
+    dprime, hprime = reference_step(gammas, step.witnesses, step_index)
+    assert_same_graph(step.Dprime, dprime)
+    result = relabel_parallel_result(step, step_index)
+    assert_same_graph(result, hprime)
+    return result
+
+
+def step_gammas(system, host):
+    """The applications a runner step makes: every match that glues."""
+    gammas = []
+    for rule in system.rules:
+        for match in find_matches(rule, host):
+            try:
+                gammas.append(apply_direct(match))
+            except GluingError:
+                pass
+    return gammas
+
+
+def test_every_hex_step():
+    grid = HexGridSpec(radius=5, seeds=((0, 0),))
+    system = hex_system(grid)
+    run = cmd_hexca(grid, generations=3)
+    for index, (before, after) in enumerate(zip(run.graphs, run.graphs[1:])):
+        gammas = step_gammas(system, before)
+        assert len(gammas) == run.steps[index].applied
+        assert_same_graph(assert_agrees_with_reference(gammas, index), after)
+
+
+def test_ten_fibonacci_steps():
+    system = fibonacci_system()
+    run = cmd_run(system, steps=10, mode="pct")
+    for index, (before, after) in enumerate(zip(run.history, run.history[1:])):
+        assert_same_graph(assert_agrees_with_reference(step_gammas(system, before), index), after)
+
+
+def test_random_independent_pairs():
+    for trial in range(100):
+        _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+        assert_agrees_with_reference([apply_direct(m1), apply_direct(m2)], trial)
+
+
+def test_random_overlapping_pairs_when_coherent():
+    coherent = 0
+    for trial in range(100):
+        rng = random.Random(5000 + trial)
+        host = random_host(rng)
+        gammas = [apply_direct(random_instance(rng, host, var_names=("u", "v"), name="one")),
+                  apply_direct(random_instance(rng, host, var_names=("w", "z"), name="two"))]
+        if coherent_set_check(gammas).ok:
+            assert_agrees_with_reference(gammas, trial)
+            coherent += 1
+        else:
+            with pytest.raises(IncoherentSetError):
+                pct(gammas)
+    assert coherent >= 10
+
+
+def test_fresh_ids_step_around_host_ids():
+    sig = SortSignature(["p"], {})
+    alg = TermAlg(PLUS_SIGNATURE, ["u"])
+    kept = AttributedGraph(Graph(sig, {"x": "p"}, {}), alg, {"x": [Var("u")]})
+    grown = AttributedGraph(Graph(sig, {"x": "p", "n": "p"}, {}), alg,
+                            {"x": [Var("u")], "n": [Lit(1)]})
+    ident = AlgebraMorphism.identity(alg)
+    inclusion = AttrMorphism(kept, grown, GraphMorphism(kept.graph, grown.graph, {"x": "x"}, {}),
+                             ident)
+    same = AttrMorphism(kept, kept, GraphMorphism.identity(kept.graph), ident)
+    rule = WeakSpan(name="grow", L=kept, K=kept, I=kept, R=grown, l=same, i=same, r=inclusion)
+    host = AttributedGraph(
+        Graph(sig, {"x": "p", "0:n": "p", "s0:0:n": "p", "s0:0:n'": "p"}, {}), NatPlus(),
+        {"x": [4]})
+    m = AttrMorphism(kept, host, GraphMorphism(kept.graph, host.graph, {"x": "x"}, {}),
+                     AlgebraMorphism(alg, NatPlus(), {"u": 4}))
+    gamma = apply_direct(Match(rule, host, m))
+    step = pct([gamma])
+    assert step.born == [{"x": "x", "n": "0:n'"}]
+    result = assert_agrees_with_reference([gamma])
+    assert result.label("s0:0:n''") == LabelSet([1])

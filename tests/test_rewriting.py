@@ -267,8 +267,7 @@ class TestParallelTransformation:
         gammas = [apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules]
         step = pct(gammas)
         assert step.Dprime.element_count() == 3
-        labels = {step.e_legs[0].apply(z): step.Dprime.label(z)
-                  for z in step.Dprime.element_ids()}
+        labels = {z: step.Dprime.label(z) for z in step.Dprime.element_ids()}
         assert labels == {"x": LabelSet(), "y": LabelSet(), "e": LabelSet()}
         expected = fib.host.with_labels({"x": [2], "y": [3]})
         assert is_attr_isomorphic(step.Hprime, expected) is not None
