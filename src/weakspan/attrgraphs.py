@@ -145,12 +145,15 @@ def validate_attr_morphism(m: AttrMorphism) -> ValidationReport:
 
 
 def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:
-    """Componentwise composite g after f."""
+    """Componentwise composite g after f.
+
+    A composite of lax morphisms is lax, so its labels are not checked again.
+    """
     if f.target != g.source:
         raise ValueError("attributed morphisms do not compose")
     return AttrMorphism(f.source, g.target,
                         compose(g.sigma, f.sigma),
-                        g.alpha.compose(f.alpha))
+                        g.alpha.compose(f.alpha), check=False)
 
 
 def identity_attr(a: AttributedGraph) -> AttrMorphism:

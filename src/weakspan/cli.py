@@ -20,10 +20,10 @@ from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, save_graph, save_system)
 from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
 from .presets import fibonacci_system
-from .rewriting import IncoherentSetError, Match, apply_direct, find_matches
+from .rewriting import IncoherentSetError, Match, apply_direct, find_matches, pct
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, cmd_hexca, cmd_run,
-                     finish_parallel_step, relabel_direct_result)
+                     finish_parallel_step, relabel_parallel_result)
 
 __all__ = [
     "main", "entry", "UsageError",
@@ -195,7 +195,7 @@ def _cmd_apply(args) -> int:
         raise ValidationError(
             f"rule {args.rule!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
-    result = relabel_direct_result(gamma, 0, args.match)
+    result = relabel_parallel_result(pct([gamma]), 0, [args.match])
     report = [
         f"applied {args.rule}#{args.match}",
         f"context: {gamma.D.graph.element_count()} elements",
@@ -222,10 +222,12 @@ def _cmd_pct(args) -> int:
         except ValueError:
             raise UsageError(f"bad --matches {args.matches!r}: expected comma-separated integers")
         matches = all_matches(system, host)
-        for idx in indices:
+        for pos, idx in enumerate(indices):
             if not 0 <= idx < len(matches):
                 raise ValidationError(
                     f"match index {idx} out of range: host has {len(matches)} matches")
+            if idx in indices[:pos]:
+                raise ValidationError(f"match index {idx} is repeated in --matches")
         gammas = [apply_direct(matches[idx]) for idx in indices]
         report = StepReport(index=0, mode="pct")
         for rule in system.rules:

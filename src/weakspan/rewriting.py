@@ -106,15 +106,13 @@ class Match:
 
 @dataclass
 class DirectTransformation:
-    """One rule application: the full double-square diagram record."""
+    """One rule application's context D with its legs; the application's
+    result is the one-element parallel step ``pct([gamma]).Hprime``."""
 
     match: Match
     D: AttributedGraph
     k: AttrMorphism      # K -> D, carries alpha
     f: AttrMorphism      # D -> host, neutral
-    H: AttributedGraph
-    g: AttrMorphism      # D -> H, neutral
-    n: AttrMorphism      # R -> H, carries alpha
 
     def __post_init__(self):
         sigma = self.f.sigma
@@ -274,18 +272,14 @@ def find_matches(rule: WeakSpan, host: AttributedGraph) -> list[Match]:
 
 
 def apply_direct(match: Match) -> DirectTransformation:
-    """Weak double-pushout application of a rule at a match."""
+    """The context of a weak double-pushout application; ``pct([gamma])``
+    glues the right side on, computing ``pushout_along_neutral``."""
     comp = pushout_complement(match.rule.l, match.m)
-    ki = compose_attr(comp.k_to_complement, match.rule.i)
-    po = pushout_along_neutral(match.rule.r, ki)
     return DirectTransformation(
         match=match,
         D=comp.complement,
         k=comp.k_to_complement,
-        f=comp.complement_to_host,
-        H=po.apex,
-        g=po.leg_from_other_side,
-        n=po.leg_from_neutral_side)
+        f=comp.complement_to_host)
 
 
 def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:

@@ -2,7 +2,8 @@
 
 Parallel mode intersects all contexts and glues all additions in one move.
 Sequential mode replays the same match list one at a time, skipping matches
-invalidated by earlier applications; it exists for comparison runs.
+invalidated by earlier applications; it exists for comparison runs.  Each of
+its applications is the one-element parallel step.
 
 Both modes rename result elements so that surviving elements keep their host
 ids and created elements get fresh `s<step>:<match>:<id>` names.  Ids then
@@ -13,6 +14,7 @@ carried from one intermediate graph to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .attrgraphs import AttrMorphism, AttributedGraph, rename_attributed
 from .constructions import GluingError
@@ -70,30 +72,18 @@ class RunResult:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def relabel_parallel_result(step: ParallelStep, step_index: int) -> AttributedGraph:
-    """Rename the additions of the glued result to fresh `s<step>:<c>:<id>` ids;
-    D' keeps its host ids."""
+def relabel_parallel_result(step: ParallelStep, step_index: int,
+                            numbers: Sequence[int]) -> AttributedGraph:
+    """Rename the additions of the glued result to fresh `s<step>:<n>:<id>` ids,
+    where n is ``numbers[c]`` for application c; D' keeps its host ids."""
     kept = step.Dprime.graph
     mapping: dict[str, str] = {}
     used = set(kept.element_ids())
-    for c, (gamma, born) in enumerate(zip(step.gammas, step.born)):
+    for number, gamma, born in zip(numbers, step.gammas, step.born, strict=True):
         for x in gamma.rule.R.element_ids():
             if not kept.has_element(born[x]):
-                mapping[born[x]] = _fresh_id(f"s{step_index}:{c}:{x}", used)
+                mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}", used)
     return rename_attributed(step.Hprime, mapping)
-
-
-def relabel_direct_result(gamma: DirectTransformation, step_index: int,
-                          match_index: int) -> AttributedGraph:
-    """Rename a single application's result: context ids survive, additions fresh."""
-    kept = {gamma.g.apply(z) for z in gamma.D.element_ids()}
-    mapping: dict[str, str] = {}
-    used = set(kept)
-    for x in gamma.rule.R.element_ids():
-        y = gamma.n.apply(x)
-        if y not in kept and y not in mapping:
-            mapping[y] = _fresh_id(f"s{step_index}:{match_index}:{x}", used)
-    return rename_attributed(gamma.H, mapping)
 
 
 def transport_match(match: Match, host: AttributedGraph) -> Match:
@@ -143,7 +133,7 @@ def finish_parallel_step(gammas: list[DirectTransformation],
     report.witness_count = len(step.witnesses)
     report.dprime_elements = step.Dprime.graph.element_count()
     report.hprime_elements = step.Hprime.graph.element_count()
-    return relabel_parallel_result(step, report.index), report
+    return relabel_parallel_result(step, report.index, range(len(gammas))), report
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,
@@ -178,7 +168,7 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
         except GluingError as err:
             report.skipped_gluing.append(f"{match.rule.name}@{pos}: {err}")
             continue
-        current = relabel_direct_result(gamma, step_index, pos)
+        current = relabel_parallel_result(pct([gamma]), step_index, [pos])
         report.applied += 1
     return current, report
 

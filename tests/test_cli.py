@@ -144,6 +144,13 @@ class TestInputErrors:
         assert main(["pct", "--rules", fib, "--host", fib, "--matches", "0,9"]) == 2
         assert "match index 9 out of range" in capsys.readouterr().err
 
+    def test_pct_repeated_index(self, files, capsys):
+        fib = str(files / "fib.json")
+        assert main(["pct", "--rules", fib, "--host", fib, "--matches", "1,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: match index 1 is repeated in --matches\n"
+
     def test_hexca_margin_violation(self, capsys):
         assert main(["hexca", "--radius", "2", "--generations", "2"]) == 2
         assert "invalid input" in capsys.readouterr().err
@@ -205,6 +212,22 @@ class TestApply:
             "applied sum#0\ncontext: 3 elements\nresult: 3 elements\n")
         assert labels_of(out) == {"x": LabelSet([1]), "y": LabelSet([3])}
 
+    def test_additions_are_named_by_the_match_index(self, tmp_path, capsys):
+        point = {"nodes": [{"id": "x", "sort": "p"}]}
+        grow = {"name": "grow", "L": point, "K": point, "I": point,
+                "R": {"nodes": [{"id": "x", "sort": "p"}, {"id": "n", "sort": "p", "label": [1]}]},
+                "l": {"nodes": {"x": "x"}}, "i": {"nodes": {"x": "x"}},
+                "r": {"nodes": {"x": "x"}}}
+        system = tmp_path / "grow.json"
+        system.write_text(json.dumps({
+            "sorts": P_SIG, "algebra": "nat", "rules": [grow],
+            "host": {"nodes": [{"id": "a", "sort": "p"}, {"id": "b", "sort": "p"}]}}))
+        out = tmp_path / "grown.json"
+        assert main(["apply", "--rules", str(system), "--host", str(system),
+                     "--rule", "grow", "--match", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("result: 3 elements\n")
+        assert labels_of(out) == {"a": LabelSet(), "b": LabelSet(), "s0:1:n": LabelSet([1])}
+
 
 class TestPct:
     def test_all_matches_by_default(self, files, tmp_path, capsys):
@@ -263,6 +286,35 @@ class TestRun:
         assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == [
             "e33e149329078f715a077b4aa8d6754bf6d3c935417c28a72c252faaa363ca4d",
             "1dbd92a44f28963a5278e5656aa219f4e95860c32a653b13f132fc301cac36a1"]
+
+    @pytest.mark.parametrize("preset, command, stdout, digests", [
+        (["fib"], ["run", "--steps", "30", "--mode", "seq"],
+         "30 steps; final graph has 3 elements\n",
+         ["58326fe1ee0ef11baa763209acd4b157036655ada7a50ab0ec09a95431773036",
+          "072cbb0ce6be39918ee7de3a7b0ac114a27574c4187a26b25b3cb30f277285f9"]),
+        (["hex", "--radius", "6", "--seed", "0,0", "--seed", "2,-1"],
+         ["run", "--steps", "3", "--mode", "seq"],
+         "3 steps; final graph has 811 elements\n",
+         ["46295d6afa679dde4e82030f45bb0536fb37bfcdd1d30cd4fab13eb544fecc44",
+          "005892ff7c7f1a2037cc2f5ceabd372df4a695cac2a724a6ce66ddd0e441de4d"]),
+        (["fib"], ["apply", "--rule", "shift", "--match", "0"], "",
+         ["edfe1a506a60fb5e0c5e3ec33d0ea27adeba5bcf88ea0d12e561149106bff8a8",
+          "8278206c6d6b8f18ade0f8b0eeeba815958183533061fc7359a179f9e80e86c0"]),
+        (["fib"], ["apply", "--rule", "sum", "--match", "0"], "",
+         ["8e9c93ec13d69ee5778e9a5e6a381057d324443b53b5046bf2dd62021a7d2943",
+          "028c70b139992fcb2b60963f25ad2160a96314a90e5e55a855b3a60c43443a3d"]),
+    ], ids=["seq-fib", "seq-hex", "apply-shift", "apply-sum"])
+    def test_single_application_bytes_are_pinned(self, preset, command, stdout, digests,
+                                                 tmp_path, capsys):
+        # sha256 of the saved graph and the report as the per-match pushout
+        # wrote them; the one-application parallel step keeps both
+        system, out, report = (tmp_path / name for name in ("system.json", "final.json", "report"))
+        assert main(["preset", *preset, "--out", str(system)]) == 0
+        capsys.readouterr()
+        assert main([command[0], "--rules", str(system), "--host", str(system), *command[1:],
+                     "--out", str(out), "--report", str(report)]) == 0
+        assert capsys.readouterr().out == stdout
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == digests
 
 
 class TestHexca:

@@ -6,6 +6,10 @@ pushout of each right side along its mediator, and the colimit of those
 pushouts.  It then maps the limit and the glued result to host ids through
 their legs.  `pct` must give exactly the same graphs, ids and labels
 included.
+
+`reference_direct` is the same check for one application: the pushout of the
+right side along the context, renamed through its legs.  A sequential step
+and `weakspan apply` take the one-element `pct` instead, and must agree.
 """
 
 import random
@@ -27,9 +31,11 @@ from weakspan import (
     Match,
     NatPlus,
     SortSignature,
+    SystemSpec,
     TermAlg,
     Var,
     WeakSpan,
+    all_matches,
     apply_direct,
     cmd_hexca,
     cmd_run,
@@ -43,10 +49,12 @@ from weakspan import (
     pct,
     pushout_along_neutral,
     rename_attributed,
+    transport_match,
+    validate_attr_morphism,
 )
 from weakspan.runner import relabel_parallel_result
 
-from randgen import random_host, random_independent_pair, random_instance
+from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 
 
 def _fresh(candidate, used):
@@ -102,17 +110,74 @@ def assert_same_graph(got, want):
     assert got == want
 
 
+def reference_direct(gamma, step_index=0, number=0):
+    """The result of one application as the pushout of its right side along
+    the context, with additions renamed to `s<step>:<number>:<id>`."""
+    rule = gamma.rule
+    po = pushout_along_neutral(rule.r, compose_attr(gamma.k, rule.i))
+    kept = {po.leg_from_other_side.apply(z) for z in gamma.D.element_ids()}
+    mapping = {}
+    used = set(kept)
+    for x in rule.R.element_ids():
+        y = po.leg_from_neutral_side.apply(x)
+        if y not in kept and y not in mapping:
+            mapping[y] = _fresh(f"s{step_index}:{number}:{x}", used)
+    return rename_attributed(po.apex, mapping)
+
+
+def assert_composites_are_lax(step):
+    """`compose_attr` skips the label check: re-check every k∘i and f∘k∘i."""
+    for a, gamma in enumerate(step.gammas):
+        ki = step.witnesses[(a, a)].j
+        assert ki == compose_attr(gamma.k, gamma.rule.i)
+        assert validate_attr_morphism(ki).ok
+        assert validate_attr_morphism(compose_attr(gamma.f, ki)).ok
+
+
 def assert_agrees_with_reference(gammas, step_index=0):
     """Run both routes on one coherent set and return the renamed result."""
     step = pct(gammas)
+    assert_composites_are_lax(step)
     for (a, b), witness in step.witnesses.items():
         via = compose_attr(gammas[a].f, step.witnesses[(a, a)].j)
         assert compose_attr(gammas[b].f, witness.j) == via
     dprime, hprime = reference_step(gammas, step.witnesses, step_index)
     assert_same_graph(step.Dprime, dprime)
-    result = relabel_parallel_result(step, step_index)
+    result = relabel_parallel_result(step, step_index, range(len(gammas)))
     assert_same_graph(result, hprime)
     return result
+
+
+def assert_direct_agrees(gamma, step_index, number):
+    """One application through `pct` equals the pushout route; returns it."""
+    step = pct([gamma])
+    assert_composites_are_lax(step)
+    result = relabel_parallel_result(step, step_index, [number])
+    assert_same_graph(result, reference_direct(gamma, step_index, number))
+    return result
+
+
+def replay_sequential_step(system, host, step_index):
+    """A sequential step, each application checked against the pushout route.
+
+    Returns the result and the number of applications made.
+    """
+    current, applied = host, 0
+    for pos, match in enumerate(all_matches(system, host)):
+        try:
+            gamma = apply_direct(transport_match(match, current))
+        except (ValueError, GluingError):
+            continue
+        current = assert_direct_agrees(gamma, step_index, pos)
+        applied += 1
+    return current, applied
+
+
+def assert_sequential_run_agrees(system, run):
+    for index, (before, after) in enumerate(zip(run.history, run.history[1:])):
+        result, applied = replay_sequential_step(system, before, index)
+        assert applied == run.steps[index].applied
+        assert_same_graph(result, after)
 
 
 def step_gammas(system, host):
@@ -187,3 +252,44 @@ def test_fresh_ids_step_around_host_ids():
     assert step.born == [{"x": "x", "n": "0:n'"}]
     result = assert_agrees_with_reference([gamma])
     assert result.label("s0:0:n''") == LabelSet([1])
+
+
+@pytest.mark.parametrize("system, steps", [
+    (fibonacci_system(), 30),
+    (hex_system(HexGridSpec(radius=6, seeds=((0, 0), (2, -1)))), 3),
+], ids=["fib", "hex-two-seeds"])
+def test_every_sequential_application(system, steps):
+    run = cmd_run(system, steps, "sequential")
+    assert len(run.steps) == steps
+    assert_sequential_run_agrees(system, run)
+
+
+def test_sequential_runs_of_random_pairs():
+    """Random rules add elements, so these runs check the names additions get."""
+    added = 0
+    for trial in range(30):
+        host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+        system = SystemSpec(host.graph.signature, host.algebra, [m1.rule, m2.rule], host)
+        run = cmd_run(system, 2, "sequential")
+        assert_sequential_run_agrees(system, run)
+        added += sum(not host.graph.has_element(x) for x in run.final.element_ids())
+    assert added >= 10
+
+
+def test_random_single_applications():
+    """Each random family's applications, numbered so that the number shows."""
+    for trial in range(100):
+        rng = random.Random(trial)
+        assert_direct_agrees(apply_direct(random_instance(rng, random_host(rng))), trial, 7)
+    for trial in range(100):
+        _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+        first = assert_direct_agrees(apply_direct(m1), trial, 3)
+        assert_direct_agrees(apply_direct(transport_match(m2, first)), trial, 5)
+        assert_direct_agrees(apply_direct(coproduct_match(m1, m2)), trial, 0)
+    for trial in range(100):
+        rng = random.Random(5000 + trial)
+        host = random_host(rng)
+        for name, var_names in (("one", ("u", "v")), ("two", ("w", "z"))):
+            assert_direct_agrees(
+                apply_direct(random_instance(rng, host, var_names=var_names, name=name)),
+                trial, 2)

@@ -25,6 +25,7 @@ from weakspan import (
     check_parallel_coherent,
     check_parallel_independent,
     coherent_set_check,
+    compose_attr,
     coproduct_rule,
     derive_span_from_pct,
     fibonacci_system,
@@ -32,6 +33,7 @@ from weakspan import (
     identity_attr,
     is_attr_isomorphic,
     pct,
+    pushout_along_neutral,
 )
 
 NAT = NatPlus()
@@ -159,20 +161,21 @@ class TestApplyDirect:
         gamma = apply_direct(find_matches(shift, fib.host)[0])
         assert gamma.D.label("x") == LabelSet()
         assert gamma.D.label("y") == LabelSet([2])
-        assert gamma.H.label("x") == LabelSet([2])
-        assert gamma.H.label("y") == LabelSet([2])
+        result = pct([gamma]).Hprime
+        assert result.label("x") == LabelSet([2])
+        assert result.label("y") == LabelSet([2])
 
     def test_sum_replaces_y_with_the_total(self, fib):
         total = fib.rules[1]
-        gamma = apply_direct(find_matches(total, fib.host)[0])
-        assert gamma.H.label("x") == LabelSet([1])
-        assert gamma.H.label("y") == LabelSet([3])
+        result = pct([apply_direct(find_matches(total, fib.host)[0])]).Hprime
+        assert result.label("x") == LabelSet([1])
+        assert result.label("y") == LabelSet([3])
 
     def test_context_and_result_keep_host_ids_for_survivors(self, fib):
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
         assert gamma.D.element_ids() == ["x", "y", "e"]
-        assert gamma.H.element_ids() == ["x", "y", "e"]
-        assert gamma.f.is_neutral and gamma.g.is_neutral
+        assert pct([gamma]).Hprime.element_ids() == ["x", "y", "e"]
+        assert gamma.f.is_neutral
 
     def test_gluing_failure_surfaces_from_application(self):
         sig = SortSignature(["p"], {"a": ("p", "p")})
@@ -212,7 +215,7 @@ class TestAssociatedSpan:
             direct = apply_direct(find_matches(rule, fib.host)[0])
             match = find_matches(span, fib.host)[0]
             via_span = apply_span_dpo(span, match)
-            assert is_attr_isomorphic(direct.H, via_span.H) is not None
+            assert is_attr_isomorphic(pct([direct]).Hprime, pct([via_span]).Hprime) is not None
 
     def test_plain_span_application_rejects_weak_rules(self, fib):
         shift = fib.rules[0]
@@ -274,19 +277,21 @@ class TestParallelTransformation:
 
     def test_joint_step_differs_from_both_sequences(self, fib):
         shift, total = fib.rules
-        first = apply_direct(find_matches(shift, fib.host)[0])
-        then = apply_direct(find_matches(total, first.H)[0])
-        assert then.H.label("y") == LabelSet([4])        # 2 + 2, not 3
-        first = apply_direct(find_matches(total, fib.host)[0])
-        then = apply_direct(find_matches(shift, first.H)[0])
-        assert then.H.label("x") == LabelSet([3])        # the sum got copied
+        def after(rule, host):
+            return pct([apply_direct(find_matches(rule, host)[0])]).Hprime
+
+        assert after(total, after(shift, fib.host)).label("y") == LabelSet([4])  # 2 + 2, not 3
+        then = after(shift, after(total, fib.host))
+        assert then.label("x") == LabelSet([3])        # the sum got copied
         joint = pct([apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules])
-        assert is_attr_isomorphic(joint.Hprime, then.H) is None
+        assert is_attr_isomorphic(joint.Hprime, then) is None
 
     def test_singleton_set_collapses_to_direct_application(self, fib):
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
-        step = pct([gamma])
-        assert is_attr_isomorphic(step.Hprime, gamma.H) is not None
+        rule = gamma.rule
+        pushout = pushout_along_neutral(rule.r, compose_attr(gamma.k, rule.i))
+        # the rule adds nothing, so the pushout keeps every id of the context
+        assert pct([gamma]).Hprime == pushout.apex
 
     def test_incoherent_set_is_refused_with_the_obstruction(self):
         eraser = point_rule("erase", ("u",), [Var("u")], [], [], [])
@@ -307,8 +312,8 @@ class TestParallelTransformation:
         step = pct([g5, g7])
         only = step.Hprime.element_ids()[0]
         assert step.Hprime.label(only) == LabelSet()
-        after5 = apply_direct(match_on(erase7, g5.H, {"w": 7}))
-        assert is_attr_isomorphic(step.Hprime, after5.H) is not None
+        after5 = apply_direct(match_on(erase7, pct([g5]).Hprime, {"w": 7}))
+        assert is_attr_isomorphic(step.Hprime, pct([after5]).Hprime) is not None
 
 
 class TestCoproductRule:
@@ -359,8 +364,8 @@ class TestDerivedSpan:
         second = point_rule("b", (), [], [], [], [Lit(2)])
         derived = derive_span_from_pct([first, second])
         host = point(NAT, [9])
-        result = apply_span_dpo(derived, find_matches(derived, host)[0])
-        assert result.H.label(result.g.apply("x")) == LabelSet([1, 2, 9])
+        result = pct([apply_span_dpo(derived, find_matches(derived, host)[0])]).Hprime
+        assert result.label("x") == LabelSet([1, 2, 9])
 
     def test_left_sides_must_coincide(self):
         first = point_rule("a", (), [], [], [], [])

@@ -15,7 +15,7 @@ from weakspan import (
     find_matches,
     transport_match,
 )
-from weakspan.runner import relabel_direct_result, relabel_parallel_result
+from weakspan.runner import relabel_parallel_result
 from weakspan.rewriting import pct
 
 
@@ -33,18 +33,18 @@ def fib_pair(graph):
 class TestRelabeling:
     def test_parallel_result_lands_back_on_host_ids(self, fib):
         gammas = [apply_direct(m) for m in all_matches(fib, fib.host)]
-        renamed = relabel_parallel_result(pct(gammas), step_index=0)
+        renamed = relabel_parallel_result(pct(gammas), 0, range(len(gammas)))
         assert renamed.element_ids() == ["x", "y", "e"]
         assert renamed.label("x") == LabelSet([2])
         assert renamed.label("y") == LabelSet([3])
 
     def test_direct_result_marks_created_elements(self, fib):
         shift = fib.rules[0]
-        gamma = apply_direct(find_matches(shift, fib.host)[0])
-        renamed = relabel_direct_result(gamma, step_index=4, match_index=1)
+        step = pct([apply_direct(find_matches(shift, fib.host)[0])])
+        renamed = relabel_parallel_result(step, 4, [1])
         # this rule creates nothing, so ids pass through untouched
         assert renamed.element_ids() == ["x", "y", "e"]
-        assert gamma.H.labeling == renamed.labeling
+        assert step.Hprime.labeling == renamed.labeling
 
 
 class TestTransport:
@@ -60,7 +60,7 @@ class TestTransport:
         shift, total = fib.rules
         match = find_matches(total, fib.host)[0]     # binds u=1, v=2
         gamma = apply_direct(find_matches(shift, fib.host)[0])
-        after_shift = relabel_direct_result(gamma, 0, 0)   # x now holds 2
+        after_shift = relabel_parallel_result(pct([gamma]), 0, [0])   # x now holds 2
         with pytest.raises(ValueError, match="label condition"):
             transport_match(match, after_shift)
 
