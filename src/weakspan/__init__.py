@@ -15,9 +15,10 @@ from .attrgraphs import (AttrMorphism, AttributedGraph, ValidationReport,
                          Violation, compose_attr, identity_attr,
                          is_attr_isomorphic, rename_attributed,
                          validate_attr_morphism)
-from .constructions import (ComplementResult, GluingError, PullbackResult,
-                            PushoutResult, check_universal_property,
-                            colimit_of_neutrals, limit_of_neutrals,
+from .constructions import (ComplementResult, DeletionRecord, GluingError,
+                            PullbackResult, PushoutResult,
+                            check_universal_property, colimit_of_neutrals,
+                            deletion_record, limit_of_neutrals,
                             pullback_of_neutrals, pushout_along_neutral,
                             pushout_complement)
 from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,

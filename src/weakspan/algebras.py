@@ -79,10 +79,18 @@ class TermSyntaxError(ValueError):
     pass
 
 
+# Deepest accepted nesting of a parsed term, counting both parentheses and
+# the height of its operator tree; the code that walks terms recurses.
+MAX_TERM_DEPTH = 100
+
+
 def parse_term(text: str) -> Term:
-    """Parse infix ``+`` expressions with parentheses, lowercase identifiers, decimal literals."""
+    """Parse infix ``+`` expressions with parentheses, lowercase identifiers, decimal literals.
+
+    Terms nested deeper than ``MAX_TERM_DEPTH`` are rejected.
+    """
     tokens = _tokenize(text)
-    term, pos = _parse_sum(tokens, 0)
+    term, pos, _height = _parse_sum(tokens, 0, 0)
     if pos != len(tokens):
         raise TermSyntaxError(f"unexpected {tokens[pos]!r} in term {text!r}")
     return term
@@ -117,27 +125,36 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_sum(tokens: list[str], pos: int) -> tuple[Term, int]:
-    left, pos = _parse_atom(tokens, pos)
+def _too_deep(depth: int) -> None:
+    if depth > MAX_TERM_DEPTH:
+        raise TermSyntaxError(f"term nests deeper than {MAX_TERM_DEPTH} levels")
+
+
+def _parse_sum(tokens: list[str], pos: int, depth: int) -> tuple[Term, int, int]:
+    """A sum at parenthesis depth ``depth``; returns it with its tree height."""
+    left, pos, height = _parse_atom(tokens, pos, depth)
     while pos < len(tokens) and tokens[pos] == "+":
-        right, pos = _parse_atom(tokens, pos + 1)
+        right, pos, right_height = _parse_atom(tokens, pos + 1, depth)
         left = OpApp("+", (left, right))
-    return left, pos
+        height = max(height, right_height) + 1
+        _too_deep(height)
+    return left, pos, height
 
 
-def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
+def _parse_atom(tokens: list[str], pos: int, depth: int) -> tuple[Term, int, int]:
     if pos >= len(tokens):
         raise TermSyntaxError("term ends unexpectedly")
     tok = tokens[pos]
     if tok == "(":
-        inner, pos = _parse_sum(tokens, pos + 1)
+        _too_deep(depth + 1)
+        inner, pos, height = _parse_sum(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise TermSyntaxError("missing closing parenthesis")
-        return inner, pos + 1
+        return inner, pos + 1, height
     if tok.isdigit():
-        return Lit(int(tok)), pos + 1
+        return Lit(int(tok)), pos + 1, 0
     if tok[0].isalpha():
-        return Var(tok), pos + 1
+        return Var(tok), pos + 1, 0
     raise TermSyntaxError(f"unexpected token {tok!r}")
 
 

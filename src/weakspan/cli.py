@@ -319,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         print(f"missing file: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as err:
+        print(f"cannot open file: {err}", file=sys.stderr)
+        return EXIT_INVALID
     except (ParseError, ValidationError, ValueError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID

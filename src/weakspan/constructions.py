@@ -1,13 +1,13 @@
 """Pushouts along neutral morphisms, pullbacks of neutral morphisms, their
-iterated limit/colimit forms, pushout complements, and a brute-force
-universal-property checker used by the tests."""
+iterated limit/colimit forms, deletion records, pushout complements, and a
+brute-force universal-property checker used by the tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import AlgebraMorphism, LabelSet, apply_to_labelset
+from .algebras import EMPTY_LABELS, AlgebraMorphism, LabelSet, apply_to_labelset
 from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr,
                          identity_attr)
 from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
@@ -255,13 +255,29 @@ def colimit_of_neutrals(legs: Sequence[AttrMorphism]) -> tuple[AttributedGraph, 
     return apex, out_legs
 
 
-def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
-    """Remove a match's image (outside the preserved part) from the host.
+@dataclass(frozen=True)
+class DeletionRecord:
+    """What one match removes from its host, in host ids.
+
+    ``deleted`` holds the host elements outside the image of the preserved
+    part.  ``labels`` gives, for each kept element the match touches, its
+    label in the context; ``removed`` gives the labels the match placed on
+    it (its deletion set).  Every other kept element keeps its host label.
+    """
+
+    deleted: frozenset
+    labels: dict
+    removed: dict
+
+
+def deletion_record(l_neutral: AttrMorphism, m: AttrMorphism) -> DeletionRecord:
+    """Check the gluing conditions of a match and record what it deletes.
 
     ``l_neutral`` is the preserved-part inclusion into the rule's left side;
-    ``m`` the match into the host.  Kept elements keep their host ids; labels
-    lose what the match placed there and regain what the preserved part
-    carries.  The recorded deletion sets are maximal.
+    ``m`` the match into the host.  Raises ``GluingError`` when a deleted
+    node would leave an edge dangling (naming the smallest such edge id) or
+    a deleted element carries labels the left side did not place.  Only the
+    matched elements and the edges at deleted nodes are visited.
     """
     if not l_neutral.is_neutral:
         raise ValueError("rule leg must be neutral")
@@ -277,25 +293,26 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
     host = m.target
     alpha = m.alpha
 
-    kept_in_host = {m.apply(l_neutral.apply(u)) for u in kept.element_ids()}
-    image = {m.apply(v) for v in left.element_ids()}
-    deleted = image - kept_in_host
-    deleted_nodes = {x for x in deleted if host.graph.is_node(x)}
+    placed: dict[str, set] = {}
+    for v in left.element_ids():
+        placed.setdefault(m.apply(v), set()).update(apply_to_labelset(alpha, left.label(v)))
+    regained: dict[str, set] = {}
+    for u in kept.element_ids():
+        regained.setdefault(m.apply(l_neutral.apply(u)), set()).update(
+            apply_to_labelset(alpha, kept.label(u)))
+    deleted = frozenset(placed.keys() - regained.keys())
 
-    for eid, (sort, src, tgt) in sorted(host.graph.edges.items()):
-        if eid in deleted:
-            continue
-        if src in deleted_nodes or tgt in deleted_nodes:
-            raise GluingError(
-                f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
-                dangling_edge=eid)
+    incident = host.graph.index.incident
+    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
+    if dangling:
+        eid = min(dangling)
+        raise GluingError(
+            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
+            dangling_edge=eid)
 
     # a deleted element leaves no survivor to carry its labels, so the host
     # label must be exactly what the left side placed there; anything extra
     # would be lost and the removal could not be undone by regluing
-    placed: dict[str, set] = {}
-    for v in left.element_ids():
-        placed.setdefault(m.apply(v), set()).update(apply_to_labelset(alpha, left.label(v)))
     for x in sorted(deleted):
         extra = host.label(x) - placed[x]
         if extra:
@@ -303,22 +320,28 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
                 f"element {x!r} is deleted but carries labels "
                 f"{LabelSet(extra).render()} beyond the matched left side")
 
-    nodes = {n: s for n, s in host.graph.nodes.items() if n not in deleted}
-    edges = {e: d for e, d in host.graph.edges.items() if e not in deleted}
+    return DeletionRecord(
+        deleted=deleted,
+        labels={w: LabelSet((host.label(w) - placed[w]) | back) for w, back in regained.items()},
+        removed={w: LabelSet(placed[w]) for w in regained})
+
+
+def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
+    """Remove a match's image (outside the preserved part) from the host.
+
+    This is ``deletion_record`` made into a graph.  Kept elements keep their
+    host ids; labels lose what the match placed there and regain what the
+    preserved part carries.  The recorded deletion sets are maximal.
+    """
+    record = deletion_record(l_neutral, m)
+    kept = l_neutral.source
+    host = m.target
+
+    nodes = {n: s for n, s in host.graph.nodes.items() if n not in record.deleted}
+    edges = {e: d for e, d in host.graph.edges.items() if e not in record.deleted}
     d_graph = Graph(host.graph.signature, nodes, edges)
-
-    removed_by = placed
-    regained: dict[str, set] = {}
-    for u in kept.element_ids():
-        regained.setdefault(m.apply(l_neutral.apply(u)), set()).update(
-            apply_to_labelset(alpha, kept.label(u)))
-
-    labels: dict[str, LabelSet] = {}
-    deletion_sets: dict[str, LabelSet] = {}
-    for w in d_graph.element_ids():
-        k_w = LabelSet(removed_by.get(w, ()))
-        deletion_sets[w] = k_w
-        labels[w] = LabelSet((host.label(w) - k_w) | regained.get(w, set()))
+    labels = {w: record.labels.get(w, host.label(w)) for w in d_graph.element_ids()}
+    deletion_sets = {w: record.removed.get(w, EMPTY_LABELS) for w in d_graph.element_ids()}
 
     complement = AttributedGraph(d_graph, host.algebra, labels)
     ident = AlgebraMorphism.identity(host.algebra)
@@ -329,7 +352,7 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
         kept.graph, d_graph,
         {u: m.apply(l_neutral.apply(u)) for u in kept.graph.nodes},
         {u: m.apply(l_neutral.apply(u)) for u in kept.graph.edges})
-    k_morph = AttrMorphism(kept, complement, k_sigma, alpha)
+    k_morph = AttrMorphism(kept, complement, k_sigma, m.alpha)
     return ComplementResult(complement=complement, k_to_complement=k_morph,
                             complement_to_host=incl, deletion_sets=deletion_sets)
 

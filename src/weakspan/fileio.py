@@ -174,6 +174,8 @@ def loads_system(text: str, source: str = "<string>") -> SystemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: JSON nests too deeply") from None
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     _require("sorts" in data, f"{source}: missing 'sorts'")
     _require("algebra" in data, f"{source}: missing 'algebra'")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 
@@ -81,6 +82,12 @@ class Graph:
             return self.edges[x][0]
         raise KeyError(x)
 
+    @cached_property
+    def index(self) -> "GraphIndex":
+        """Lookup tables over this graph, built on first use and then shared
+        by every caller; a graph is never mutated after construction."""
+        return GraphIndex(self)
+
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Graph)
                                  and self.signature == other.signature
@@ -89,6 +96,30 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+class GraphIndex:
+    """Sort buckets, edges by (sort, src, tgt), adjacency by edge sort, and
+    the edges at each node, of one graph.  Id lists are sorted."""
+
+    def __init__(self, g: Graph):
+        self.nodes_by_sort: dict[str, list[str]] = {}
+        for nid, sort in g.nodes.items():
+            self.nodes_by_sort.setdefault(sort, []).append(nid)
+        self.edges_by_ends: dict[tuple[str, str, str], list[str]] = {}
+        self.out_by: dict[tuple[str, str], set[str]] = {}   # (sort, src) -> targets
+        self.in_by: dict[tuple[str, str], set[str]] = {}    # (sort, tgt) -> sources
+        self.incident: dict[str, list[str]] = {}
+        for eid, (sort, src, tgt) in g.edges.items():
+            self.edges_by_ends.setdefault((sort, src, tgt), []).append(eid)
+            self.out_by.setdefault((sort, src), set()).add(tgt)
+            self.in_by.setdefault((sort, tgt), set()).add(src)
+            self.incident.setdefault(src, []).append(eid)
+            if tgt != src:
+                self.incident.setdefault(tgt, []).append(eid)
+        for lists in (self.nodes_by_sort, self.edges_by_ends, self.incident):
+            for ids in lists.values():
+                ids.sort()
 
 
 class GraphMorphism:
@@ -167,17 +198,13 @@ def is_mono(f: GraphMorphism) -> bool:
             and len(set(f.edge_map.values())) == len(f.edge_map))
 
 
-def _edge_index(g: Graph) -> dict[tuple[str, str, str], list[str]]:
-    idx: dict[tuple[str, str, str], list[str]] = {}
-    for eid, (sort, src, tgt) in g.edges.items():
-        idx.setdefault((sort, src, tgt), []).append(eid)
-    for lst in idx.values():
-        lst.sort()
-    return idx
+def _node_order(pattern: Graph, admitted: Mapping[str, list[str]]) -> list[str]:
+    """Order pattern nodes so each one touches as many earlier ones as it can.
 
-
-def _node_order(pattern: Graph) -> list[str]:
-    """Order pattern nodes so each one (after the first) touches an earlier one when possible."""
+    Ties go to the node with the fewest admitted host nodes, so the search
+    starts at the most selective node and, after a component is exhausted,
+    continues at the most selective node left.
+    """
     adjacency: dict[str, set[str]] = {n: set() for n in pattern.nodes}
     for sort, src, tgt in pattern.edges.values():
         adjacency[src].add(tgt)
@@ -186,44 +213,47 @@ def _node_order(pattern: Graph) -> list[str]:
     placed: set[str] = set()
     remaining = set(pattern.nodes)
     while remaining:
-        scored = sorted(remaining, key=lambda n: (-len(adjacency[n] & placed), n))
-        pick = scored[0]
+        pick = min(remaining,
+                   key=lambda n: (-len(adjacency[n] & placed), len(admitted[n]), n))
         order.append(pick)
         placed.add(pick)
         remaining.remove(pick)
     return order
 
 
-def enumerate_morphisms(pattern: Graph, host: Graph,
-                        injective_only: bool = False) -> list[GraphMorphism]:
+def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
+                        admits: Optional[Callable[[str, str], bool]] = None
+                        ) -> list[GraphMorphism]:
     """Every morphism from pattern into host, in a canonical deterministic order.
 
-    The order is lexicographic on the tuple of host images taken over the
+    ``admits(x, h)`` says whether pattern element x may map to host element
+    h; without it every host element of the right sort is admitted.  The
+    order is lexicographic on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
     """
     if pattern.signature != host.signature:
         raise ValueError("pattern and host use different sort signatures")
 
-    host_edge_idx = _edge_index(host)
-    host_by_sort: dict[str, list[str]] = {}
-    for nid, sort in host.nodes.items():
-        host_by_sort.setdefault(sort, []).append(nid)
-    for lst in host_by_sort.values():
-        lst.sort()
-    # host adjacency indexed by (edge sort, endpoint) for candidate derivation
-    out_by = {}  # (sort, src) -> set of tgt
-    in_by = {}   # (sort, tgt) -> set of src
-    for sort, src, tgt in host.edges.values():
-        out_by.setdefault((sort, src), set()).add(tgt)
-        in_by.setdefault((sort, tgt), set()).add(src)
+    index = host.index
+    admitted: dict[str, list[str]] = {}
+    for pn, sort in pattern.nodes.items():
+        bucket = index.nodes_by_sort.get(sort, [])
+        admitted[pn] = bucket if admits is None else [h for h in bucket if admits(pn, h)]
+        if not admitted[pn]:
+            return []
+    admitted_sets = {pn: set(hosts) for pn, hosts in admitted.items()}
 
-    order = _node_order(pattern)
+    order = _node_order(pattern, admitted)
     pattern_edges = sorted(pattern.edges)
+    # the pattern edges at each pattern node, for candidates and consistency
+    touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in pattern.nodes}
+    for sort, src, tgt in pattern.edges.values():
+        touching[src].append((sort, src, tgt))
+        if tgt != src:
+            touching[tgt].append((sort, src, tgt))
+    edge_index = index.edges_by_ends
+    out_by, in_by = index.out_by, index.in_by
     results: list[GraphMorphism] = []
-
-    def edge_candidates(pe: str, node_map: dict[str, str]) -> list[str]:
-        sort, src, tgt = pattern.edges[pe]
-        return host_edge_idx.get((sort, node_map[src], node_map[tgt]), [])
 
     def assign_edges(pos: int, node_map: dict[str, str],
                      edge_map: dict[str, str], used: set[str]) -> None:
@@ -231,8 +261,11 @@ def enumerate_morphisms(pattern: Graph, host: Graph,
             results.append(GraphMorphism(pattern, host, dict(node_map), dict(edge_map)))
             return
         pe = pattern_edges[pos]
-        for he in edge_candidates(pe, node_map):
+        sort, src, tgt = pattern.edges[pe]
+        for he in edge_index.get((sort, node_map[src], node_map[tgt]), ()):
             if injective_only and he in used:
+                continue
+            if admits is not None and not admits(pe, he):
                 continue
             edge_map[pe] = he
             used.add(he)
@@ -242,25 +275,23 @@ def enumerate_morphisms(pattern: Graph, host: Graph,
 
     def node_candidates(pn: str, node_map: dict[str, str]) -> list[str]:
         candidate_sets = []
-        for sort, src, tgt in pattern.edges.values():
+        for sort, src, tgt in touching[pn]:
             if src == pn and tgt in node_map and tgt != pn:
                 candidate_sets.append(in_by.get((sort, node_map[tgt]), set()))
             if tgt == pn and src in node_map and src != pn:
                 candidate_sets.append(out_by.get((sort, node_map[src]), set()))
         if candidate_sets:
-            cands = set.intersection(*candidate_sets) if len(candidate_sets) > 1 else set(candidate_sets[0])
-            cands = {c for c in cands if host.nodes.get(c) == pattern.nodes[pn]}
-            return sorted(cands)
-        return host_by_sort.get(pattern.nodes[pn], [])
+            return sorted(admitted_sets[pn].intersection(*candidate_sets))
+        return admitted[pn]
 
     def consistent(pn: str, image: str, node_map: dict[str, str]) -> bool:
-        for sort, src, tgt in pattern.edges.values():
+        for sort, src, tgt in touching[pn]:
             if src == pn and (tgt == pn or tgt in node_map):
                 t = image if tgt == pn else node_map[tgt]
-                if (sort, image, t) not in host_edge_idx:
+                if (sort, image, t) not in edge_index:
                     return False
             elif tgt == pn and src in node_map:
-                if (sort, node_map[src], image) not in host_edge_idx:
+                if (sort, node_map[src], image) not in edge_index:
                     return False
         return True
 

@@ -4,15 +4,16 @@ and the parallel coherent transformation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
-from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr,
-                         identity_attr, validate_attr_morphism)
-from .constructions import pushout_along_neutral, pushout_complement
+from .attrgraphs import AttrMorphism, AttributedGraph, Violation, identity_attr
+from .constructions import (ComplementResult, DeletionRecord, deletion_record,
+                            pushout_along_neutral, pushout_complement)
 from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 
 
@@ -106,20 +107,17 @@ class Match:
 
 @dataclass
 class DirectTransformation:
-    """One rule application's context D with its legs; the application's
-    result is the one-element parallel step ``pct([gamma]).Hprime``."""
+    """One rule application: its match and the deletion record of its context.
+
+    The context D keeps host ids: it is the host without ``record.deleted``,
+    relabelled by ``record.labels``.  D with its legs k: K -> D (carrying
+    alpha) and f: D -> host (a neutral inclusion) is built on first use by
+    ``pushout_complement``; coherence and the joint step read only the
+    record.  The application's result is ``pct([gamma]).Hprime``.
+    """
 
     match: Match
-    D: AttributedGraph
-    k: AttrMorphism      # K -> D, carries alpha
-    f: AttrMorphism      # D -> host, neutral
-
-    def __post_init__(self):
-        sigma = self.f.sigma
-        keeps_ids = (all(k == v for k, v in sigma.node_map.items())
-                     and all(k == v for k, v in sigma.edge_map.items()))
-        if self.f.target != self.host or not self.f.is_neutral or not keeps_ids:
-            raise ValueError("the context leg must be a neutral inclusion that keeps host ids")
+    record: DeletionRecord
 
     @property
     def rule(self) -> WeakSpan:
@@ -129,14 +127,54 @@ class DirectTransformation:
     def host(self) -> AttributedGraph:
         return self.match.host
 
+    @cached_property
+    def _complement(self) -> ComplementResult:
+        return pushout_complement(self.rule.l, self.match.m)
+
+    @property
+    def D(self) -> AttributedGraph:
+        return self._complement.complement
+
+    @property
+    def k(self) -> AttrMorphism:
+        return self._complement.k_to_complement
+
+    @property
+    def f(self) -> AttrMorphism:
+        return self._complement.complement_to_host
+
+    @cached_property
+    def required_image(self) -> dict[str, str]:
+        """The host id of each element of the rule's required part I."""
+        rule, m = self.rule, self.match.m
+        return {y: m.apply(rule.l.apply(rule.i.apply(y))) for y in rule.I.element_ids()}
+
 
 @dataclass
 class CoherenceWitness:
-    """A verified morphism from one rule's required part into another's context."""
+    """A verified morphism j from one rule's required part (its left side,
+    for independence) into another application's context.
 
-    j: AttrMorphism
+    The context keeps host ids, so j sends each element of ``required`` to
+    its host id ``image[x]``.  Its labels were checked on the deletion
+    record; j itself is built on first use.
+    """
+
+    required: AttributedGraph
+    image: dict
+    alpha: AlgebraMorphism
+    context: DirectTransformation
     from_index: int
     into_index: int
+
+    @cached_property
+    def j(self) -> AttrMorphism:
+        target = self.context.D
+        graph = self.required.graph
+        sigma = GraphMorphism(graph, target.graph,
+                              {x: self.image[x] for x in graph.nodes},
+                              {x: self.image[x] for x in graph.edges})
+        return AttrMorphism(self.required, target, sigma, self.alpha, check=False)
 
 
 @dataclass
@@ -239,31 +277,34 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
 
 def find_matches(rule: WeakSpan, host: AttributedGraph) -> list[Match]:
     """All injective matches of the rule's left side, each with every variable
-    assignment that satisfies the label condition, in canonical order."""
+    assignment that satisfies the label condition, in canonical order.
+
+    The search admits only host elements whose labels can satisfy the rule's:
+    for an enumerated rule the rule label must be a subset of the host label,
+    and for a term rule a non-empty rule label needs a non-empty host label.
+    """
     rule_alg = rule.algebra
-    if isinstance(rule_alg, FiniteEnum) and rule_alg != host.algebra:
+    enumerated = isinstance(rule_alg, FiniteEnum)
+    if enumerated and rule_alg != host.algebra:
         raise ValueError("an enumerated rule only matches hosts over the same algebra")
+    wanted, have = rule.L.labeling, host.labeling
+    if enumerated:
+        def admits(x: str, h: str) -> bool:
+            return wanted[x] <= have[h]
+    else:
+        def admits(x: str, h: str) -> bool:
+            return not wanted[x] or bool(have[h])
+    elements = rule.L.element_ids()
     matches: list[Match] = []
-    for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True):
-        constraints = []
-        feasible = True
-        for x in rule.L.element_ids():
-            allowed = host.label(sigma.apply(x))
-            for t in rule.L.label(x):
-                if not allowed:
-                    feasible = False
-                    break
-                constraints.append((t, allowed))
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        if isinstance(rule_alg, FiniteEnum):
-            ok = all(t in s for t, s in constraints)
-            assignments = [{}] if ok else []
+    for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True,
+                                     admits=admits):
+        if enumerated:
+            assignments = [{}]
         else:
+            constraints = [(t, have[sigma.apply(x)]) for x in elements for t in wanted[x]]
             assignments = _solve_label_constraints(constraints, host.algebra)
-        assignments.sort(key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
+            assignments.sort(
+                key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
         for assignment in assignments:
             alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
             m = AttrMorphism(rule.L, host, sigma, alpha)
@@ -272,14 +313,10 @@ def find_matches(rule: WeakSpan, host: AttributedGraph) -> list[Match]:
 
 
 def apply_direct(match: Match) -> DirectTransformation:
-    """The context of a weak double-pushout application; ``pct([gamma])``
-    glues the right side on, computing ``pushout_along_neutral``."""
-    comp = pushout_complement(match.rule.l, match.m)
-    return DirectTransformation(
-        match=match,
-        D=comp.complement,
-        k=comp.k_to_complement,
-        f=comp.complement_to_host)
+    """A weak double-pushout application, kept as its deletion record; the
+    context is materialised on first use and ``pct([gamma])`` glues the
+    right side on."""
+    return DirectTransformation(match=match, record=deletion_record(match.rule.l, match.m))
 
 
 def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:
@@ -303,25 +340,26 @@ def apply_span_dpo(span_rule: WeakSpan, match: Match) -> DirectTransformation:
     return apply_direct(rebased)
 
 
-def _context_witness(required: AttributedGraph, via: AttrMorphism,
-                     ctx: DirectTransformation) -> tuple[Optional[AttrMorphism], Optional[tuple[str, str]]]:
-    """The unique j with ctx.f o j == via, if it exists.
+def _obstruction(required: AttributedGraph, image: dict, alpha: AlgebraMorphism,
+                 ctx: DirectTransformation) -> Optional[tuple[str, str]]:
+    """Why the host image of ``required`` fails to embed in ctx's context:
+    (element, reason) for the first obstruction, or None when it embeds.
 
-    ``via`` runs from ``required`` into the common host.  The context keeps
-    host ids, so j is ``via`` with its target narrowed to the context.
-    Returns either the witness or (element, reason) for the first obstruction.
+    The context keeps host ids, so the embedding exists exactly when no
+    image is deleted and each image's context label holds the mapped label.
     """
-    for x in required.element_ids():
-        target = via.apply(x)
-        if not ctx.D.graph.has_element(target):
-            return None, (x, f"host element {target!r} is deleted from the context")
-    sigma = GraphMorphism(required.graph, ctx.D.graph, via.sigma.node_map, via.sigma.edge_map)
-    j = AttrMorphism(required, ctx.D, sigma, via.alpha, check=False)
-    report = validate_attr_morphism(j)
-    if not report.ok:
-        worst = report.violations[0]
-        return None, (worst.element, worst.describe())
-    return j, None
+    record, host_labels = ctx.record, ctx.host.labeling
+    ids = required.element_ids()
+    for x in ids:
+        if image[x] in record.deleted:
+            return x, f"host element {image[x]!r} is deleted from the context"
+    for x in ids:
+        target = image[x]
+        mapped = apply_to_labelset(alpha, required.label(x))
+        have = record.labels.get(target, host_labels[target])
+        if not mapped <= have:
+            return x, Violation(x, target, mapped, have).describe()
+    return None
 
 
 def check_parallel_coherent(g1: DirectTransformation,
@@ -338,22 +376,22 @@ def check_parallel_independent(g1: DirectTransformation,
     """Witnesses embedding each full left side into the other's context."""
     if g1.host != g2.host:
         raise ValueError("direct transformations live on different hosts")
-    j1, _ = _context_witness(g1.rule.L, g1.match.m, g2)
-    if j1 is None:
-        return None
-    j2, _ = _context_witness(g2.rule.L, g2.match.m, g1)
-    if j2 is None:
-        return None
-    return (CoherenceWitness(j1, from_index=0, into_index=1),
-            CoherenceWitness(j2, from_index=1, into_index=0))
+    pair = ((0, g1, g2), (1, g2, g1))
+    images = [g.match.m.sigma.element_map() for g in (g1, g2)]
+    for a, ga, gb in pair:
+        if _obstruction(ga.rule.L, images[a], ga.match.alpha, gb) is not None:
+            return None
+    return tuple(CoherenceWitness(ga.rule.L, images[a], ga.match.alpha, gb,
+                                  from_index=a, into_index=1 - a)
+                 for a, ga, gb in pair)
 
 
 def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheckResult:
     """Pairwise coherence over a whole set, assembling the full witness matrix.
 
     The matrix maps (a, b) to the witness from rule a's required part into
-    context b; diagonal entries are the composites through the rule's own
-    context.
+    context b; diagonal entries are the composites k o i through the rule's
+    own context.  Only the deletion records are read.
     """
     if not gammas:
         raise ValueError("need at least one direct transformation")
@@ -362,22 +400,18 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
         if g.host != host:
             raise ValueError("direct transformations live on different hosts")
     matrix: dict[tuple[int, int], CoherenceWitness] = {}
-    vias = []
     for a, ga in enumerate(gammas):
-        ki = compose_attr(ga.k, ga.rule.i)
-        vias.append(compose_attr(ga.f, ki))
-        matrix[(a, a)] = CoherenceWitness(ki, from_index=a, into_index=a)
-    for a, ga in enumerate(gammas):
+        required, image, alpha = ga.rule.I, ga.required_image, ga.match.alpha
         for b, gb in enumerate(gammas):
-            if a == b:
-                continue
-            j, obstruction = _context_witness(ga.rule.I, vias[a], gb)
-            if j is None:
-                element, reason = obstruction
-                return CoherenceCheckResult(
-                    matrix=None, failing_pair=(a, b), failing_element=element,
-                    reason=reason)
-            matrix[(a, b)] = CoherenceWitness(j, from_index=a, into_index=b)
+            if a != b:
+                obstruction = _obstruction(required, image, alpha, gb)
+                if obstruction is not None:
+                    element, reason = obstruction
+                    return CoherenceCheckResult(
+                        matrix=None, failing_pair=(a, b), failing_element=element,
+                        reason=reason)
+            matrix[(a, b)] = CoherenceWitness(required, image, alpha, gb,
+                                              from_index=a, into_index=b)
     return CoherenceCheckResult(matrix=matrix)
 
 
@@ -392,12 +426,13 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     """Parallel coherent transformation of a host by a coherent set.
 
     Every context keeps host ids, so the limit D' of the contexts is the set
-    of host elements that all of them keep, labelled by the intersection of
-    their labels.  The colimit H' glues each right side onto D': images of
-    the required part land on their host ids with labels unioned, and every
-    other right-side element is added under a fresh ``<c>:<id>`` id.
-    ``limit_of_neutrals`` and ``colimit_of_neutrals`` are the general
-    constructions this computes.
+    of host elements that no deletion record removes, labelled by the
+    intersection of their context labels.  The colimit H' glues each right
+    side onto D': images of the required part land on their host ids with
+    labels unioned, and every other right-side element is added under a
+    fresh ``<c>:<id>`` id.  ``limit_of_neutrals`` and
+    ``colimit_of_neutrals`` are the general constructions this computes.
+    When nothing is deleted or added, D' and H' share the host's graph.
     """
     gammas = list(gammas)
     check = coherent_set_check(gammas)
@@ -408,33 +443,45 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
             f"element {check.failing_element!r}: {check.reason}")
 
     host = gammas[0].host
-    contexts = [g.D.labeling for g in gammas]
-    kept = {x: frozenset.intersection(*(labels[x] for labels in contexts))
-            for x in host.labeling if all(x in labels for labels in contexts)}
-    nodes = {n: s for n, s in host.graph.nodes.items() if n in kept}
-    edges = {e: d for e, d in host.graph.edges.items() if e in kept}
-    dprime = AttributedGraph(Graph(host.graph.signature, nodes, edges), host.algebra, kept)
+    records = [g.record for g in gammas]
+    deleted = frozenset().union(*(r.deleted for r in records))
+    labels = {x: v for x, v in host.labeling.items() if x not in deleted}
+    # a context label is a subset of the host label, so intersecting with the
+    # host label stands in for every context that leaves the element untouched
+    for record in records:
+        for x, label in record.labels.items():
+            if x not in deleted:
+                labels[x] = labels[x] & label
+    graph = host.graph
+    if deleted:
+        graph = Graph(graph.signature,
+                      {n: s for n, s in graph.nodes.items() if n not in deleted},
+                      {e: d for e, d in graph.edges.items() if e not in deleted})
+    dprime = AttributedGraph(graph, host.algebra, labels)
 
-    nodes, edges, labels = dict(nodes), dict(edges), dict(kept)
-    used = set(kept)
+    nodes: dict[str, str] = {}
+    edges: dict[str, tuple[str, str, str]] = {}
+    used = set(labels)
     born = []
     for c, gc in enumerate(gammas):
         rule = gc.rule
         # the required part lands on the host ids its images kept in the context
-        ids = {rule.r.apply(y): gc.k.apply(rule.i.apply(y)) for y in rule.I.element_ids()}
+        ids = {rule.r.apply(y): z for y, z in gc.required_image.items()}
         for x in rule.R.element_ids():
             if x not in ids:
-                ids[x] = _fresh_id(f"{c}:{x}", used)
+                z = ids[x] = _fresh_id(f"{c}:{x}", used)
+                if rule.R.graph.is_node(x):
+                    nodes[z] = rule.R.graph.nodes[x]
+                else:
+                    sort, src, tgt = rule.R.graph.edges[x]
+                    edges[z] = (sort, ids[src], ids[tgt])
             z = ids[x]
-            if rule.R.graph.is_node(x):
-                nodes[z] = rule.R.graph.nodes[x]
-            else:
-                sort, src, tgt = rule.R.graph.edges[x]
-                edges[z] = (sort, ids[src], ids[tgt])
             added = apply_to_labelset(gc.match.alpha, rule.R.label(x))
             labels[z] = labels.get(z, EMPTY_LABELS) | added
         born.append(ids)
-    hprime = AttributedGraph(Graph(host.graph.signature, nodes, edges), host.algebra, labels)
+    if nodes or edges:
+        graph = Graph(graph.signature, {**graph.nodes, **nodes}, {**graph.edges, **edges})
+    hprime = AttributedGraph(graph, host.algebra, labels)
     return ParallelStep(gammas=gammas, witnesses=check.matrix, Dprime=dprime,
                         Hprime=hprime, born=born)
 

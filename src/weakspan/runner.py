@@ -75,7 +75,8 @@ class RunResult:
 def relabel_parallel_result(step: ParallelStep, step_index: int,
                             numbers: Sequence[int]) -> AttributedGraph:
     """Rename the additions of the glued result to fresh `s<step>:<n>:<id>` ids,
-    where n is ``numbers[c]`` for application c; D' keeps its host ids."""
+    where n is ``numbers[c]`` for application c; D' keeps its host ids.  A
+    step that adds nothing returns H' itself."""
     kept = step.Dprime.graph
     mapping: dict[str, str] = {}
     used = set(kept.element_ids())
@@ -83,7 +84,7 @@ def relabel_parallel_result(step: ParallelStep, step_index: int,
         for x in gamma.rule.R.element_ids():
             if not kept.has_element(born[x]):
                 mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}", used)
-    return rename_attributed(step.Hprime, mapping)
+    return rename_attributed(step.Hprime, mapping) if mapping else step.Hprime
 
 
 def transport_match(match: Match, host: AttributedGraph) -> Match:

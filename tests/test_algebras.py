@@ -17,6 +17,7 @@ from weakspan import (
     parse_term,
     render_term,
 )
+from weakspan.algebras import MAX_TERM_DEPTH
 
 
 class TestParseTerm:
@@ -42,6 +43,16 @@ class TestParseTerm:
     def test_rejects_malformed(self, bad):
         with pytest.raises(TermSyntaxError):
             parse_term(bad)
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "u" + ")" * n,
+        lambda n: "+".join(["u"] * (n + 1)),
+        lambda n: "u+(" * n + "u" + ")" * n,
+    ], ids=["parentheses", "left-nested sum", "right-nested sum"])
+    def test_depth_limit(self, nest):
+        parse_term(nest(MAX_TERM_DEPTH))
+        with pytest.raises(TermSyntaxError, match="deeper than"):
+            parse_term(nest(MAX_TERM_DEPTH + 1))
 
     @pytest.mark.parametrize("text", ["u", "17", "u+v", "u+v+w", "u+(v+w)", "(u+v)+3"])
     def test_round_trip(self, text):

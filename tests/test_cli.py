@@ -103,6 +103,18 @@ class TestInputErrors:
         assert main(["match", "--rules", bad, "--host", bad]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["match", "--rules", "{dir}", "--host", "{fib}"],
+        ["match", "--rules", "{fib}", "--host", "{dir}"],
+        ["preset", "fib", "--out", "{dir}"],
+    ])
+    def test_a_directory_path_exits_with_code_2(self, command, files, tmp_path, capsys):
+        argv = [arg.format(dir=tmp_path, fib=files / "fib.json") for arg in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot open file: ")
+        assert str(tmp_path) in err
+
     def test_host_file_without_a_graph(self, files, tmp_path, capsys):
         no_host = {k: v for k, v in DANGLING.items() if k != "host"}
         path = tmp_path / "rules-only.json"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weakspan import (
@@ -16,6 +18,7 @@ from weakspan import (
     check_universal_property,
     colimit_of_neutrals,
     compose_attr,
+    deletion_record,
     identity_attr,
     is_attr_isomorphic,
     limit_of_neutrals,
@@ -131,6 +134,26 @@ class TestPullback:
             pullback_of_neutrals(identity_attr(d1), identity_attr(d2))
 
 
+def full_scan_refusal(l_neutral, m):
+    """The gluing checks as a scan of every host edge in id order: None, or
+    the refusal as (dangling edge, message)."""
+    host = m.target
+    kept = {m.apply(l_neutral.apply(u)) for u in l_neutral.source.element_ids()}
+    placed = {}
+    for v in m.source.element_ids():
+        placed.setdefault(m.apply(v), set()).update(m.source.label(v))
+    deleted = set(placed) - kept
+    for eid, (_sort, src, tgt) in sorted(host.graph.edges.items()):
+        if eid not in deleted and (src in deleted or tgt in deleted):
+            return eid, f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not"
+    for x in sorted(deleted):
+        extra = host.label(x) - placed[x]
+        if extra:
+            return None, (f"element {x!r} is deleted but carries labels "
+                          f"{LabelSet(extra).render()} beyond the matched left side")
+    return None
+
+
 class TestComplement:
     def host(self, extra_on_deleted=()):
         return obj(["h0", "h1", "h2"],
@@ -186,6 +209,49 @@ class TestComplement:
         host = self.host(extra_on_deleted=(5,))
         with pytest.raises(GluingError, match="beyond the matched left side"):
             pushout_complement(l_neutral, self.match(left, host))
+
+    def test_refusals_agree_with_a_full_edge_scan(self):
+        """Random hosts with self-loops and parallel edges, and deletions that
+        leave several edges dangling: the record refuses exactly as a scan
+        of every host edge in id order does."""
+        seen = {"accepted": 0, "orphaned label": 0, "dangling": 0, "several dangling": 0}
+        for trial in range(300):
+            rng = random.Random(trial)
+            nodes = [f"h{k}" for k in range(rng.randint(1, 6))]
+            edges = {f"e{k}": ("a", rng.choice(nodes), rng.choice(nodes))
+                     for k in range(rng.randint(0, 12))}
+            host = obj(nodes, edges, {x: rng.sample(range(4), rng.randint(0, 2))
+                                      for x in nodes + list(edges)})
+            image = rng.sample(nodes, rng.randint(1, len(nodes)))
+            image_edges = [e for e, (_a, src, tgt) in edges.items()
+                           if src in image and tgt in image and rng.random() < 0.5]
+            left = obj(image, {e: edges[e] for e in image_edges},
+                       {x: [v for v in host.label(x) if rng.random() < 0.75]
+                        for x in image + image_edges})
+            kept = [n for n in image if rng.random() < 0.4]
+            kept_edges = [e for e in image_edges
+                          if edges[e][1] in kept and edges[e][2] in kept and rng.random() < 0.5]
+            l_neutral = inclusion(obj(kept, {e: edges[e] for e in kept_edges}), left)
+            m = inclusion(left, host)
+            want = full_scan_refusal(l_neutral, m)
+            for build in (deletion_record, pushout_complement):
+                try:
+                    build(l_neutral, m)
+                    got = None
+                except GluingError as err:
+                    got = (err.dangling_edge, str(err))
+                assert got == want, trial
+            if want is None:
+                seen["accepted"] += 1
+            elif want[0] is None:
+                seen["orphaned label"] += 1
+            else:
+                seen["dangling"] += 1
+                deleted = set(image) - set(kept)
+                seen["several dangling"] += sum(
+                    e not in image_edges and (src in deleted or tgt in deleted)
+                    for e, (_a, src, tgt) in edges.items()) > 1
+        assert min(seen.values()) >= 20, seen
 
     def test_match_must_be_injective(self):
         left = obj(["l0", "l1"])

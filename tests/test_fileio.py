@@ -99,19 +99,35 @@ class TestParseFailures:
             loads_system(json.dumps(data))
 
 
+def deep_rule_label(label):
+    """A one-rule system whose left-side node carries ``label``."""
+    node = [{"id": "x", "sort": "p", "label": [label]}]
+    bare = [{"id": "x", "sort": "p"}]
+    return dict(MINIMAL, rules=[{
+        "name": "deep", "variables": ["u"],
+        "L": {"nodes": node}, "K": {"nodes": bare}, "I": {"nodes": bare},
+        "R": {"nodes": bare}, "l": {"nodes": {"x": "x"}},
+        "i": {"nodes": {"x": "x"}}, "r": {"nodes": {"x": "x"}}}])
+
+
+# each case is a JSON value, or the file's text when it cannot be built as one
 MALFORMED_SHAPES = {
     "host nodes not a list": with_host(nodes=5),
     "edge sorts not an object": dict(MINIMAL, sorts={"nodes": ["p"], "edges": [["p", "p"]]}),
     "label not a list": with_host(nodes=[{"id": "x", "sort": "p", "label": 7}]),
     "enum values not a list": dict(MINIMAL, algebra={"enum": 3}),
     "sort not a string": with_host(nodes=[{"id": "x", "sort": ["p"]}]),
+    "rule label in 3000 parentheses": deep_rule_label("(" * 3000 + "u" + ")" * 3000),
+    "rule label summing 3000 terms": deep_rule_label("+".join(["u"] * 3000)),
+    "arrays nested 100000 deep": "[" * 100_000 + "]" * 100_000,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
 def test_malformed_shapes_exit_with_code_2(case, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(MALFORMED_SHAPES[case]))
+    shape = MALFORMED_SHAPES[case]
+    path.write_text(shape if isinstance(shape, str) else json.dumps(shape))
     code = main(["export", "--host", str(path), "--dot", str(tmp_path / "bad.dot")])
     err = capsys.readouterr().err
     assert code == 2

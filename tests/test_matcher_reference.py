@@ -1,0 +1,225 @@
+"""The matcher against two references.
+
+`filtered_matches` is the matcher as it was before the search admitted host
+elements by label: it enumerates every injective graph morphism and only
+then applies the label condition.  `find_matches` must return the same
+matches (node map, edge map and assignment) in the same order.
+
+networkx's `DiGraphMatcher` is an independent oracle for the node maps:
+injective morphisms are its subgraph monomorphisms, with sorts (and, for
+`find_matches` on enumerated rules, label inclusion) as the matching rule.
+"""
+
+import random
+
+import pytest
+
+from weakspan import (
+    AlgebraMorphism,
+    AttrMorphism,
+    AttributedGraph,
+    FiniteEnum,
+    Graph,
+    GraphMorphism,
+    HexGridSpec,
+    LabelSet,
+    SortSignature,
+    WeakSpan,
+    cmd_hexca,
+    cmd_run,
+    coproduct_rule,
+    enumerate_morphisms,
+    fibonacci_system,
+    find_matches,
+    huw_rules,
+    load_system,
+)
+from weakspan.algebras import render_value
+from weakspan.cli import main
+from weakspan.rewriting import _solve_label_constraints
+
+from randgen import random_host, random_independent_pair, random_instance
+
+
+def filtered_matches(rule, host):
+    """Every match as (node map, edge map, assignment), enumerate-then-filter."""
+    rule_alg = rule.algebra
+    out = []
+    for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True):
+        constraints = []
+        feasible = True
+        for x in rule.L.element_ids():
+            allowed = host.label(sigma.apply(x))
+            for t in rule.L.label(x):
+                if not allowed:
+                    feasible = False
+                    break
+                constraints.append((t, allowed))
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        if isinstance(rule_alg, FiniteEnum):
+            ok = all(t in s for t, s in constraints)
+            assignments = [{}] if ok else []
+        else:
+            assignments = _solve_label_constraints(constraints, host.algebra)
+        assignments.sort(key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
+        for assignment in assignments:
+            alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
+            out.append((sigma.node_map, sigma.edge_map, alpha.assignment))
+    return out
+
+
+def assert_same_matches(rules, host):
+    for rule in rules:
+        got = [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment)
+               for m in find_matches(rule, host)]
+        assert got == filtered_matches(rule, host), rule.name
+
+
+def test_every_hex_growth_step():
+    rules = huw_rules()
+    run = cmd_hexca(HexGridSpec(radius=5, seeds=((0, 0),)), generations=3)
+    for host in run.graphs:
+        assert_same_matches(rules, host)
+
+
+def test_radius_8_preset_run(tmp_path, capsys):
+    preset = tmp_path / "hex8.json"
+    assert main(["preset", "hex", "--radius", "8", "--out", str(preset)]) == 0
+    system = load_system(preset)
+    run = cmd_run(system, 2, "pct")
+    assert [step.applied for step in run.steps] == [6, 6]
+    for host in run.history:
+        assert_same_matches(system.rules, host)
+
+
+@pytest.mark.parametrize("mode", ["pct", "sequential"])
+def test_thirty_fibonacci_steps(mode):
+    system = fibonacci_system()
+    run = cmd_run(system, 30, mode)
+    assert len(run.steps) == 30
+    for host in run.history:
+        assert_same_matches(system.rules, host)
+
+
+def test_random_families():
+    for trial in range(100):
+        rng = random.Random(trial)
+        host = random_host(rng)
+        assert_same_matches([random_instance(rng, host).rule], host)
+    for trial in range(100):
+        host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+        assert_same_matches([m1.rule, m2.rule, coproduct_rule(m1.rule, m2.rule)], host)
+    for trial in range(100):
+        rng = random.Random(5000 + trial)
+        host = random_host(rng)
+        assert_same_matches([random_instance(rng, host, var_names=("u", "v"), name="one").rule,
+                             random_instance(rng, host, var_names=("w", "z"), name="two").rule],
+                            host)
+
+
+SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q"), "c": ("p", "p")})
+STATES = FiniteEnum(("0", "1"))
+
+
+def random_enum_graph(rng, n_nodes, n_edges, simple, prefix, label_sizes=(0, 1, 1, 2)):
+    """A random graph over SIG with enumerated labels of the given sizes; with
+    ``simple`` no two edges share their ordered pair of endpoints (networkx's
+    DiGraph)."""
+    nodes = {f"{prefix}{k}": rng.choice("ppq") for k in range(n_nodes)}
+    slots = [(s, t) for s in nodes if nodes[s] == "p" for t in nodes]
+    edges = {}
+    for k in range(n_edges):
+        if not slots:
+            break
+        src, tgt = rng.choice(slots)
+        if simple:
+            slots.remove((src, tgt))
+        sort = "b" if nodes[tgt] == "q" else rng.choice("ac")
+        edges[f"{prefix}e{k}"] = (sort, src, tgt)
+    labels = {x: LabelSet(rng.sample(("0", "1"), rng.choice(label_sizes)))
+              for x in list(nodes) + list(edges)}
+    return AttributedGraph(Graph(SIG, nodes, edges), STATES, labels)
+
+
+def identity_rule(pattern):
+    """A rule that keeps and requires its whole left side."""
+    ident = AttrMorphism(pattern, pattern, GraphMorphism.identity(pattern.graph),
+                         AlgebraMorphism.identity(STATES))
+    return WeakSpan(name="keep", L=pattern, K=pattern, I=pattern, R=pattern,
+                    l=ident, i=ident, r=ident)
+
+
+def test_random_multigraphs_with_loops():
+    matched = 0
+    for trial in range(150):
+        rng = random.Random(700 + trial)
+        host = random_enum_graph(rng, rng.randint(2, 6), rng.randint(0, 12), False, "h")
+        pattern = random_enum_graph(rng, rng.randint(1, 3), rng.randint(0, 4), False, "x",
+                                    (0, 0, 1))
+        assert_same_matches([identity_rule(pattern)], host)
+        matched += bool(find_matches(identity_rule(pattern), host))
+    assert matched >= 40
+
+
+def nx_graph(nx, g, labels=None):
+    out = nx.DiGraph()
+    for n, sort in g.nodes.items():
+        out.add_node(n, sort=sort, label=labels[n] if labels else LabelSet())
+    for e, (sort, src, tgt) in g.edges.items():
+        assert not out.has_edge(src, tgt), "the oracle takes graphs without parallel edges"
+        out.add_edge(src, tgt, sort=sort, label=labels[e] if labels else LabelSet())
+    return out
+
+
+def _admits(host_attrs, pattern_attrs):
+    return host_attrs["sort"] == pattern_attrs["sort"] and pattern_attrs["label"] <= host_attrs["label"]
+
+
+def oracle_node_maps(pattern, host, pattern_labels=None, host_labels=None):
+    """Node maps of networkx's subgraph monomorphisms; skips without networkx."""
+    nx = pytest.importorskip("networkx")
+    matcher = nx.algorithms.isomorphism.DiGraphMatcher(
+        nx_graph(nx, host, host_labels), nx_graph(nx, pattern, pattern_labels),
+        node_match=_admits, edge_match=_admits)
+    return sorted(tuple(sorted((p, h) for h, p in found.items()))
+                  for found in matcher.subgraph_monomorphisms_iter())
+
+
+def node_maps(morphisms):
+    return [tuple(sorted(sigma.node_map.items())) for sigma in morphisms]
+
+
+def test_hex_rules_at_radius_3_agree_with_networkx():
+    run = cmd_hexca(HexGridSpec(radius=3, seeds=((0, 0),)), generations=2)
+    rules = huw_rules()
+    pattern = rules[0].L.graph
+    matched = 0
+    for host in run.graphs:
+        assert node_maps(enumerate_morphisms(pattern, host.graph, injective_only=True)) \
+            == oracle_node_maps(pattern, host.graph)
+        for rule in rules:
+            found = node_maps(m.m.sigma for m in find_matches(rule, host))
+            assert found == oracle_node_maps(rule.L.graph, host.graph,
+                                             rule.L.labeling, host.labeling)
+            matched += len(found)
+    assert matched == 6 + 6
+
+
+def test_random_graphs_agree_with_networkx():
+    matched = 0
+    for trial in range(150):
+        rng = random.Random(trial)
+        host = random_enum_graph(rng, rng.randint(2, 7), rng.randint(0, 14), True, "h")
+        pattern = random_enum_graph(rng, rng.randint(1, 4), rng.randint(0, 5), True, "x",
+                                    (0, 0, 1))
+        unlabelled = node_maps(enumerate_morphisms(pattern.graph, host.graph,
+                                                   injective_only=True))
+        assert unlabelled == oracle_node_maps(pattern.graph, host.graph)
+        found = node_maps(m.m.sigma for m in find_matches(identity_rule(pattern), host))
+        assert found == oracle_node_maps(pattern.graph, host.graph,
+                                         pattern.labeling, host.labeling)
+        matched += bool(found)
+    assert matched >= 20

@@ -35,6 +35,9 @@ from weakspan import (
     pct,
     pushout_along_neutral,
 )
+from weakspan import rewriting
+from weakspan.hexgrid import HexGridSpec, ca_oracle
+from weakspan.runner import cmd_hexca, cmd_run
 
 NAT = NatPlus()
 POINT_SIG = SortSignature(["p"], {})
@@ -314,6 +317,19 @@ class TestParallelTransformation:
         assert step.Hprime.label(only) == LabelSet()
         after5 = apply_direct(match_on(erase7, pct([g5]).Hprime, {"w": 7}))
         assert is_attr_isomorphic(step.Hprime, pct([after5]).Hprime) is not None
+
+    def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
+        """Matching, coherence and the joint step never build a context graph."""
+        def refuse(*_args):
+            raise AssertionError("a context graph was built")
+        monkeypatch.setattr(rewriting, "pushout_complement", refuse)
+        grid = HexGridSpec(radius=7, seeds=((0, 0), (2, -1)))
+        assert cmd_hexca(grid, 3).live_sets == ca_oracle(grid, 3)
+        for mode in ("pct", "sequential"):
+            assert len(cmd_run(fib, 6, mode).steps) == 6
+        gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
+        with pytest.raises(AssertionError, match="context graph"):
+            gamma.D
 
 
 class TestCoproductRule:
