@@ -305,10 +305,7 @@ class AlgebraMorphism:
             if assignment or source != target:
                 raise ValueError(f"a {source.kind} algebra admits only its identity morphism")
         self.assignment = assignment
-
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.target and not self.assignment
+        self.is_identity = source == target and not assignment
 
     @staticmethod
     def identity(algebra: Algebra) -> "AlgebraMorphism":

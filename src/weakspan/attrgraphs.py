@@ -14,25 +14,53 @@ class AttributedGraph:
     """A finite sorted graph whose every element carries a finite label set.
 
     Elements missing from the supplied labeling get the empty label set, so
-    the stored labeling is total on nodes and edges.
+    the stored labeling is total on nodes and edges.  Values that already
+    are ``LabelSet`` objects are stored as they are, so graphs built from
+    one another share the label sets they did not change.
     """
 
     def __init__(self, graph: Graph, algebra: Algebra,
                  labeling: Optional[Mapping[str, object]] = None):
         self.graph = graph
         self.algebra = algebra
-        labeling = dict(labeling or {})
-        extra = set(labeling) - set(graph.element_ids())
-        if extra:
-            raise ValueError(f"labeling names unknown elements {sorted(extra)}")
-        self.labeling: dict[str, LabelSet] = {}
-        for x in graph.element_ids():
-            labels = LabelSet(labeling.get(x, ()))
-            for v in labels:
-                if not algebra.contains(v):
-                    raise ValueError(
-                        f"label {render_value(v)} on element {x!r} is outside the carrier")
-            self.labeling[x] = labels
+        nodes, edges = graph.nodes, graph.edges
+        labels = dict(labeling or {})
+        # a labeling with one key per element that names every element names
+        # nothing else; only a partial one needs the set difference
+        if not (len(labels) == len(nodes) + len(edges)
+                and nodes.keys() <= labels.keys() and edges.keys() <= labels.keys()):
+            extra = labels.keys() - nodes.keys() - edges.keys()
+            if extra:
+                raise ValueError(f"labeling names unknown elements {sorted(extra)}")
+            labels = {**dict.fromkeys(nodes, EMPTY_LABELS),
+                      **dict.fromkeys(edges, EMPTY_LABELS), **labels}
+        for x, value in labels.items():
+            if type(value) is not LabelSet:
+                labels[x] = LabelSet(value)
+        # each distinct label set is checked once; a failure is reported at
+        # the first element in id order that carries an outside value
+        for distinct in set(labels.values()):
+            if not all(map(algebra.contains, distinct)):
+                for x in graph.element_ids():
+                    for v in labels[x]:
+                        if not algebra.contains(v):
+                            raise ValueError(
+                                f"label {render_value(v)} on element {x!r} is outside the carrier")
+        self.labeling: dict[str, LabelSet] = labels
+
+    def label_groups(self) -> dict[str, dict[LabelSet, list[str]]]:
+        """Node ids by sort and then by label set, each group sorted.
+
+        Built on each call and kept by no graph: a caller that matches
+        several rules against this graph builds it once and passes it on.
+        """
+        labeling = self.labeling
+        groups: dict[str, dict[LabelSet, list[str]]] = {}
+        for sort, ids in self.graph.index.nodes_by_sort.items():
+            by_label = groups[sort] = {}
+            for n in ids:
+                by_label.setdefault(labeling[n], []).append(n)
+        return groups
 
     def label(self, x: str) -> LabelSet:
         return self.labeling[x]
@@ -44,10 +72,7 @@ class AttributedGraph:
         return self.graph.element_count()
 
     def with_labels(self, updates: Mapping[str, object]) -> "AttributedGraph":
-        merged = dict(self.labeling)
-        for x, labels in updates.items():
-            merged[x] = LabelSet(labels)
-        return AttributedGraph(self.graph, self.algebra, merged)
+        return AttributedGraph(self.graph, self.algebra, {**self.labeling, **updates})
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, AttributedGraph)

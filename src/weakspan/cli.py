@@ -198,7 +198,7 @@ def _cmd_apply(args) -> int:
     result = relabel_parallel_result(pct([gamma]), 0, [args.match])
     report = [
         f"applied {args.rule}#{args.match}",
-        f"context: {gamma.D.graph.element_count()} elements",
+        f"context: {host.element_count() - len(gamma.record.deleted)} elements",
         f"result: {result.graph.element_count()} elements",
     ]
     _emit("\n".join(report), args.report)

@@ -198,12 +198,13 @@ def is_mono(f: GraphMorphism) -> bool:
             and len(set(f.edge_map.values())) == len(f.edge_map))
 
 
-def _node_order(pattern: Graph, admitted: Mapping[str, list[str]]) -> list[str]:
+def _node_order(pattern: Graph, admitted: Mapping[str, int]) -> list[str]:
     """Order pattern nodes so each one touches as many earlier ones as it can.
 
-    Ties go to the node with the fewest admitted host nodes, so the search
-    starts at the most selective node and, after a component is exhausted,
-    continues at the most selective node left.
+    Ties go to the node with the fewest admitted host nodes (``admitted``
+    gives their number), so the search starts at the most selective node
+    and, after a component is exhausted, continues at the most selective
+    node left.
     """
     adjacency: dict[str, set[str]] = {n: set() for n in pattern.nodes}
     for sort, src, tgt in pattern.edges.values():
@@ -214,7 +215,7 @@ def _node_order(pattern: Graph, admitted: Mapping[str, list[str]]) -> list[str]:
     remaining = set(pattern.nodes)
     while remaining:
         pick = min(remaining,
-                   key=lambda n: (-len(adjacency[n] & placed), len(admitted[n]), n))
+                   key=lambda n: (-len(adjacency[n] & placed), admitted[n], n))
         order.append(pick)
         placed.add(pick)
         remaining.remove(pick)
@@ -222,28 +223,37 @@ def _node_order(pattern: Graph, admitted: Mapping[str, list[str]]) -> list[str]:
 
 
 def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
-                        admits: Optional[Callable[[str, str], bool]] = None
+                        admits: Optional[Callable[[str, str], bool]] = None,
+                        classes: Optional[Mapping[str, Mapping[object, list[str]]]] = None
                         ) -> list[GraphMorphism]:
     """Every morphism from pattern into host, in a canonical deterministic order.
 
     ``admits(x, h)`` says whether pattern element x may map to host element
-    h; without it every host element of the right sort is admitted.  The
-    order is lexicographic on the tuple of host images taken over the
+    h; without it every host element of the right sort is admitted.  It
+    comes with ``classes``, which splits each node sort's host nodes into
+    sorted runs on each of which ``admits`` gives one answer per pattern
+    node, so a pattern node's admitted nodes are found with one test per
+    run.  A node whose placed neighbours give candidates tests those
+    candidates alone.
+    The order is lexicographic on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
     """
     if pattern.signature != host.signature:
         raise ValueError("pattern and host use different sort signatures")
 
     index = host.index
-    admitted: dict[str, list[str]] = {}
-    for pn, sort in pattern.nodes.items():
-        bucket = index.nodes_by_sort.get(sort, [])
-        admitted[pn] = bucket if admits is None else [h for h in bucket if admits(pn, h)]
-        if not admitted[pn]:
-            return []
-    admitted_sets = {pn: set(hosts) for pn, hosts in admitted.items()}
+    if admits is None:
+        runs = {pn: [index.nodes_by_sort.get(sort, [])] for pn, sort in pattern.nodes.items()}
+    elif classes is None:
+        raise ValueError("admits is tested once per class and needs the classes")
+    else:
+        runs = {pn: [run for run in classes.get(sort, {}).values() if admits(pn, run[0])]
+                for pn, sort in pattern.nodes.items()}
+    sizes = {pn: sum(map(len, admitted)) for pn, admitted in runs.items()}
+    if not all(sizes.values()):
+        return []
 
-    order = _node_order(pattern, admitted)
+    order = _node_order(pattern, sizes)
     pattern_edges = sorted(pattern.edges)
     # the pattern edges at each pattern node, for candidates and consistency
     touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in pattern.nodes}
@@ -273,6 +283,8 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
             used.discard(he)
             del edge_map[pe]
 
+    starts: dict[str, list[str]] = {}   # admitted nodes, built for nodes that start a search
+
     def node_candidates(pn: str, node_map: dict[str, str]) -> list[str]:
         candidate_sets = []
         for sort, src, tgt in touching[pn]:
@@ -281,8 +293,16 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
             if tgt == pn and src in node_map and src != pn:
                 candidate_sets.append(out_by.get((sort, node_map[src]), set()))
         if candidate_sets:
-            return sorted(admitted_sets[pn].intersection(*candidate_sets))
-        return admitted[pn]
+            # adjacency by edge sort already fixes the node sort
+            found = set.intersection(*candidate_sets)
+            if admits is not None:
+                return sorted(c for c in found if admits(pn, c))
+            return sorted(found)
+        if pn not in starts:
+            admitted = runs[pn]
+            starts[pn] = (admitted[0] if len(admitted) == 1
+                          else sorted(itertools.chain.from_iterable(admitted)))
+        return starts[pn]
 
     def consistent(pn: str, image: str, node_map: dict[str, str]) -> bool:
         for sort, src, tgt in touching[pn]:
@@ -312,6 +332,9 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
             del node_map[pn]
 
     assign_nodes(0, {}, set())
+    # the two searches call themselves through their closures; emptying the
+    # cells lets the search state go at return instead of at the next gc
+    del assign_nodes, assign_edges
 
     node_key_ids = sorted(pattern.nodes)
     edge_key_ids = pattern_edges

@@ -3,9 +3,11 @@ and the parallel coherent transformation."""
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
@@ -177,9 +179,40 @@ class CoherenceWitness:
         return AttrMorphism(self.required, target, sigma, self.alpha, check=False)
 
 
+class WitnessMatrix(Mapping):
+    """The p x p witnesses of a coherent set, keyed (a, b) in row order.
+
+    Entry (a, b) is the witness from rule a's required part into context b;
+    each one is built when it is first read.
+    """
+
+    def __init__(self, gammas: Sequence[DirectTransformation]):
+        self._gammas = gammas
+        self._built: dict[tuple[int, int], CoherenceWitness] = {}
+
+    def __getitem__(self, key: tuple[int, int]) -> CoherenceWitness:
+        if key not in self._built:
+            p = len(self._gammas)
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(i, int) and 0 <= i < p for i in key)):
+                raise KeyError(key)
+            a, b = key
+            ga = self._gammas[a]
+            self._built[key] = CoherenceWitness(ga.rule.I, ga.required_image, ga.match.alpha,
+                                                self._gammas[b], from_index=a, into_index=b)
+        return self._built[key]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        p = len(self._gammas)
+        return ((a, b) for a in range(p) for b in range(p))
+
+    def __len__(self) -> int:
+        return len(self._gammas) ** 2
+
+
 @dataclass
 class CoherenceCheckResult:
-    matrix: Optional[dict]
+    matrix: Optional[WitnessMatrix]
     failing_pair: Optional[tuple[int, int]] = None
     failing_element: Optional[str] = None
     reason: str = ""
@@ -202,7 +235,7 @@ class ParallelStep:
     """
 
     gammas: list
-    witnesses: dict
+    witnesses: WitnessMatrix
     Dprime: AttributedGraph
     Hprime: AttributedGraph
     born: list
@@ -265,6 +298,7 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
                 walk(idx + 1, ext)
 
     walk(0, {})
+    del walk   # it calls itself through its closure; emptying the cell frees it now
     unique = []
     seen = set()
     for sol in solutions:
@@ -275,13 +309,18 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
     return unique
 
 
-def find_matches(rule: WeakSpan, host: AttributedGraph) -> list[Match]:
+def find_matches(rule: WeakSpan, host: AttributedGraph,
+                 groups: Optional[Mapping[str, Mapping[LabelSet, list[str]]]] = None
+                 ) -> list[Match]:
     """All injective matches of the rule's left side, each with every variable
     assignment that satisfies the label condition, in canonical order.
 
     The search admits only host elements whose labels can satisfy the rule's:
     for an enumerated rule the rule label must be a subset of the host label,
     and for a term rule a non-empty rule label needs a non-empty host label.
+    The test depends on the host label alone, so host nodes are admitted a
+    label group at a time; ``groups`` is ``host.label_groups()``, passed by
+    a caller that matches several rules on one host and built here if not.
     """
     rule_alg = rule.algebra
     enumerated = isinstance(rule_alg, FiniteEnum)
@@ -294,10 +333,12 @@ def find_matches(rule: WeakSpan, host: AttributedGraph) -> list[Match]:
     else:
         def admits(x: str, h: str) -> bool:
             return not wanted[x] or bool(have[h])
+    if groups is None:
+        groups = host.label_groups()
     elements = rule.L.element_ids()
     matches: list[Match] = []
     for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True,
-                                     admits=admits):
+                                     admits=admits, classes=groups):
         if enumerated:
             assignments = [{}]
         else:
@@ -387,32 +428,42 @@ def check_parallel_independent(g1: DirectTransformation,
 
 
 def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheckResult:
-    """Pairwise coherence over a whole set, assembling the full witness matrix.
+    """Pairwise coherence over a whole set, with the full witness matrix.
 
     The matrix maps (a, b) to the witness from rule a's required part into
     context b; diagonal entries are the composites k o i through the rule's
-    own context.  Only the deletion records are read.
+    own context.  A match is lax, so the labels a's required part maps to
+    hold in the host; its image embeds in every context that neither
+    deletes nor relabels an element of it.  Only the pairs (a, b) where b's
+    record does one of these to an element a requires are checked, in
+    (a, b) order.  Only the deletion records are read.
     """
     if not gammas:
         raise ValueError("need at least one direct transformation")
+    gammas = list(gammas)
     host = gammas[0].host
     for g in gammas[1:]:
         if g.host != host:
             raise ValueError("direct transformations live on different hosts")
-    matrix: dict[tuple[int, int], CoherenceWitness] = {}
+    requirers: dict[str, list[int]] = {}
     for a, ga in enumerate(gammas):
-        required, image, alpha = ga.rule.I, ga.required_image, ga.match.alpha
-        for b, gb in enumerate(gammas):
-            if a != b:
-                obstruction = _obstruction(required, image, alpha, gb)
-                if obstruction is not None:
-                    element, reason = obstruction
-                    return CoherenceCheckResult(
-                        matrix=None, failing_pair=(a, b), failing_element=element,
-                        reason=reason)
-            matrix[(a, b)] = CoherenceWitness(required, image, alpha, gb,
-                                              from_index=a, into_index=b)
-    return CoherenceCheckResult(matrix=matrix)
+        for z in ga.required_image.values():
+            requirers.setdefault(z, []).append(a)
+    host_labels = host.labeling
+    pairs: set[tuple[int, int]] = set()
+    for b, gb in enumerate(gammas):
+        record = gb.record
+        relabelled = (w for w, label in record.labels.items() if label != host_labels[w])
+        for z in itertools.chain(record.deleted, relabelled):
+            pairs.update((a, b) for a in requirers.get(z, ()) if a != b)
+    for a, b in sorted(pairs):
+        ga = gammas[a]
+        obstruction = _obstruction(ga.rule.I, ga.required_image, ga.match.alpha, gammas[b])
+        if obstruction is not None:
+            element, reason = obstruction
+            return CoherenceCheckResult(
+                matrix=None, failing_pair=(a, b), failing_element=element, reason=reason)
+    return CoherenceCheckResult(matrix=WitnessMatrix(gammas))
 
 
 def _fresh_id(candidate: str, used: set[str]) -> str:
@@ -445,13 +496,16 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     host = gammas[0].host
     records = [g.record for g in gammas]
     deleted = frozenset().union(*(r.deleted for r in records))
-    labels = {x: v for x, v in host.labeling.items() if x not in deleted}
+    labels = dict(host.labeling)
+    for x in deleted:
+        del labels[x]
     # a context label is a subset of the host label, so intersecting with the
-    # host label stands in for every context that leaves the element untouched
+    # host label stands in for every context that leaves the element untouched;
+    # a label no context changes stays the host's LabelSet object
     for record in records:
         for x, label in record.labels.items():
-            if x not in deleted:
-                labels[x] = labels[x] & label
+            if x not in deleted and not labels[x] <= label:
+                labels[x] = LabelSet(labels[x] & label)
     graph = host.graph
     if deleted:
         graph = Graph(graph.signature,
@@ -477,7 +531,8 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
                     edges[z] = (sort, ids[src], ids[tgt])
             z = ids[x]
             added = apply_to_labelset(gc.match.alpha, rule.R.label(x))
-            labels[z] = labels.get(z, EMPTY_LABELS) | added
+            have = labels.get(z, EMPTY_LABELS)
+            labels[z] = have if added <= have else LabelSet(have | added)
         born.append(ids)
     if nodes or edges:
         graph = Graph(graph.signature, {**graph.nodes, **nodes}, {**graph.edges, **edges})

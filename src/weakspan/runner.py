@@ -79,7 +79,7 @@ def relabel_parallel_result(step: ParallelStep, step_index: int,
     step that adds nothing returns H' itself."""
     kept = step.Dprime.graph
     mapping: dict[str, str] = {}
-    used = set(kept.element_ids())
+    used = set(kept.nodes).union(kept.edges)
     for number, gamma, born in zip(numbers, step.gammas, step.born, strict=True):
         for x in gamma.rule.R.element_ids():
             if not kept.has_element(born[x]):
@@ -91,18 +91,23 @@ def transport_match(match: Match, host: AttributedGraph) -> Match:
     """Re-anchor a match on another graph by element ids, with full revalidation.
 
     Raises ValueError when the target elements are gone or no longer carry the
-    labels the left side requires.
+    labels the left side requires.  A match is returned as it is on its own
+    host, and keeps its graph part on a host that shares its graph.
     """
-    sigma = GraphMorphism(match.rule.L.graph, host.graph,
-                          match.m.sigma.node_map, match.m.sigma.edge_map)
+    if host is match.host:
+        return match
+    sigma = match.m.sigma
+    if host.graph is not match.host.graph:
+        sigma = GraphMorphism(match.rule.L.graph, host.graph, sigma.node_map, sigma.edge_map)
     return Match(match.rule, host, AttrMorphism(match.rule.L, host, sigma, match.m.alpha))
 
 
 def all_matches(system: SystemSpec, host: AttributedGraph) -> list[Match]:
     """Every match of every rule, rules in declaration order."""
     found = []
+    groups = host.label_groups()
     for rule in system.rules:
-        found.extend(find_matches(rule, host))
+        found.extend(find_matches(rule, host, groups))
     return found
 
 
@@ -110,8 +115,9 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
                         step_index: int) -> tuple[AttributedGraph, StepReport]:
     report = StepReport(index=step_index, mode="pct")
     gammas = []
+    groups = host.label_groups()
     for rule in system.rules:
-        matches = find_matches(rule, host)
+        matches = find_matches(rule, host, groups)
         report.matches_per_rule[rule.name] = len(matches)
         for pos, match in enumerate(matches):
             try:

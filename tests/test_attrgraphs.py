@@ -49,6 +49,30 @@ class TestAttributedGraph:
         with pytest.raises(ValueError, match="carrier"):
             AttributedGraph(g, terms, {"x": [Var("w")]})
 
+    def test_a_carrier_error_names_the_first_element_in_id_order(self):
+        g = Graph(SIG, {"z": "p", "x": "p", "y": "p"}, {"e": ("a", "z", "x")})
+        with pytest.raises(ValueError, match="label -1 on element 'x' is outside"):
+            AttributedGraph(g, NAT, {"e": [-2], "z": [-3], "y": [1], "x": [-1]})
+        with pytest.raises(ValueError, match="label -2 on element 'e' is outside"):
+            AttributedGraph(g, NAT, {"e": [-2], "z": [2], "y": [1], "x": [1]})
+
+    def test_label_sets_are_kept_and_other_values_wrapped(self):
+        a = chain(labels_x=(1,), labels_y=LabelSet([2]))
+        assert type(a.label("x")) is LabelSet
+        b = AttributedGraph(a.graph, NAT, a.labeling)
+        assert all(b.label(x) is a.label(x) for x in a.element_ids())
+        c = a.with_labels({"y": [5]})
+        assert c.label("x") is a.label("x") and c.label("y") == LabelSet([5])
+
+    def test_label_groups_group_nodes_by_sort_and_label(self):
+        g = Graph(SortSignature(["p", "q"], {}),
+                  {"n3": "p", "n1": "p", "n2": "q", "n0": "p", "n4": "q"}, {})
+        a = AttributedGraph(g, NAT, {"n3": [1], "n0": [1], "n2": [1], "n4": [2]})
+        assert a.label_groups() == {
+            "p": {LabelSet([1]): ["n0", "n3"], LabelSet(): ["n1"]},
+            "q": {LabelSet([1]): ["n2"], LabelSet([2]): ["n4"]}}
+        assert "label_groups" not in vars(a)
+
     def test_with_labels_replaces_selected_sets(self):
         a = chain(labels_x=(1,), labels_y=(2,))
         b = a.with_labels({"y": [5, 6]})

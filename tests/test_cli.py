@@ -224,6 +224,21 @@ class TestApply:
             "applied sum#0\ncontext: 3 elements\nresult: 3 elements\n")
         assert labels_of(out) == {"x": LabelSet([1]), "y": LabelSet([3])}
 
+    def test_the_context_is_counted_from_the_deletion_record(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def refuse(*_args):
+            raise AssertionError("the context graph was built")
+
+        monkeypatch.setattr("weakspan.rewriting.pushout_complement", refuse)
+        system = tmp_path / "delete.json"
+        system.write_text(json.dumps({**DANGLING, "host": {
+            "nodes": [{"id": "n1", "sort": "p"}, {"id": "n2", "sort": "p"}],
+            "edges": [{"id": "e", "sort": "a", "src": "n2", "tgt": "n2"}]}}))
+        assert main(["apply", "--rules", str(system), "--host", str(system),
+                     "--rule", "delete", "--match", "0"]) == 0
+        assert capsys.readouterr().out == \
+            "applied delete#0\ncontext: 2 elements\nresult: 2 elements\n"
+
     def test_additions_are_named_by_the_match_index(self, tmp_path, capsys):
         point = {"nodes": [{"id": "x", "sort": "p"}]}
         grow = {"name": "grow", "L": point, "K": point, "I": point,

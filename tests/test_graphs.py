@@ -155,6 +155,11 @@ class TestEnumerateMorphisms:
         second = [m.node_map["x"] for m in enumerate_morphisms(pattern, host)]
         assert first == second == ["n0", "n1"]
 
+    def test_admits_needs_its_classes(self):
+        pattern = Graph(SIG, {"x": "p"}, {})
+        with pytest.raises(ValueError, match="classes"):
+            enumerate_morphisms(pattern, triangle(), admits=lambda x, h: True)
+
 
 class TestIsomorphism:
     def test_finds_relabeling(self):

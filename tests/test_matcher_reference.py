@@ -38,7 +38,7 @@ from weakspan.algebras import render_value
 from weakspan.cli import main
 from weakspan.rewriting import _solve_label_constraints
 
-from randgen import random_host, random_independent_pair, random_instance
+from randgen import NAT, SIG as TERM_SIG, random_host, random_independent_pair, random_instance
 
 
 def filtered_matches(rule, host):
@@ -147,7 +147,7 @@ def random_enum_graph(rng, n_nodes, n_edges, simple, prefix, label_sizes=(0, 1, 
 def identity_rule(pattern):
     """A rule that keeps and requires its whole left side."""
     ident = AttrMorphism(pattern, pattern, GraphMorphism.identity(pattern.graph),
-                         AlgebraMorphism.identity(STATES))
+                         AlgebraMorphism.identity(pattern.algebra))
     return WeakSpan(name="keep", L=pattern, K=pattern, I=pattern, R=pattern,
                     l=ident, i=ident, r=ident)
 
@@ -223,3 +223,53 @@ def test_random_graphs_agree_with_networkx():
                                          pattern.labeling, host.labeling)
         matched += bool(found)
     assert matched >= 20
+
+
+WIDE = FiniteEnum("abcdef")
+
+
+def wide_enum_graph(rng, n_nodes, n_edges, prefix, sizes):
+    """A multigraph over SIG whose labels are random subsets of six values."""
+    graph = random_enum_graph(rng, n_nodes, n_edges, False, prefix).graph
+    labels = {x: LabelSet(rng.sample("abcdef", rng.choice(sizes)))
+              for x in graph.element_ids()}
+    return AttributedGraph(graph, WIDE, labels)
+
+
+def wide_term_host(rng):
+    """A host over randgen's signature with many distinct natural-number
+    labels, two in five of them empty."""
+    nodes = {f"h{k}": rng.choice("ppq") if k else "p" for k in range(rng.randint(3, 9))}
+    slots = [(s, t) for s in nodes if nodes[s] == "p" for t in nodes]
+    edges = {}
+    for k in range(rng.randint(0, 14)):
+        src, tgt = rng.choice(slots)
+        edges[f"he{k}"] = ("b" if nodes[tgt] == "q" else "a", src, tgt)
+    graph = Graph(TERM_SIG, nodes, edges)
+    labels = {x: LabelSet(rng.sample(range(6), rng.choice((0, 0, 1, 2, 3))))
+              for x in graph.element_ids()}
+    return AttributedGraph(graph, NAT, labels)
+
+
+def test_label_groups_admit_what_enumerate_then_filter_admits():
+    """Hosts with many distinct labels: admission a label group at a time
+    must keep every match the filtered matcher finds, in the same order."""
+    groups = matched = 0
+    for trial in range(150):
+        rng = random.Random(3100 + trial)
+        host = wide_enum_graph(rng, rng.randint(3, 9), rng.randint(0, 16), "h", (0, 2, 3, 4))
+        pattern = wide_enum_graph(rng, rng.randint(1, 3), rng.randint(0, 3), "x", (0, 0, 1, 2))
+        rule = identity_rule(pattern)
+        assert_same_matches([rule], host)
+        groups += sum(map(len, host.label_groups().values()))
+        matched += len(find_matches(rule, host))
+    assert groups >= 150 * 4 and matched >= 100
+    matched = 0
+    for trial in range(150):
+        rng = random.Random(4100 + trial)
+        host = wide_term_host(rng)
+        rules = [random_instance(rng, host, var_names=("u", "v"), name="one").rule,
+                 random_instance(rng, host, var_names=("w", "z"), name="two").rule]
+        assert_same_matches(rules, host)
+        matched += sum(len(find_matches(rule, host)) for rule in rules)
+    assert matched >= 1000

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from weakspan import (
@@ -13,6 +15,7 @@ from weakspan import (
     cmd_run,
     fibonacci_system,
     find_matches,
+    hex_system,
     transport_match,
 )
 from weakspan.runner import relabel_parallel_result
@@ -55,6 +58,20 @@ class TestTransport:
         assert carried.host is twin
         assert carried.m.apply("x") == "x"
         assert carried.alpha == match.alpha
+
+    def test_a_match_on_its_own_host_is_returned_as_it_is(self, fib):
+        match = find_matches(fib.rules[1], fib.host)[0]
+        assert transport_match(match, fib.host) is match
+
+    def test_a_shared_graph_keeps_the_graph_part_and_still_checks_labels(self, fib):
+        match = find_matches(fib.rules[1], fib.host)[0]
+        twin = fib.host.with_labels({"e": []})
+        assert twin.graph is fib.host.graph
+        assert transport_match(match, twin).m.sigma is match.m.sigma
+        relabelled = fib.host.with_labels({"x": [7]})
+        assert relabelled.graph is fib.host.graph
+        with pytest.raises(ValueError, match="label condition"):
+            transport_match(match, relabelled)
 
     def test_transport_fails_when_the_labels_are_gone(self, fib):
         shift, total = fib.rules
@@ -182,7 +199,33 @@ class TestHexca:
         with pytest.raises(ValueError, match="nonnegative"):
             cmd_hexca(HexGridSpec(radius=2), generations=-1)
 
+    def test_steps_share_every_label_they_leave_alone(self):
+        grid = HexGridSpec(radius=5)
+        result = cmd_hexca(grid, generations=4)
+        rules = hex_system(grid).rules
+        for before, after in zip(result.graphs, result.graphs[1:]):
+            touched = {h for rule in rules for match in find_matches(rule, before)
+                       for h in match.m.sigma.element_map().values()}
+            untouched = before.labeling.keys() - touched
+            assert len(untouched) > 200
+            assert all(after.label(x) is before.label(x) for x in untouched)
+
     def test_zero_generations_is_just_the_seed(self):
         result = cmd_hexca(HexGridSpec(radius=1), generations=0)
         assert result.live_counts == [1]
         assert result.steps == []
+
+
+def test_runs_leave_no_reference_cycles():
+    """The recursive searches empty their closure cells, so a step's
+    matching state is freed as each search returns, not at the next
+    collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        cmd_hexca(HexGridSpec(radius=5), generations=3)
+        cmd_run(fibonacci_system(), steps=3, mode="sequential")
+        cmd_run(fibonacci_system(), steps=3, mode="pct")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
