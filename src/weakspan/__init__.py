@@ -15,10 +15,10 @@ from .attrgraphs import (AttrMorphism, AttributedGraph, ValidationReport,
                          Violation, compose_attr, identity_attr,
                          is_attr_isomorphic, rename_attributed,
                          validate_attr_morphism)
-from .constructions import (ComplementResult, DeletionRecord, GluingError,
-                            PullbackResult, PushoutResult,
+from .constructions import (ComplementResult, DeletionPlan, DeletionRecord,
+                            GluingError, PullbackResult, PushoutResult,
                             check_universal_property, colimit_of_neutrals,
-                            deletion_record, limit_of_neutrals,
+                            deletion_plan, deletion_record, limit_of_neutrals,
                             pullback_of_neutrals, pushout_along_neutral,
                             pushout_complement)
 from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
@@ -30,7 +30,7 @@ from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules,
 from .presets import fibonacci_system
 from .rewriting import (CoherenceCheckResult, CoherenceWitness,
                         DirectTransformation, IncoherentSetError, Match,
-                        ParallelStep, WeakSpan, apply_direct, apply_span_dpo,
+                        ParallelStep, RulePlan, WeakSpan, apply_direct, apply_span_dpo,
                         associated_span, check_parallel_coherent,
                         check_parallel_independent, coherent_set_check,
                         coproduct_rule, derive_span_from_pct, find_matches,

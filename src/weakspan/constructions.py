@@ -1,6 +1,6 @@
 """Pushouts along neutral morphisms, pullbacks of neutral morphisms, their
-iterated limit/colimit forms, deletion records, pushout complements, and a
-brute-force universal-property checker used by the tests."""
+iterated limit/colimit forms, deletion plans and records, pushout
+complements, and a brute-force universal-property checker used by the tests."""
 
 from __future__ import annotations
 
@@ -260,47 +260,63 @@ class DeletionRecord:
     """What one match removes from its host, in host ids.
 
     ``deleted`` holds the host elements outside the image of the preserved
-    part.  ``labels`` gives, for each kept element the match touches, its
-    label in the context; ``removed`` gives the labels the match placed on
-    it (its deletion set).  Every other kept element keeps its host label.
+    part.  ``labels`` gives the context label of each kept element whose
+    label the rule changes; every other kept element keeps its host label,
+    so readers take ``labels.get(w, host_label)``.
     """
 
     deleted: frozenset
     labels: dict
-    removed: dict
 
 
-def deletion_record(l_neutral: AttrMorphism, m: AttrMorphism) -> DeletionRecord:
-    """Check the gluing conditions of a match and record what it deletes.
+@dataclass(frozen=True, eq=False)
+class DeletionPlan:
+    """What a rule's left leg l: K -> L deletes and relabels, in L ids.
 
-    ``l_neutral`` is the preserved-part inclusion into the rule's left side;
-    ``m`` the match into the host.  Raises ``GluingError`` when a deleted
-    node would leave an edge dangling (naming the smallest such edge id) or
-    a deleted element carries labels the left side did not place.  Only the
-    matched elements and the edges at deleted nodes are visited.
+    ``deleted`` lists the elements of L outside l(K) with their labels, and
+    ``relabelled`` each kept element whose K label differs from its L label,
+    as (its L id, its L label, its K label).  A plan is fixed by the leg, so
+    a rule builds it once and every match visits only these elements.
     """
+
+    left: AttributedGraph
+    deleted: tuple[tuple[str, LabelSet], ...]
+    relabelled: tuple[tuple[str, LabelSet, LabelSet], ...]
+
+
+def deletion_plan(l_neutral: AttrMorphism) -> DeletionPlan:
+    """The deletion part of a rule's plan; ``l_neutral`` is the preserved-part
+    inclusion K -> L, which must be neutral and injective."""
     if not l_neutral.is_neutral:
         raise ValueError("rule leg must be neutral")
     if not is_mono(l_neutral.sigma):
         raise ValueError("rule leg must be injective")
+    left, kept = l_neutral.target.labeling, l_neutral.source.labeling
+    image = l_neutral.sigma.element_map()
+    relabelled = tuple((v, left[v], kept[u]) for u, v in sorted(image.items())
+                       if kept[u] != left[v])
+    survivors = set(image.values())
+    deleted = tuple((v, left[v]) for v in sorted(left) if v not in survivors)
+    return DeletionPlan(left=l_neutral.target, deleted=deleted, relabelled=relabelled)
+
+
+def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> DeletionRecord:
+    """Check the gluing conditions of a match and record what it deletes.
+
+    ``plan`` is the deletion plan of the rule's left leg; ``m`` the match
+    into the host.  Raises ``GluingError`` when a deleted node would leave
+    an edge dangling (naming the smallest such edge id) or a deleted element
+    carries labels the left side did not place.  Only the planned elements
+    and the edges at deleted nodes are visited.
+    """
     if not is_mono(m.sigma):
         raise ValueError("match must be injective")
-    if l_neutral.target != m.source:
+    if plan.left != m.source:
         raise ValueError("rule leg and match do not meet in the same object")
 
-    left = m.source       # the rule's full left side
-    kept = l_neutral.source
-    host = m.target
-    alpha = m.alpha
-
-    placed: dict[str, set] = {}
-    for v in left.element_ids():
-        placed.setdefault(m.apply(v), set()).update(apply_to_labelset(alpha, left.label(v)))
-    regained: dict[str, set] = {}
-    for u in kept.element_ids():
-        regained.setdefault(m.apply(l_neutral.apply(u)), set()).update(
-            apply_to_labelset(alpha, kept.label(u)))
-    deleted = frozenset(placed.keys() - regained.keys())
+    host, alpha, place = m.target, m.alpha, m.sigma.apply
+    placed = {place(v): label for v, label in plan.deleted}
+    deleted = frozenset(placed)
 
     incident = host.graph.index.incident
     dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
@@ -314,16 +330,18 @@ def deletion_record(l_neutral: AttrMorphism, m: AttrMorphism) -> DeletionRecord:
     # label must be exactly what the left side placed there; anything extra
     # would be lost and the removal could not be undone by regluing
     for x in sorted(deleted):
-        extra = host.label(x) - placed[x]
+        extra = host.label(x) - apply_to_labelset(alpha, placed[x])
         if extra:
             raise GluingError(
                 f"element {x!r} is deleted but carries labels "
                 f"{LabelSet(extra).render()} beyond the matched left side")
 
-    return DeletionRecord(
-        deleted=deleted,
-        labels={w: LabelSet((host.label(w) - placed[w]) | back) for w, back in regained.items()},
-        removed={w: LabelSet(placed[w]) for w in regained})
+    labels = {}
+    for v, erased, back in plan.relabelled:
+        w = place(v)
+        labels[w] = LabelSet((host.label(w) - apply_to_labelset(alpha, erased))
+                             | apply_to_labelset(alpha, back))
+    return DeletionRecord(deleted=deleted, labels=labels)
 
 
 def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
@@ -331,9 +349,10 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
 
     This is ``deletion_record`` made into a graph.  Kept elements keep their
     host ids; labels lose what the match placed there and regain what the
-    preserved part carries.  The recorded deletion sets are maximal.
+    preserved part carries.  The recorded deletion sets are maximal: each
+    matched kept element loses everything the match placed on it.
     """
-    record = deletion_record(l_neutral, m)
+    record = deletion_record(deletion_plan(l_neutral), m)
     kept = l_neutral.source
     host = m.target
 
@@ -341,7 +360,10 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
     edges = {e: d for e, d in host.graph.edges.items() if e not in record.deleted}
     d_graph = Graph(host.graph.signature, nodes, edges)
     labels = {w: record.labels.get(w, host.label(w)) for w in d_graph.element_ids()}
-    deletion_sets = {w: record.removed.get(w, EMPTY_LABELS) for w in d_graph.element_ids()}
+    deletion_sets = dict.fromkeys(d_graph.element_ids(), EMPTY_LABELS)
+    for u in kept.element_ids():
+        v = l_neutral.apply(u)
+        deletion_sets[m.apply(v)] = apply_to_labelset(m.alpha, m.source.label(v))
 
     complement = AttributedGraph(d_graph, host.algebra, labels)
     ident = AlgebraMorphism.identity(host.algebra)

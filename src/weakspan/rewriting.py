@@ -4,8 +4,8 @@ and the parallel coherent transformation."""
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Container, Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -14,8 +14,9 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph, Violation, identity_attr
-from .constructions import (ComplementResult, DeletionRecord, deletion_record,
-                            pushout_along_neutral, pushout_complement)
+from .constructions import (ComplementResult, DeletionPlan, DeletionRecord,
+                            deletion_plan, deletion_record, pushout_along_neutral,
+                            pushout_complement)
 from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 
 
@@ -37,12 +38,55 @@ def _labels_variables(g: AttributedGraph) -> set[str]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class RulePlan:
+    """What a rule does at any match, worked out once from its legs.
+
+    ``deletion`` is the plan of the left leg: the elements a match deletes
+    and the ones whose label it erases.  ``required`` pairs each element y
+    of I, in id order, with its L id l(i(y)) and its R id r(y).  ``added``
+    lists the R elements outside r(I) in id order, each with its sort and,
+    for an edge, its endpoints as R ids.  ``written`` lists the R elements
+    with a non-empty label, with that label.  ``constraints`` holds the
+    left side's (element, term) label constraints, smallest term first, so
+    that the variables a sum reads are bound before the sum is matched.
+    """
+
+    deletion: DeletionPlan
+    required: tuple[tuple[str, str, str], ...]
+    added: tuple[tuple[str, str, Optional[tuple[str, str]]], ...]
+    written: tuple[tuple[str, LabelSet], ...]
+    constraints: tuple[tuple[str, Value], ...]
+
+    @property
+    def adds(self) -> bool:
+        """Whether a match of the rule adds an element to the host."""
+        return bool(self.added)
+
+
+def rule_plan(rule: WeakSpan) -> RulePlan:
+    """The plan of a rule whose legs are already checked."""
+    required = tuple((y, rule.l.apply(rule.i.apply(y)), rule.r.apply(y))
+                     for y in rule.I.element_ids())
+    glued = {ry for _y, _ly, ry in required}
+    graph = rule.R.graph
+    added = tuple((x, graph.nodes[x], None) if graph.is_node(x)
+                  else (x, graph.edges[x][0], graph.edges[x][1:])
+                  for x in rule.R.element_ids() if x not in glued)
+    written = tuple((x, label) for x, label in sorted(rule.R.labeling.items()) if label)
+    constraints = sorted(((x, t) for x, label in rule.L.labeling.items() for t in label),
+                         key=lambda c: (_term_size(c[1]), render_value(c[1]), c[0]))
+    return RulePlan(deletion=deletion_plan(rule.l), required=required, added=added,
+                    written=written, constraints=tuple(constraints))
+
+
 @dataclass
 class WeakSpan:
     """A rewrite rule L <- K <- I -> R with neutral injective structure maps.
 
     K is what survives deletion; I is the part whose presence the rule
-    actively requires when extending; R is what gets added.
+    actively requires when extending; R is what gets added.  ``plan`` is
+    built once from the legs when the rule is made.
     """
 
     name: str
@@ -53,6 +97,7 @@ class WeakSpan:
     l: AttrMorphism
     i: AttrMorphism
     r: AttrMorphism
+    plan: RulePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.L.algebra, (TermAlg, FiniteEnum)):
@@ -79,6 +124,7 @@ class WeakSpan:
                 raise ValueError(
                     f"rule {self.name!r}: declared variables {sorted(declared - in_left)} "
                     "do not occur in the left side")
+        self.plan = rule_plan(self)
 
     @property
     def algebra(self) -> Algebra:
@@ -148,8 +194,8 @@ class DirectTransformation:
     @cached_property
     def required_image(self) -> dict[str, str]:
         """The host id of each element of the rule's required part I."""
-        rule, m = self.rule, self.match.m
-        return {y: m.apply(rule.l.apply(rule.i.apply(y))) for y in rule.I.element_ids()}
+        place = self.match.m.sigma.apply
+        return {y: place(v) for y, v, _ry in self.rule.plan.required}
 
 
 @dataclass
@@ -230,15 +276,21 @@ class ParallelStep:
     """A parallel coherent transformation: contexts intersected, additions glued.
 
     D' and H' use host ids: D' is the part of the host that every context
-    keeps, and H' is D' plus each application's additions.  ``born[c]`` maps
-    each right-side element of application c to its id in H'.
+    keeps, and H' is D' plus each application's additions.  ``deleted``
+    holds the host ids outside D'; D' itself is built on first read.
+    ``born[c]`` maps each right-side element of application c to its id in
+    H'.
     """
 
     gammas: list
     witnesses: WitnessMatrix
-    Dprime: AttributedGraph
+    deleted: frozenset
     Hprime: AttributedGraph
     born: list
+
+    @cached_property
+    def Dprime(self) -> AttributedGraph:
+        return _intersected_context(self.gammas, self.deleted)
 
 
 def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterable[dict]:
@@ -260,9 +312,17 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
     elif isinstance(t, OpApp):
         if isinstance(host_alg, NatPlus) and t.op == "+":
             if isinstance(w, int):
+                left, right = t.args
+                # a summand whose value is already fixed fixes the split
+                for bound, other in ((left, right), (right, left)):
+                    value = _bound_sum(bound, partial)
+                    if value is not None:
+                        if value <= w:
+                            yield from _match_value(other, w - value, partial, host_alg)
+                        return
                 for part in range(w + 1):
-                    for mid in _match_value(t.args[0], part, partial, host_alg):
-                        yield from _match_value(t.args[1], w - part, mid, host_alg)
+                    for mid in _match_value(left, part, partial, host_alg):
+                        yield from _match_value(right, w - part, mid, host_alg)
         elif isinstance(host_alg, TermAlg):
             if isinstance(w, OpApp) and w.op == t.op and len(w.args) == len(t.args):
                 states = [partial]
@@ -275,6 +335,20 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
             yield partial
 
 
+def _bound_sum(t: Value, partial: dict) -> Optional[int]:
+    """The natural-number value of a sum of literals and bound variables, or
+    None when t has a free variable or another operation."""
+    if isinstance(t, Var):
+        return partial.get(t.name)
+    if isinstance(t, Lit):
+        return t.value
+    if isinstance(t, OpApp) and t.op == "+":
+        left, right = (_bound_sum(a, partial) for a in t.args)
+        if left is not None and right is not None:
+            return left + right
+    return None
+
+
 def _term_size(t: Value) -> int:
     if isinstance(t, OpApp):
         return 1 + sum(_term_size(a) for a in t.args)
@@ -283,9 +357,12 @@ def _term_size(t: Value) -> int:
 
 def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
                              host_alg: Algebra) -> list[dict]:
-    """All variable assignments under which every term lands in its allowed set."""
-    ordered = sorted(set((t, s) for t, s in constraints),
-                     key=lambda c: (_term_size(c[0]), render_value(c[0]), c[1].render()))
+    """All variable assignments under which every term lands in its allowed set.
+
+    Constraints are tried in the given order, repeats dropped; ``RulePlan``
+    puts the smallest terms first.
+    """
+    ordered = list(dict.fromkeys(constraints))
     solutions: list[dict] = []
 
     def walk(idx: int, partial: dict) -> None:
@@ -335,14 +412,14 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
             return not wanted[x] or bool(have[h])
     if groups is None:
         groups = host.label_groups()
-    elements = rule.L.element_ids()
+    plan_constraints = rule.plan.constraints
     matches: list[Match] = []
     for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True,
                                      admits=admits, classes=groups):
         if enumerated:
             assignments = [{}]
         else:
-            constraints = [(t, have[sigma.apply(x)]) for x in elements for t in wanted[x]]
+            constraints = [(t, have[sigma.apply(x)]) for x, t in plan_constraints]
             assignments = _solve_label_constraints(constraints, host.algebra)
             assignments.sort(
                 key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
@@ -357,7 +434,8 @@ def apply_direct(match: Match) -> DirectTransformation:
     """A weak double-pushout application, kept as its deletion record; the
     context is materialised on first use and ``pct([gamma])`` glues the
     right side on."""
-    return DirectTransformation(match=match, record=deletion_record(match.rule.l, match.m))
+    return DirectTransformation(match=match,
+                                record=deletion_record(match.rule.plan.deletion, match.m))
 
 
 def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:
@@ -466,11 +544,46 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
     return CoherenceCheckResult(matrix=WitnessMatrix(gammas))
 
 
-def _fresh_id(candidate: str, used: set[str]) -> str:
-    while candidate in used:
+def _fresh_id(candidate: str, taken: Container[str]) -> str:
+    """``candidate`` with primes appended until it is not in ``taken``."""
+    while candidate in taken:
         candidate += "'"
-    used.add(candidate)
     return candidate
+
+
+def _context_labels(gammas: Sequence[DirectTransformation],
+                    deleted: frozenset) -> dict[str, LabelSet]:
+    """The labels of D': each host label outside ``deleted``, intersected
+    with every context label the records give for its element."""
+    labels = dict(gammas[0].host.labeling)
+    for x in deleted:
+        del labels[x]
+    # a context label is a subset of the host label, so intersecting with the
+    # host label stands in for every context that leaves the element untouched;
+    # a label no context changes stays the host's LabelSet object
+    for gamma in gammas:
+        for x, label in gamma.record.labels.items():
+            if x not in deleted and not labels[x] <= label:
+                labels[x] = LabelSet(labels[x] & label)
+    return labels
+
+
+def _glued_graph(host: Graph, deleted: frozenset, nodes: dict, edges: dict) -> Graph:
+    """The host graph without ``deleted``, plus ``nodes`` and ``edges``; the
+    host graph itself when that changes nothing."""
+    if not (deleted or nodes or edges):
+        return host
+    return Graph(host.signature,
+                 {**{n: s for n, s in host.nodes.items() if n not in deleted}, **nodes},
+                 {**{e: d for e, d in host.edges.items() if e not in deleted}, **edges})
+
+
+def _intersected_context(gammas: Sequence[DirectTransformation],
+                         deleted: frozenset) -> AttributedGraph:
+    """D', the limit of the contexts, in host ids."""
+    host = gammas[0].host
+    return AttributedGraph(_glued_graph(host.graph, deleted, {}, {}), host.algebra,
+                           _context_labels(gammas, deleted))
 
 
 def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
@@ -483,7 +596,8 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     labels unioned, and every other right-side element is added under a
     fresh ``<c>:<id>`` id.  ``limit_of_neutrals`` and
     ``colimit_of_neutrals`` are the general constructions this computes.
-    When nothing is deleted or added, D' and H' share the host's graph.
+    Only H' is built here; D' is built when it is first read.  When nothing
+    is deleted or added, H' shares the host's graph.
     """
     gammas = list(gammas)
     check = coherent_set_check(gammas)
@@ -494,50 +608,31 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
             f"element {check.failing_element!r}: {check.reason}")
 
     host = gammas[0].host
-    records = [g.record for g in gammas]
-    deleted = frozenset().union(*(r.deleted for r in records))
-    labels = dict(host.labeling)
-    for x in deleted:
-        del labels[x]
-    # a context label is a subset of the host label, so intersecting with the
-    # host label stands in for every context that leaves the element untouched;
-    # a label no context changes stays the host's LabelSet object
-    for record in records:
-        for x, label in record.labels.items():
-            if x not in deleted and not labels[x] <= label:
-                labels[x] = LabelSet(labels[x] & label)
-    graph = host.graph
-    if deleted:
-        graph = Graph(graph.signature,
-                      {n: s for n, s in graph.nodes.items() if n not in deleted},
-                      {e: d for e, d in graph.edges.items() if e not in deleted})
-    dprime = AttributedGraph(graph, host.algebra, labels)
-
+    deleted = frozenset().union(*(g.record.deleted for g in gammas))
+    labels = _context_labels(gammas, deleted)
     nodes: dict[str, str] = {}
     edges: dict[str, tuple[str, str, str]] = {}
-    used = set(labels)
     born = []
     for c, gc in enumerate(gammas):
-        rule = gc.rule
+        plan, image, alpha = gc.rule.plan, gc.required_image, gc.match.alpha
         # the required part lands on the host ids its images kept in the context
-        ids = {rule.r.apply(y): z for y, z in gc.required_image.items()}
-        for x in rule.R.element_ids():
-            if x not in ids:
-                z = ids[x] = _fresh_id(f"{c}:{x}", used)
-                if rule.R.graph.is_node(x):
-                    nodes[z] = rule.R.graph.nodes[x]
-                else:
-                    sort, src, tgt = rule.R.graph.edges[x]
-                    edges[z] = (sort, ids[src], ids[tgt])
+        ids = {ry: image[y] for y, _ly, ry in plan.required}
+        for x, sort, ends in plan.added:
+            z = ids[x] = _fresh_id(f"{c}:{x}", labels)
+            labels[z] = EMPTY_LABELS
+            if ends is None:
+                nodes[z] = sort
+            else:
+                edges[z] = (sort, ids[ends[0]], ids[ends[1]])
+        for x, label in plan.written:
             z = ids[x]
-            added = apply_to_labelset(gc.match.alpha, rule.R.label(x))
+            added = apply_to_labelset(alpha, label)
             have = labels.get(z, EMPTY_LABELS)
             labels[z] = have if added <= have else LabelSet(have | added)
         born.append(ids)
-    if nodes or edges:
-        graph = Graph(graph.signature, {**graph.nodes, **nodes}, {**graph.edges, **edges})
-    hprime = AttributedGraph(graph, host.algebra, labels)
-    return ParallelStep(gammas=gammas, witnesses=check.matrix, Dprime=dprime,
+    hprime = AttributedGraph(_glued_graph(host.graph, deleted, nodes, edges),
+                             host.algebra, labels)
+    return ParallelStep(gammas=gammas, witnesses=check.matrix, deleted=deleted,
                         Hprime=hprime, born=born)
 
 

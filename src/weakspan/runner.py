@@ -77,14 +77,19 @@ def relabel_parallel_result(step: ParallelStep, step_index: int,
     """Rename the additions of the glued result to fresh `s<step>:<n>:<id>` ids,
     where n is ``numbers[c]`` for application c; D' keeps its host ids.  A
     step that adds nothing returns H' itself."""
-    kept = step.Dprime.graph
+    applied = list(zip(numbers, step.gammas, step.born, strict=True))
+    if not any(gamma.rule.plan.adds for _n, gamma, _born in applied):
+        return step.Hprime
+    # H' is D' plus additions named `<c>:<id>` with an integer c; no such
+    # name starts with `s`, so H' rules out the same names here as D' would
+    graph = step.Hprime.graph
+    used = set(graph.nodes).union(graph.edges)
     mapping: dict[str, str] = {}
-    used = set(kept.nodes).union(kept.edges)
-    for number, gamma, born in zip(numbers, step.gammas, step.born, strict=True):
-        for x in gamma.rule.R.element_ids():
-            if not kept.has_element(born[x]):
-                mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}", used)
-    return rename_attributed(step.Hprime, mapping) if mapping else step.Hprime
+    for number, gamma, born in applied:
+        for x, _sort, _ends in gamma.rule.plan.added:
+            z = mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}", used)
+            used.add(z)
+    return rename_attributed(step.Hprime, mapping)
 
 
 def transport_match(match: Match, host: AttributedGraph) -> Match:
@@ -138,7 +143,7 @@ def finish_parallel_step(gammas: list[DirectTransformation],
     report.applied = len(gammas)
     report.coherent = True
     report.witness_count = len(step.witnesses)
-    report.dprime_elements = step.Dprime.graph.element_count()
+    report.dprime_elements = gammas[0].host.element_count() - len(step.deleted)
     report.hprime_elements = step.Hprime.graph.element_count()
     return relabel_parallel_result(step, report.index, range(len(gammas))), report
 

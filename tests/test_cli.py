@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,20 @@ class TestUsageErrors:
         fib = str(files / "fib.json")
         assert main(["run", "--rules", fib, "--host", fib, "--steps", "-1"]) == 1
         assert "nonnegative" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--help"], 0, "stdout", "usage: weakspan"),
+        (["hexca", "--frob"], 1, "stderr", "usage error"),
+    ])
+    def test_python_dash_m_runs_the_command_line(self, argv, code, stream, text):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "weakspan", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert text in getattr(done, stream)
 
 
 class TestInputErrors:

@@ -10,22 +10,32 @@ from weakspan import (
     GluingError,
     Graph,
     GraphMorphism,
+    HexGridSpec,
     LabelSet,
     NatPlus,
     PushoutResult,
     SortSignature,
     TermAlg,
+    apply_to_labelset,
     check_universal_property,
+    cmd_run,
     colimit_of_neutrals,
     compose_attr,
+    deletion_plan,
     deletion_record,
+    fibonacci_system,
+    find_matches,
+    hex_system,
     identity_attr,
     is_attr_isomorphic,
     limit_of_neutrals,
     pullback_of_neutrals,
     pushout_along_neutral,
     pushout_complement,
+    transport_match,
 )
+
+from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 
 SIG = SortSignature(["p"], {"a": ("p", "p")})
 NAT = NatPlus()
@@ -154,6 +164,118 @@ def full_scan_refusal(l_neutral, m):
     return None
 
 
+def full_visit_record(l_neutral, m):
+    """The deletion record by a visit of every left-side and preserved
+    element, the construction a rule's deletion plan specialises: returns
+    (deleted, context label of every matched kept element) or raises the
+    same ``GluingError``."""
+    left, kept, host, alpha = m.source, l_neutral.source, m.target, m.alpha
+    placed = {}
+    for v in left.element_ids():
+        placed.setdefault(m.apply(v), set()).update(apply_to_labelset(alpha, left.label(v)))
+    regained = {}
+    for u in kept.element_ids():
+        regained.setdefault(m.apply(l_neutral.apply(u)), set()).update(
+            apply_to_labelset(alpha, kept.label(u)))
+    deleted = frozenset(placed.keys() - regained.keys())
+    incident = host.graph.index.incident
+    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
+    if dangling:
+        eid = min(dangling)
+        raise GluingError(
+            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
+            dangling_edge=eid)
+    for x in sorted(deleted):
+        extra = host.label(x) - placed[x]
+        if extra:
+            raise GluingError(
+                f"element {x!r} is deleted but carries labels "
+                f"{LabelSet(extra).render()} beyond the matched left side")
+    return deleted, {w: LabelSet((host.label(w) - placed[w]) | back)
+                     for w, back in regained.items()}
+
+
+def refusal_of(build, *args):
+    """``build(*args)``, or the refusal it raises as (dangling edge, message)."""
+    try:
+        return build(*args), None
+    except GluingError as err:
+        return None, (err.dangling_edge, str(err))
+
+
+def assert_planned_record_agrees(l_neutral, m, plan):
+    """The planned record deletes what the full visit deletes, gives every
+    host element the same context label, and refuses with the same error.
+    Returns what the record did: "refused", "deleted", "relabelled" or
+    "kept"."""
+    record, got_refusal = refusal_of(deletion_record, plan, m)
+    want, want_refusal = refusal_of(full_visit_record, l_neutral, m)
+    assert got_refusal == want_refusal
+    if want is None:
+        return "refused"
+    deleted, labels = want
+    assert record.deleted == deleted
+    host = m.target
+    assert record.labels.keys() <= set(host.element_ids()) - deleted
+    for w in host.element_ids():
+        if w not in deleted:
+            assert record.labels.get(w, host.label(w)) == labels.get(w, host.label(w)), w
+    if deleted:
+        return "deleted"
+    return "relabelled" if any(host.label(w) != label for w, label in record.labels.items()) \
+        else "kept"
+
+
+def assert_match_record_agrees(match):
+    rule = match.rule
+    return assert_planned_record_agrees(rule.l, match.m, rule.plan.deletion)
+
+
+class TestDeletionPlan:
+    def test_preset_matches_record_what_the_full_visit_records(self):
+        seen = set()
+        for system, steps in ((fibonacci_system(), 12),
+                              (hex_system(HexGridSpec(radius=6, seeds=((0, 0), (2, -1)))), 4)):
+            for graph in cmd_run(system, steps).history:
+                for rule in system.rules:
+                    for match in find_matches(rule, graph):
+                        seen.add(assert_match_record_agrees(match))
+        assert seen == {"relabelled"}
+
+    def test_random_family_matches_record_what_the_full_visit_records(self):
+        seen = {"deleted": 0, "relabelled": 0, "kept": 0}
+        for trial in range(150):
+            rng = random.Random(trial)
+            seen[assert_match_record_agrees(random_instance(rng, random_host(rng)))] += 1
+            _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+            for match in (m1, m2, coproduct_match(m1, m2)):
+                seen[assert_match_record_agrees(match)] += 1
+            # the pieces are disjoint, so m2 survives m1's context unchanged
+            first = pushout_complement(m1.rule.l, m1.m).complement
+            seen[assert_match_record_agrees(transport_match(m2, first))] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_plan_lists_only_what_the_rule_changes(self):
+        rule = hex_system(HexGridSpec(radius=2)).rules[0]
+        plan = rule.plan
+        assert plan.deletion.deleted == ()
+        assert plan.deletion.relabelled == (("x", LabelSet(["0"]), LabelSet()),)
+        assert plan.required == (("x", "x", "x"),)
+        assert plan.added == () and not plan.adds
+        assert plan.written == (("x", LabelSet(["1"])),)
+
+    def test_the_left_leg_is_checked_when_the_plan_is_built(self):
+        _left, l_neutral = TestComplement().rule_left()
+        squash = AttrMorphism(obj(["k0", "k1"]), obj(["l0"]), GraphMorphism(
+            obj(["k0", "k1"]).graph, obj(["l0"]).graph, {"k0": "l0", "k1": "l0"}, {}), IDENT)
+        with pytest.raises(ValueError, match="injective"):
+            deletion_plan(squash)
+        other = obj(["l0", "l1"], labels={"l0": [1], "l1": [3]})
+        m = inclusion(other, obj(["l0", "l1"], labels={"l0": [1, 2], "l1": [3]}))
+        with pytest.raises(ValueError, match="same object"):
+            deletion_record(deletion_plan(l_neutral), m)
+
+
 class TestComplement:
     def host(self, extra_on_deleted=()):
         return obj(["h0", "h1", "h2"],
@@ -185,6 +307,19 @@ class TestComplement:
         assert comp.k_to_complement.apply("l1") == "h1"
         assert comp.complement_to_host.is_neutral
 
+    def test_deletion_sets_cover_kept_elements_the_rule_leaves_unchanged(self):
+        left = obj(["l0", "l1"], labels={"l0": [1, 2], "l1": [3]})
+        kept = obj(["l1"], labels={"l1": [3]})
+        comp = pushout_complement(inclusion(kept, left), self.match(left, self.host()))
+        assert comp.complement.label("h1") == LabelSet([3, 7])
+        assert comp.deletion_sets == {"h1": LabelSet([3]), "h2": LabelSet(), "e": LabelSet()}
+        # through a match's assignment: sum keeps x's u and erases y's v
+        fib = fibonacci_system()
+        total = fib.rules[1]
+        match = find_matches(total, fib.host)[0]
+        comp = pushout_complement(total.l, match.m)
+        assert comp.deletion_sets == {"x": LabelSet([1]), "y": LabelSet([2]), "e": LabelSet()}
+
     def test_kept_labels_regain_what_the_preserved_part_carries(self):
         left = obj(["l0"], labels={"l0": [1, 2]})
         kept = obj(["l0"], labels={"l0": [1]})
@@ -213,7 +348,8 @@ class TestComplement:
     def test_refusals_agree_with_a_full_edge_scan(self):
         """Random hosts with self-loops and parallel edges, and deletions that
         leave several edges dangling: the record refuses exactly as a scan
-        of every host edge in id order does."""
+        of every host edge in id order does, and records what the full
+        visit of the left side records."""
         seen = {"accepted": 0, "orphaned label": 0, "dangling": 0, "several dangling": 0}
         for trial in range(300):
             rng = random.Random(trial)
@@ -231,16 +367,14 @@ class TestComplement:
             kept = [n for n in image if rng.random() < 0.4]
             kept_edges = [e for e in image_edges
                           if edges[e][1] in kept and edges[e][2] in kept and rng.random() < 0.5]
-            l_neutral = inclusion(obj(kept, {e: edges[e] for e in kept_edges}), left)
+            k_labels = {x: [v for v in left.label(x) if rng.random() < 0.6]
+                        for x in kept + kept_edges}
+            l_neutral = inclusion(obj(kept, {e: edges[e] for e in kept_edges}, k_labels), left)
             m = inclusion(left, host)
             want = full_scan_refusal(l_neutral, m)
-            for build in (deletion_record, pushout_complement):
-                try:
-                    build(l_neutral, m)
-                    got = None
-                except GluingError as err:
-                    got = (err.dangling_edge, str(err))
-                assert got == want, trial
+            assert refusal_of(pushout_complement, l_neutral, m)[1] == want, trial
+            assert refusal_of(deletion_record, deletion_plan(l_neutral), m)[1] == want, trial
+            assert_planned_record_agrees(l_neutral, m, deletion_plan(l_neutral))
             if want is None:
                 seen["accepted"] += 1
             elif want[0] is None:

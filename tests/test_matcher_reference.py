@@ -10,11 +10,13 @@ injective morphisms are its subgraph monomorphisms, with sorts (and, for
 `find_matches` on enumerated rules, label inclusion) as the matching rule.
 """
 
+import itertools
 import random
 
 import pytest
 
 from weakspan import (
+    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -23,18 +25,23 @@ from weakspan import (
     GraphMorphism,
     HexGridSpec,
     LabelSet,
+    Lit,
+    OpApp,
     SortSignature,
+    TermAlg,
+    Var,
     WeakSpan,
     cmd_hexca,
     cmd_run,
     coproduct_rule,
     enumerate_morphisms,
+    evaluate_term,
     fibonacci_system,
     find_matches,
     huw_rules,
     load_system,
 )
-from weakspan.algebras import render_value
+from weakspan.algebras import render_value, term_variables
 from weakspan.cli import main
 from weakspan.rewriting import _solve_label_constraints
 
@@ -273,3 +280,34 @@ def test_label_groups_admit_what_enumerate_then_filter_admits():
         assert_same_matches(rules, host)
         matched += sum(len(find_matches(rule, host)) for rule in rules)
     assert matched >= 1000
+
+
+def _random_sum(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return Var(rng.choice("uvw"))
+    if roll < 0.5:
+        return Lit(rng.randrange(3))
+    return OpApp("+", (_random_sum(rng, depth - 1), _random_sum(rng, depth - 1)))
+
+
+def test_sum_constraints_solve_as_a_brute_force_over_values():
+    """Label constraints with nested sums, in random order, against trying
+    every assignment of 0..7: a sum whose summands are bound is evaluated
+    instead of split, and the solutions stay the same."""
+    solved = 0
+    for trial in range(300):
+        rng = random.Random(7100 + trial)
+        constraints = [(_random_sum(rng, 2), LabelSet(rng.sample(range(8), rng.randint(1, 3))))
+                       for _ in range(rng.randint(1, 4))]
+        names = sorted({v for t, _s in constraints for v in term_variables(t)})
+        want = set()
+        for values in itertools.product(range(8), repeat=len(names)):
+            assignment = dict(zip(names, values))
+            alpha = AlgebraMorphism(TermAlg(PLUS_SIGNATURE, names), NAT, assignment)
+            if all(evaluate_term(t, alpha) in allowed for t, allowed in constraints):
+                want.add(frozenset(assignment.items()))
+        got = [frozenset(a.items()) for a in _solve_label_constraints(constraints, NAT)]
+        assert len(got) == len(set(got)) and set(got) == want, trial
+        solved += len(want)
+    assert solved >= 100

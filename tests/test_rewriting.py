@@ -144,6 +144,32 @@ class TestFindMatches:
         found = find_matches(rule, host)
         assert sorted(m.alpha.assignment["u"] for m in found) == [4, 9]
 
+    def test_a_sum_of_bound_variables_is_evaluated_not_split(self, monkeypatch):
+        """u, v and u+v against a host whose sum holds a million: once u and
+        v are bound the sum is evaluated, not split a million ways."""
+        alg = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        u, v = Var("u"), Var("v")
+        nodes = {"a": "p", "b": "p", "c": "p"}
+        pattern = AttributedGraph(Graph(POINT_SIG, nodes, {}), alg,
+                                  {"a": [u], "b": [v], "c": [OpApp("+", (u, v))]})
+        same = identity_attr(pattern)
+        rule = WeakSpan(name="sum", L=pattern, K=pattern, I=pattern, R=pattern,
+                        l=same, i=same, r=same)
+        host = AttributedGraph(Graph(POINT_SIG, {"h0": "p", "h1": "p", "h2": "p"}, {}), NAT,
+                               {"h0": [400_000], "h1": [600_000], "h2": [10**6]})
+        calls = []
+        real = rewriting._match_value
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+        monkeypatch.setattr(rewriting, "_match_value", counting)
+        found = find_matches(rule, host)
+        assert [(m.m.apply("a"), m.m.apply("b"), m.m.apply("c")) for m in found] == \
+            [("h0", "h1", "h2"), ("h1", "h0", "h2")]
+        # three constraints and one summand per morphism, six morphisms
+        assert len(calls) <= 6 * 4
+
     def test_enumerated_labels_need_no_assignment(self):
         alg = FiniteEnum(("0", "1"))
         g = Graph(POINT_SIG, {"x": "p"}, {})
@@ -319,17 +345,36 @@ class TestParallelTransformation:
         assert is_attr_isomorphic(step.Hprime, pct([after5]).Hprime) is not None
 
     def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
-        """Matching, coherence and the joint step never build a context graph."""
+        """Matching, coherence and the joint step never build a context
+        graph, and no run builds the intersected context D'."""
+        want = {mode: cmd_run(fib, 6, mode) for mode in ("pct", "sequential")}
+
         def refuse(*_args):
             raise AssertionError("a context graph was built")
         monkeypatch.setattr(rewriting, "pushout_complement", refuse)
+        monkeypatch.setattr(rewriting, "_intersected_context", refuse)
         grid = HexGridSpec(radius=7, seeds=((0, 0), (2, -1)))
         assert cmd_hexca(grid, 3).live_sets == ca_oracle(grid, 3)
         for mode in ("pct", "sequential"):
-            assert len(cmd_run(fib, 6, mode).steps) == 6
+            run = cmd_run(fib, 6, mode)
+            assert run.final == want[mode].final
+            assert run.report_text() == want[mode].report_text()
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
         with pytest.raises(AssertionError, match="context graph"):
             gamma.D
+        with pytest.raises(AssertionError, match="context graph"):
+            pct([gamma]).Dprime
+
+    def test_each_rule_is_planned_once(self, monkeypatch):
+        planned = []
+        real = rewriting.rule_plan
+
+        def counting(rule):
+            planned.append(rule.name)
+            return real(rule)
+        monkeypatch.setattr(rewriting, "rule_plan", counting)
+        cmd_hexca(HexGridSpec(radius=5), 3)
+        assert sorted(planned) == [f"birth{k}" for k in range(6)]
 
 
 class TestCoproductRule:

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -18,8 +19,10 @@ from weakspan import (
     hex_system,
     transport_match,
 )
-from weakspan.runner import relabel_parallel_result
+from weakspan.runner import StepReport, finish_parallel_step, relabel_parallel_result
 from weakspan.rewriting import pct
+
+from randgen import random_independent_pair
 
 
 @pytest.fixture
@@ -48,6 +51,12 @@ class TestRelabeling:
         # this rule creates nothing, so ids pass through untouched
         assert renamed.element_ids() == ["x", "y", "e"]
         assert renamed is step.Hprime
+
+    def test_a_step_that_adds_nothing_reads_nothing_of_its_result(self):
+        system = hex_system(HexGridSpec(radius=4))
+        step = pct([apply_direct(m) for m in all_matches(system, system.host)])
+        step.Hprime = placeholder = object()   # no graph to collect names from
+        assert relabel_parallel_result(step, 0, range(len(step.gammas))) is placeholder
 
 
 class TestTransport:
@@ -108,6 +117,18 @@ class TestParallelStep:
         assert report.dprime_elements == 3
         assert report.hprime_elements == 3
         assert not report.fixpoint
+
+    def test_the_context_count_is_the_host_less_the_deletions(self):
+        deleting = 0
+        for trial in range(40):
+            _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+            gammas = [apply_direct(m1), apply_direct(m2)]
+            _, report = finish_parallel_step(gammas, StepReport(index=0, mode="pct"))
+            step = pct(gammas)
+            assert report.dprime_elements == step.Dprime.element_count()
+            assert report.hprime_elements == step.Hprime.element_count()
+            deleting += bool(step.deleted)
+        assert deleting >= 10
 
     def test_report_renders_the_step_summary(self, fib):
         _, report = apply_parallel_step(fib, fib.host, 0)
