@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .algebras import render_value
 from .attrgraphs import AttributedGraph
@@ -52,7 +53,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser of every `main` call, built once: its objects form
+    reference cycles, so a new one per call would be left to the cyclic
+    collector."""
     parser = _Parser(prog="weakspan", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

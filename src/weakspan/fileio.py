@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
 
-from .algebras import (Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
+from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
                        NatPlus, PLUS_SIGNATURE, TermAlg, TermSyntaxError,
                        Value, parse_term, render_value, value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph
@@ -40,7 +41,8 @@ def _require(cond: bool, message: str) -> None:
 
 def _list_field(data: dict, key: str, where: str) -> list:
     value = data.get(key, [])
-    _require(isinstance(value, list), f"{where}: {key!r} must be a list")
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key!r} must be a list")
     return value
 
 
@@ -74,54 +76,78 @@ def _parse_algebra(data) -> Algebra:
     raise ValidationError(f"unknown algebra declaration {data!r}")
 
 
-def _parse_label(raw, algebra: Algebra, where: str) -> Value:
-    if isinstance(algebra, NatPlus):
-        _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0,
-                 f"{where}: natural-number label expected, got {raw!r}")
-        return raw
+def _parse_label(raw, algebra: Algebra, where: str, kind: str, ident: str) -> Value:
+    # the location is formatted only when the label is refused
     if isinstance(algebra, FiniteEnum):
         value = str(raw)
-        _require(algebra.contains(value), f"{where}: label {raw!r} is not an enumerated value")
-        return value
+        if algebra.contains(value):
+            return value
+        raise ValidationError(
+            f"{where} {kind} {ident!r}: label {raw!r} is not an enumerated value")
+    if isinstance(algebra, NatPlus):
+        if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+            return raw
+        raise ValidationError(
+            f"{where} {kind} {ident!r}: natural-number label expected, got {raw!r}")
     if isinstance(raw, int):
         return Lit(raw)
     try:
         term = parse_term(str(raw))
     except TermSyntaxError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    _require(algebra.contains(term), f"{where}: term {raw!r} uses undeclared symbols")
+        raise ParseError(f"{where} {kind} {ident!r}: {exc}") from None
+    if not algebra.contains(term):
+        raise ValidationError(f"{where} {kind} {ident!r}: term {raw!r} uses undeclared symbols")
     return term
+
+
+def _parse_labels(raw, algebra: Algebra, where: str, kind: str, ident: str) -> LabelSet:
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where} {kind} {ident!r}: 'label' must be a list")
+    if not raw:
+        return EMPTY_LABELS
+    return LabelSet([_parse_label(v, algebra, where, kind, ident) for v in raw])
 
 
 def _parse_graph(data, signature: SortSignature, algebra: Algebra,
                  where: str) -> AttributedGraph:
-    _require(isinstance(data, dict), f"{where} must be an object")
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be an object")
     nodes = {}
     edges = {}
     labeling = {}
     for entry in _list_field(data, "nodes", where):
-        _require(isinstance(entry, dict) and "id" in entry and "sort" in entry,
-                 f"{where}: node needs 'id' and 'sort'")
+        if not (isinstance(entry, dict) and "id" in entry and "sort" in entry):
+            raise ValidationError(f"{where}: node needs 'id' and 'sort'")
         nid = str(entry["id"])
-        _require(nid not in nodes, f"{where}: duplicate node id {nid!r}")
-        _require(isinstance(entry["sort"], str), f"{where}: node {nid!r} needs a sort name")
-        nodes[nid] = entry["sort"]
-        labeling[nid] = [_parse_label(v, algebra, f"{where} node {nid!r}")
-                         for v in _list_field(entry, "label", f"{where} node {nid!r}")]
+        if nid in nodes:
+            raise ValidationError(f"{where}: duplicate node id {nid!r}")
+        sort = entry["sort"]
+        if not isinstance(sort, str):
+            raise ValidationError(f"{where}: node {nid!r} needs a sort name")
+        nodes[nid] = sort
+        labeling[nid] = _parse_labels(entry.get("label", []), algebra, where, "node", nid)
     for entry in _list_field(data, "edges", where):
-        _require(isinstance(entry, dict), f"{where}: edge must be an object")
-        for key in ("id", "sort", "src", "tgt"):
-            _require(key in entry, f"{where}: edge needs {key!r}")
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: edge must be an object")
+        if not ("id" in entry and "sort" in entry and "src" in entry and "tgt" in entry):
+            missing = next(key for key in ("id", "sort", "src", "tgt") if key not in entry)
+            raise ValidationError(f"{where}: edge needs {missing!r}")
         eid = str(entry["id"])
-        _require(isinstance(entry["sort"], str), f"{where}: edge {eid!r} needs a sort name")
-        _require(eid not in edges, f"{where}: duplicate edge id {eid!r}")
-        _require(str(entry["src"]) in nodes,
-                 f"{where}: edge {eid!r} names unknown source node {entry['src']!r}")
-        _require(str(entry["tgt"]) in nodes,
-                 f"{where}: edge {eid!r} names unknown target node {entry['tgt']!r}")
-        edges[eid] = (entry["sort"], str(entry["src"]), str(entry["tgt"]))
-        labeling[eid] = [_parse_label(v, algebra, f"{where} edge {eid!r}")
-                         for v in _list_field(entry, "label", f"{where} edge {eid!r}")]
+        sort = entry["sort"]
+        if not isinstance(sort, str):
+            raise ValidationError(f"{where}: edge {eid!r} needs a sort name")
+        if eid in edges:
+            raise ValidationError(f"{where}: duplicate edge id {eid!r}")
+        src = str(entry["src"])
+        if src not in nodes:
+            raise ValidationError(
+                f"{where}: edge {eid!r} names unknown source node {entry['src']!r}")
+        tgt = str(entry["tgt"])
+        if tgt not in nodes:
+            raise ValidationError(
+                f"{where}: edge {eid!r} names unknown target node {entry['tgt']!r}")
+        edges[eid] = (sort, src, tgt)
+        labeling[eid] = _parse_labels(entry.get("label", []), algebra, where, "edge", eid)
     try:
         graph = Graph(signature, nodes, edges)
         return AttributedGraph(graph, algebra, labeling)
@@ -212,23 +238,74 @@ def _algebra_json(algebra: Algebra):
     raise ValueError(f"cannot serialize algebra {algebra!r}")
 
 
-def _label_json(v: Value):
+# Saved files are exactly the text json.dumps writes with an indent of 2 and
+# ASCII escapes.  Given an indent, the stdlib takes its pure-Python encoder;
+# the writer below builds the same text around the C string escaper that
+# encoder uses.
+
+def _value_text(v: Value) -> str:
     if isinstance(v, int):
-        return v
+        return int.__repr__(v)
     if isinstance(v, str):
-        return v
-    return render_value(v)
+        return _quote(v)
+    return _quote(render_value(v))
 
 
-def _graph_json(graph: AttributedGraph):
-    nodes = [{"id": n, "sort": graph.graph.nodes[n],
-              "label": [_label_json(v) for v in sorted(graph.label(n), key=value_sort_key)]}
-             for n in sorted(graph.graph.nodes)]
-    edges = [{"id": e, "sort": graph.graph.edges[e][0],
-              "src": graph.graph.edges[e][1], "tgt": graph.graph.edges[e][2],
-              "label": [_label_json(v) for v in sorted(graph.label(e), key=value_sort_key)]}
-             for e in sorted(graph.graph.edges)]
-    return {"nodes": nodes, "edges": edges}
+def _bracketed(items: list[str], depth: int, brackets: str) -> str:
+    """Written items (values, or `"key": value` members) inside `brackets`,
+    "[]" or "{}", as a list or object that starts at `depth`."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _graph_members(graph: AttributedGraph, depth: int) -> list[str]:
+    """The "nodes" and "edges" members of a graph object whose members sit at
+    `depth`.  Each record is filled into one fixed template, and each
+    distinct label set, sort name and node id is written once."""
+    end = "\n" + "  " * (depth + 1)
+    fields = end + "  "
+    item = fields + "  "
+    labeling = graph.labeling
+    label_text = {}
+    for labels in set(labeling.values()):
+        values = ("," + item).join(map(_value_text, sorted(labels, key=value_sort_key)))
+        label_text[labels] = "[" + item + values + fields + "]" if labels else "[]"
+    signature = graph.graph.signature
+    sort_text = {s: _quote(s) for s in (*signature.node_sorts, *signature.edge_sorts)}
+    nodes, edges = graph.graph.nodes, graph.graph.edges
+    node_text = {n: _quote(n) for n in nodes}
+    node = "{" + fields + '"id": %s,' + fields + '"sort": %s,' + fields + '"label": %s' + end + "}"
+    edge = ("{" + fields + '"id": %s,' + fields + '"sort": %s,' + fields + '"src": %s,'
+            + fields + '"tgt": %s,' + fields + '"label": %s' + end + "}")
+    node_records = [node % (node_text[n], sort_text[nodes[n]], label_text[labeling[n]])
+                    for n in sorted(nodes)]
+    edge_records = []
+    for e in sorted(edges):
+        sort, src, tgt = edges[e]
+        edge_records.append(edge % (_quote(e), sort_text[sort], node_text[src], node_text[tgt],
+                                    label_text[labeling[e]]))
+    return ['"nodes": ' + _bracketed(node_records, depth, "[]"),
+            '"edges": ' + _bracketed(edge_records, depth, "[]")]
+
+
+def _text(value, depth: int) -> str:
+    """`value` as json.dumps writes it with an indent of 2 when it starts at
+    `depth`: a dict with string keys, a list, a string, an int, or an
+    AttributedGraph, written as the object of its nodes and edges."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, list):
+        return _bracketed([_text(v, depth + 1) for v in value], depth, "[]")
+    if isinstance(value, dict):
+        return _bracketed([_quote(k) + ": " + _text(v, depth + 1) for k, v in value.items()],
+                          depth, "{}")
+    if isinstance(value, AttributedGraph):
+        return _bracketed(_graph_members(value, depth + 1), depth, "{}")
+    raise TypeError(f"cannot write a {type(value).__name__} to a system file")
 
 
 def _map_json(m: AttrMorphism):
@@ -236,12 +313,12 @@ def _map_json(m: AttrMorphism):
             "edges": {k: m.sigma.edge_map[k] for k in sorted(m.sigma.edge_map)}}
 
 
-def _rule_json(rule: WeakSpan):
+def _rule_fields(rule: WeakSpan) -> dict:
     out = {"name": rule.name}
     if isinstance(rule.algebra, TermAlg):
         out["variables"] = sorted(rule.algebra.variables)
     for tag in ("L", "K", "I", "R"):
-        out[tag] = _graph_json(getattr(rule, tag))
+        out[tag] = getattr(rule, tag)
     out["l"] = _map_json(rule.l)
     out["i"] = _map_json(rule.i)
     out["r"] = _map_json(rule.r)
@@ -250,19 +327,19 @@ def _rule_json(rule: WeakSpan):
 
 def save_graph(graph: AttributedGraph, path) -> None:
     """Write one graph as a standalone file that load_system reads back."""
-    data = {"sorts": _signature_json(graph.graph.signature),
-            "algebra": _algebra_json(graph.algebra)}
-    data.update(_graph_json(graph))
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    members = ['"sorts": ' + _text(_signature_json(graph.graph.signature), 1),
+               '"algebra": ' + _text(_algebra_json(graph.algebra), 1),
+               *_graph_members(graph, 1)]
+    Path(path).write_text(_bracketed(members, 0, "{}") + "\n")
 
 
 def save_system(system: SystemSpec, path) -> None:
     data = {"sorts": _signature_json(system.signature),
             "algebra": _algebra_json(system.algebra),
-            "rules": [_rule_json(rule) for rule in system.rules]}
+            "rules": [_rule_fields(rule) for rule in system.rules]}
     if system.host is not None:
-        data["host"] = _graph_json(system.host)
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+        data["host"] = system.host
+    Path(path).write_text(_text(data, 0) + "\n")
 
 
 def _dot_quote(text: str) -> str:

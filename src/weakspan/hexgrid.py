@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .algebras import AlgebraMorphism, FiniteEnum, LabelSet
@@ -120,7 +121,14 @@ def huw_rules() -> list[WeakSpan]:
 
     Each rule requires a dead centre whose neighbourhood holds exactly one
     live cell, removes the centre's dead label, and writes the live label.
+    The rules depend on nothing but the cell algebra, so every call returns
+    a new list of the same six rule objects.
     """
+    return list(_birth_rules())
+
+
+@cache
+def _birth_rules() -> tuple[WeakSpan, ...]:
     signature = hex_signature()
     patch = _patch_graph(signature)
     ident = AlgebraMorphism.identity(CELL_ALGEBRA)
@@ -139,7 +147,7 @@ def huw_rules() -> list[WeakSpan]:
         i = AttrMorphism(I, K, GraphMorphism(centre, patch, {"x": "x"}, {}), ident)
         r = AttrMorphism(I, R, GraphMorphism.identity(centre), ident)
         rules.append(WeakSpan(name=f"birth{k}", L=L, K=K, I=I, R=R, l=l, i=i, r=r))
-    return rules
+    return tuple(rules)
 
 
 def hex_system(spec: HexGridSpec) -> SystemSpec:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -331,6 +332,28 @@ class TestRun:
         assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == [
             "e33e149329078f715a077b4aa8d6754bf6d3c935417c28a72c252faaa363ca4d",
             "1dbd92a44f28963a5278e5656aa219f4e95860c32a653b13f132fc301cac36a1"]
+
+    def test_repeated_calls_leave_no_garbage_for_the_collector(self, tmp_path, capsys):
+        # a caller that runs `main` many times in one process (the benchmark
+        # does) frees every object of a call when the call returns
+        preset, out, report = (str(tmp_path / name)
+                               for name in ("hex.json", "final.json", "report"))
+
+        def calls():
+            assert main(["preset", "hex", "--radius", "3", "--out", preset]) == 0
+            assert main(["run", "--rules", preset, "--host", preset, "--steps", "2",
+                         "--mode", "pct", "--out", out, "--report", report]) == 0
+
+        calls()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                calls()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("preset, command, stdout, digests", [
         (["fib"], ["run", "--steps", "30", "--mode", "seq"],

@@ -35,7 +35,7 @@ from weakspan import (
     pct,
     pushout_along_neutral,
 )
-from weakspan import rewriting
+from weakspan import hexgrid, rewriting
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
 
@@ -373,8 +373,13 @@ class TestParallelTransformation:
             planned.append(rule.name)
             return real(rule)
         monkeypatch.setattr(rewriting, "rule_plan", counting)
+        hexgrid._birth_rules.cache_clear()
         cmd_hexca(HexGridSpec(radius=5), 3)
         assert sorted(planned) == [f"birth{k}" for k in range(6)]
+        # the birth rules are built once per process, not once per run
+        planned.clear()
+        cmd_hexca(HexGridSpec(radius=5), 3)
+        assert planned == []
 
 
 class TestCoproductRule:
