@@ -37,6 +37,6 @@ from .rewriting import (CoherenceCheckResult, CoherenceWitness,
                         pct)
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, apply_sequential_step, cmd_hexca,
-                     cmd_run, transport_match)
+                     cmd_run, rule_matches, transport_match)
 
 __version__ = "0.1.0"

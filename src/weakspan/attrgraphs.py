@@ -75,10 +75,12 @@ class AttributedGraph:
         return AttributedGraph(self.graph, self.algebra, {**self.labeling, **updates})
 
     def __eq__(self, other) -> bool:
+        # labels first: the left sides a step groups (`runner.rule_matches`)
+        # often share one shape and differ only in their labels
         return self is other or (isinstance(other, AttributedGraph)
+                                 and self.labeling == other.labeling
                                  and self.graph == other.graph
-                                 and self.algebra == other.algebra
-                                 and self.labeling == other.labeling)
+                                 and self.algebra == other.algebra)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{x}:{self.labeling[x].render()}"

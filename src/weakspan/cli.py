@@ -24,7 +24,7 @@ from .presets import fibonacci_system
 from .rewriting import IncoherentSetError, Match, apply_direct, find_matches, pct
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, cmd_hexca, cmd_run,
-                     finish_parallel_step, relabel_parallel_result)
+                     finish_parallel_step, relabel_parallel_result, rule_matches)
 
 __all__ = [
     "main", "entry", "UsageError",
@@ -167,20 +167,10 @@ def _describe_match(global_idx: int, local_idx: int, match: Match) -> str:
     return line
 
 
-def _enumerate_with_local_indices(system: SystemSpec,
-                                  host: AttributedGraph) -> list[tuple[int, Match]]:
-    out = []
-    counters: dict[str, int] = {}
-    for match in all_matches(system, host):
-        local = counters.get(match.rule.name, 0)
-        counters[match.rule.name] = local + 1
-        out.append((local, match))
-    return out
-
-
 def _cmd_match(args) -> int:
     system, host = _load_inputs(args)
-    listing = _enumerate_with_local_indices(system, host)
+    listing = [(local, match) for matches in rule_matches(system, host)
+               for local, match in enumerate(matches)]
     lines = [f"{len(listing)} matches"]
     lines += [_describe_match(g, local, match)
               for g, (local, match) in enumerate(listing)]
@@ -246,10 +236,10 @@ def _cmd_pct(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    system, _ = _load_inputs(args)
-    mode = "pct" if args.mode == "pct" else "sequential"
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
+    system, _ = _load_inputs(args)
+    mode = "pct" if args.mode == "pct" else "sequential"
     run = cmd_run(system, args.steps, mode)
     _emit(run.report_text(), args.report)
     if args.out:

@@ -209,6 +209,10 @@ def loads_system(text: str, source: str = "<string>") -> SystemSpec:
     algebra = _parse_algebra(data["algebra"])
     rules = [_parse_rule(entry, signature, algebra)
              for entry in _list_field(data, "rules", source)]
+    names: set[str] = set()
+    for rule in rules:
+        _require(rule.name not in names, f"{source}: duplicate rule name {rule.name!r}")
+        names.add(rule.name)
     host = None
     if "host" in data:
         host = _parse_graph(data["host"], signature, algebra, "host")

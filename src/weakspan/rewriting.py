@@ -21,11 +21,17 @@ from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 
 
 class IncoherentSetError(Exception):
-    """A set of direct transformations fails pairwise coherence."""
+    """A set of direct transformations fails pairwise coherence.
 
-    def __init__(self, pair: tuple[int, int], element: str | None, message: str):
+    ``pair`` gives the two positions in the application list, ``rules`` the
+    names of their rules, and ``element`` the obstructing host element.
+    """
+
+    def __init__(self, pair: tuple[int, int], rules: tuple[str, str],
+                 element: str | None, message: str):
         super().__init__(message)
         self.pair = pair
+        self.rules = rules
         self.element = element
 
 
@@ -392,6 +398,11 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
     """All injective matches of the rule's left side, each with every variable
     assignment that satisfies the label condition, in canonical order.
 
+    The result depends on the rule only through ``rule.L``: its graph, its
+    labels and its algebra (``rule.plan.constraints`` is derived from L
+    alone).  Rules with equal left sides therefore have the same matches, and
+    ``runner.rule_matches`` searches once for all of them.
+
     The search admits only host elements whose labels can satisfy the rule's:
     for an enumerated rule the rule label must be a subset of the host label,
     and for a term rule a non-empty rule label needs a non-empty host label.
@@ -602,10 +613,12 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     gammas = list(gammas)
     check = coherent_set_check(gammas)
     if not check.ok:
+        a, b = check.failing_pair
+        rules = (gammas[a].rule.name, gammas[b].rule.name)
         raise IncoherentSetError(
-            check.failing_pair, check.failing_element,
-            f"pair {check.failing_pair} is not parallel coherent at "
-            f"element {check.failing_element!r}: {check.reason}")
+            check.failing_pair, rules, check.failing_element,
+            f"pair {check.failing_pair} (rules {rules[0]!r} and {rules[1]!r}) is not "
+            f"parallel coherent at element {check.failing_element!r}: {check.reason}")
 
     host = gammas[0].host
     deleted = frozenset().union(*(g.record.deleted for g in gammas))

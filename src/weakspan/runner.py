@@ -5,6 +5,10 @@ Sequential mode replays the same match list one at a time, skipping matches
 invalidated by earlier applications; it exists for comparison runs.  Each of
 its applications is the one-element parallel step.
 
+A step of either mode searches each distinct left side once
+(`rule_matches`): rules whose L are equal share one search and its
+canonical match order.
+
 Both modes rename result elements so that surviving elements keep their host
 ids and created elements get fresh `s<step>:<match>:<id>` names.  Ids then
 stay stable across steps, which keeps reports readable and lets matches be
@@ -107,22 +111,39 @@ def transport_match(match: Match, host: AttributedGraph) -> Match:
     return Match(match.rule, host, AttrMorphism(match.rule.L, host, sigma, match.m.alpha))
 
 
+def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]:
+    """Each rule's matches, rules in declaration order.
+
+    The host's label groups are built once, and each distinct left side is
+    searched once: a rule whose L equals an earlier rule's takes that rule's
+    morphisms, in the same canonical order, since ``find_matches`` reads the
+    rule only through L.
+    """
+    groups = host.label_groups()
+    searched: list[tuple[AttributedGraph, list[Match]]] = []
+    found = []
+    for rule in system.rules:
+        for left, matches in searched:
+            if left == rule.L:
+                found.append([Match(rule, host, match.m) for match in matches])
+                break
+        else:
+            matches = find_matches(rule, host, groups)
+            searched.append((rule.L, matches))
+            found.append(matches)
+    return found
+
+
 def all_matches(system: SystemSpec, host: AttributedGraph) -> list[Match]:
     """Every match of every rule, rules in declaration order."""
-    found = []
-    groups = host.label_groups()
-    for rule in system.rules:
-        found.extend(find_matches(rule, host, groups))
-    return found
+    return [match for matches in rule_matches(system, host) for match in matches]
 
 
 def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
                         step_index: int) -> tuple[AttributedGraph, StepReport]:
     report = StepReport(index=step_index, mode="pct")
     gammas = []
-    groups = host.label_groups()
-    for rule in system.rules:
-        matches = find_matches(rule, host, groups)
+    for rule, matches in zip(system.rules, rule_matches(system, host), strict=True):
         report.matches_per_rule[rule.name] = len(matches)
         for pos, match in enumerate(matches):
             try:

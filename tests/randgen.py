@@ -218,3 +218,15 @@ def coproduct_match(m1, m2):
     assignment.update(m2.m.alpha.assignment)
     alpha = AlgebraMorphism(rule.algebra, m1.host.algebra, assignment)
     return Match(rule, m1.host, AttrMorphism(rule.L, m1.host, sigma, alpha))
+
+
+def left_side_twin(rule, name):
+    """A rule under ``name`` whose left side equals ``rule.L`` as a separate
+    object, but which deletes nothing, requires the whole of L and adds one
+    unlabelled node: the same matches, a different application."""
+    L = AttributedGraph(Graph(SIG, dict(rule.L.graph.nodes), dict(rule.L.graph.edges)),
+                        rule.algebra, dict(rule.L.labeling))
+    R = AttributedGraph(Graph(SIG, {**L.graph.nodes, f"{name}.new": "q"}, L.graph.edges),
+                        rule.algebra, {**L.labeling, f"{name}.new": LabelSet()})
+    return WeakSpan(name=name, L=L, K=L, I=L, R=R,
+                    l=_inclusion(L, L), i=_inclusion(L, L), r=_inclusion(L, R))

@@ -96,6 +96,10 @@ class TestUsageErrors:
         assert main(["run", "--rules", fib, "--host", fib, "--steps", "-1"]) == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_negative_steps_is_refused_before_any_file_is_opened(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        assert main(["run", "--rules", absent, "--host", absent, "--steps", "-1"]) == 1
+        assert "nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, code, stream, text", [
         (["--help"], 0, "stdout", "usage: weakspan"),
@@ -116,6 +120,17 @@ class TestInputErrors:
         fib = str(files / "fib.json")
         assert main(["match", "--rules", fib, "--host", str(files / "nope.json")]) == 2
         assert "missing file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "--steps", "1"], ["match"], ["pct"]])
+    def test_duplicate_rule_names_are_refused(self, files, tmp_path, capsys, command):
+        # step reports and match listings are keyed by rule name
+        data = json.loads((files / "fib.json").read_text())
+        data["rules"][1]["name"] = "shift"
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data))
+        assert main([command[0], "--rules", str(path), "--host", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == \
+            f"invalid input: {path}: duplicate rule name 'shift'\n"
 
     def test_broken_json(self, files, capsys):
         bad = str(files / "broken.json")
@@ -213,6 +228,7 @@ class TestGluingAndCoherenceFailures:
         assert main(["pct", "--rules", path, "--host", path]) == 4
         err = capsys.readouterr().err
         assert "incoherent match set" in err and "'x'" in err
+        assert "pair (1, 0) (rules 'keep' and 'erase') is not parallel coherent" in err
 
 
 class TestMatchListing:

@@ -328,8 +328,10 @@ class TestParallelTransformation:
         host = point(NAT, [5])
         gammas = [apply_direct(match_on(reader, host, {"u": 5})),
                   apply_direct(match_on(eraser, host, {"u": 5}))]
-        with pytest.raises(IncoherentSetError, match="element 'x'"):
+        with pytest.raises(IncoherentSetError, match="element 'x'") as refused:
             pct(gammas)
+        assert (refused.value.pair, refused.value.rules) == ((0, 1), ("keep", "erase"))
+        assert refused.value.element == "x"
 
     def test_parallel_label_erasure(self):
         host = point(NAT, [5, 7])

@@ -7,6 +7,7 @@ from weakspan import (
     HexGridSpec,
     LabelSet,
     RunResult,
+    SystemSpec,
     all_matches,
     apply_direct,
     apply_parallel_step,
@@ -17,12 +18,16 @@ from weakspan import (
     fibonacci_system,
     find_matches,
     hex_system,
+    load_system,
+    rule_matches,
+    save_system,
     transport_match,
 )
+from weakspan import runner
 from weakspan.runner import StepReport, finish_parallel_step, relabel_parallel_result
 from weakspan.rewriting import pct
 
-from randgen import random_independent_pair
+from randgen import NAT, SIG, left_side_twin, random_host, random_instance, random_independent_pair
 
 
 @pytest.fixture
@@ -235,6 +240,75 @@ class TestHexca:
         result = cmd_hexca(HexGridSpec(radius=1), generations=0)
         assert result.live_counts == [1]
         assert result.steps == []
+
+
+def _loaded(system, tmp_path):
+    path = tmp_path / "system.json"
+    save_system(system, path)
+    return load_system(path)
+
+
+class TestSharedSearch:
+    """`rule_matches` searches each distinct left side once and must give
+    every rule exactly what its own `find_matches` gives."""
+
+    @staticmethod
+    def assert_same_as_per_rule_search(system):
+        shared = rule_matches(system, system.host)
+        assert len(shared) == len(system.rules)
+        for rule, matches in zip(system.rules, shared):
+            alone = find_matches(rule, system.host)
+            assert [m.rule for m in matches] == [rule] * len(alone)
+            assert [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment)
+                    for m in matches] == \
+                [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment)
+                 for m in alone]
+            assert all(m.host is system.host for m in matches)
+        assert all_matches(system, system.host) == [m for ms in shared for m in ms]
+
+    def test_fibonacci_in_memory(self, fib):
+        assert fib.rules[0].L is fib.rules[1].L
+        self.assert_same_as_per_rule_search(fib)
+
+    def test_fibonacci_after_a_round_trip(self, fib, tmp_path):
+        loaded = _loaded(fib, tmp_path)
+        shift, total = loaded.rules
+        assert shift.L is not total.L and shift.L == total.L
+        self.assert_same_as_per_rule_search(loaded)
+
+    def test_hex_rules_have_six_different_left_sides(self):
+        system = hex_system(HexGridSpec(radius=4, seeds=((0, 0), (2, -1))))
+        lefts = [rule.L for rule in system.rules]
+        assert all(a != b for k, a in enumerate(lefts) for b in lefts[k + 1:])
+        self.assert_same_as_per_rule_search(system)
+
+    def test_random_rule_with_a_twin_that_applies_differently(self):
+        for trial in range(30):
+            rng = random.Random(7100 + trial)
+            host = random_host(rng)
+            first = random_instance(rng, host, name="first").rule
+            other = random_instance(rng, host, name="other").rule
+            twin = left_side_twin(first, "twin")
+            assert twin.L == first.L and (twin.K, twin.R) != (first.K, first.R)
+            system = SystemSpec(signature=SIG, algebra=NAT,
+                                rules=[first, other, twin], host=host)
+            self.assert_same_as_per_rule_search(system)
+
+    @pytest.mark.parametrize("mode", ["pct", "sequential"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in_memory", "loaded"])
+    def test_one_fibonacci_step_searches_once(self, fib, tmp_path, monkeypatch,
+                                              mode, loaded):
+        system = _loaded(fib, tmp_path) if loaded else fib
+        calls = []
+
+        def counting(rule, host, groups=None):
+            calls.append(rule.name)
+            return find_matches(rule, host, groups)
+
+        monkeypatch.setattr(runner, "find_matches", counting)
+        run = cmd_run(system, steps=1, mode=mode)
+        assert calls == ["shift"]
+        assert run.steps[0].matches_per_rule == {"shift": 1, "sum": 1}
 
 
 def test_runs_leave_no_reference_cycles():
