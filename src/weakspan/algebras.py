@@ -362,7 +362,10 @@ def evaluate_term(t: Value, h: AlgebraMorphism) -> Value:
 
 
 def apply_to_labelset(h: AlgebraMorphism, s: Iterable[Value]) -> LabelSet:
-    """Elementwise image of a label set under an algebra morphism."""
+    """Elementwise image of a label set under an algebra morphism.
+
+    Under an identity a `LabelSet` is its own image and is returned as it is;
+    it is immutable, so sharing it is safe."""
     if h.is_identity:
-        return LabelSet(s)
+        return s if isinstance(s, LabelSet) else LabelSet(s)
     return LabelSet(evaluate_term(v, h) for v in s)

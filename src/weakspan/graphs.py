@@ -88,6 +88,18 @@ class Graph:
         by every caller; a graph is never mutated after construction."""
         return GraphIndex(self)
 
+    @cached_property
+    def _search_plans(self) -> dict[tuple[str, ...], "SearchPlan"]:
+        return {}
+
+    def search_plan(self, ranking: tuple[str, ...]) -> "SearchPlan":
+        """This graph's `SearchPlan` as a pattern under the given ranking of
+        its nodes, built on first use and then kept, as ``index`` is."""
+        plans = self._search_plans
+        if ranking not in plans:
+            plans[ranking] = SearchPlan(self, ranking)
+        return plans[ranking]
+
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Graph)
                                  and self.signature == other.signature
@@ -100,7 +112,12 @@ class Graph:
 
 class GraphIndex:
     """Sort buckets, edges by (sort, src, tgt), adjacency by edge sort, and
-    the edges at each node, of one graph.  Id lists are sorted."""
+    the edges at each node, of one graph.  Id lists are sorted.
+
+    As a search host, ``out_by`` and ``in_by`` give the candidates of a
+    pattern node from its placed neighbours, and ``edges_by_ends`` gives the
+    bucket of host edges a pattern edge may take once both its ends are
+    placed."""
 
     def __init__(self, g: Graph):
         self.nodes_by_sort: dict[str, list[str]] = {}
@@ -198,28 +215,54 @@ def is_mono(f: GraphMorphism) -> bool:
             and len(set(f.edge_map.values())) == len(f.edge_map))
 
 
-def _node_order(pattern: Graph, admitted: Mapping[str, int]) -> list[str]:
-    """Order pattern nodes so each one touches as many earlier ones as it can.
+class SearchPlan:
+    """What a search for one pattern graph needs that depends on the pattern
+    alone, given the ranking of its nodes by (admitted host nodes, id).
 
-    Ties go to the node with the fewest admitted host nodes (``admitted``
-    gives their number), so the search starts at the most selective node
-    and, after a component is exhausted, continues at the most selective
-    node left.
+    ``steps`` holds, per position in the node order, the pattern node, the
+    anchors that give its candidates, and the pattern edges it closes.  An
+    anchor ``(table, sort, earlier)`` is an edge to the node placed at
+    position ``earlier``: candidates are the host nodes that
+    ``(out_by, in_by)[table][sort, image of earlier]`` lists.  A closed edge
+    ``(edge, sort, src, tgt)`` has both ends, given as positions, placed once
+    this node is, so a loop closes at its node.  ``edge_order`` lists the
+    pattern edges in the order they close, and ``parallel`` says whether two
+    of them share (sort, src, tgt).  A plan keeps no reference to its graph.
     """
-    adjacency: dict[str, set[str]] = {n: set() for n in pattern.nodes}
-    for sort, src, tgt in pattern.edges.values():
-        adjacency[src].add(tgt)
-        adjacency[tgt].add(src)
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = set(pattern.nodes)
-    while remaining:
-        pick = min(remaining,
-                   key=lambda n: (-len(adjacency[n] & placed), admitted[n], n))
-        order.append(pick)
-        placed.add(pick)
-        remaining.remove(pick)
-    return order
+
+    def __init__(self, pattern: Graph, ranking: tuple[str, ...]):
+        # each node touches as many placed nodes as it can; ties go to the
+        # node ranked first, so the search starts at the most selective node
+        # and, after a component is exhausted, continues at the most
+        # selective node left
+        rank = {n: k for k, n in enumerate(ranking)}
+        adjacency: dict[str, set[str]] = {n: set() for n in pattern.nodes}
+        for _sort, src, tgt in pattern.edges.values():
+            adjacency[src].add(tgt)
+            adjacency[tgt].add(src)
+        order: list[str] = []
+        placed: set[str] = set()
+        while len(order) < len(rank):
+            pick = min(rank.keys() - placed,
+                       key=lambda n: (-len(adjacency[n] & placed), rank[n]))
+            order.append(pick)
+            placed.add(pick)
+        position = {n: k for k, n in enumerate(order)}
+        anchors: list[dict] = [{} for _ in order]
+        closes: list[list] = [[] for _ in order]
+        for e in sorted(pattern.edges):
+            sort, src, tgt = pattern.edges[e]
+            s, t = position[src], position[tgt]
+            if s < t:
+                anchors[t][(0, sort, s)] = None
+            elif t < s:
+                anchors[s][(1, sort, t)] = None
+            closes[max(s, t)].append((e, sort, s, t))
+        self.steps = tuple((n, tuple(anchors[k]), tuple(closes[k]))
+                           for k, n in enumerate(order))
+        self.order = tuple(order)
+        self.edge_order = tuple(e for step in closes for e, *_rest in step)
+        self.parallel = len(set(pattern.edges.values())) < len(pattern.edges)
 
 
 def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
@@ -235,6 +278,12 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     node, so a pattern node's admitted nodes are found with one test per
     run.  A node whose placed neighbours give candidates tests those
     candidates alone.
+
+    The search walks the pattern's `SearchPlan`, built once per ranking of
+    the pattern nodes and kept on the pattern graph.  Placing a node binds
+    every pattern edge it closes to its bucket of admitted host edges and
+    rejects the node when a bucket is empty; a complete node map gives one
+    morphism per choice across the buckets.
     The order is lexicographic on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
     """
@@ -253,93 +302,63 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     if not all(sizes.values()):
         return []
 
-    order = _node_order(pattern, sizes)
-    pattern_edges = sorted(pattern.edges)
-    # the pattern edges at each pattern node, for candidates and consistency
-    touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in pattern.nodes}
-    for sort, src, tgt in pattern.edges.values():
-        touching[src].append((sort, src, tgt))
-        if tgt != src:
-            touching[tgt].append((sort, src, tgt))
+    plan = pattern.search_plan(tuple(sorted(sizes, key=lambda n: (sizes[n], n))))
+    steps, order, edge_order = plan.steps, plan.order, plan.edge_order
+    # under an injective node map only parallel pattern edges share a bucket
+    distinct = injective_only and plan.parallel
     edge_index = index.edges_by_ends
-    out_by, in_by = index.out_by, index.in_by
+    tables = (index.out_by, index.in_by)
+    images: list[str] = [""] * len(steps)
+    used: set[str] = set()
+    buckets: list[list[str]] = []
     results: list[GraphMorphism] = []
 
-    def assign_edges(pos: int, node_map: dict[str, str],
-                     edge_map: dict[str, str], used: set[str]) -> None:
-        if pos == len(pattern_edges):
-            results.append(GraphMorphism(pattern, host, dict(node_map), dict(edge_map)))
+    def place(pos: int) -> None:
+        if pos == len(steps):
+            node_map = dict(zip(order, images))
+            for choice in itertools.product(*buckets):
+                if distinct and len(set(choice)) < len(choice):
+                    continue
+                results.append(GraphMorphism(pattern, host, node_map,
+                                             dict(zip(edge_order, choice))))
             return
-        pe = pattern_edges[pos]
-        sort, src, tgt = pattern.edges[pe]
-        for he in edge_index.get((sort, node_map[src], node_map[tgt]), ()):
-            if injective_only and he in used:
-                continue
-            if admits is not None and not admits(pe, he):
-                continue
-            edge_map[pe] = he
-            used.add(he)
-            assign_edges(pos + 1, node_map, edge_map, used)
-            used.discard(he)
-            del edge_map[pe]
-
-    starts: dict[str, list[str]] = {}   # admitted nodes, built for nodes that start a search
-
-    def node_candidates(pn: str, node_map: dict[str, str]) -> list[str]:
-        candidate_sets = []
-        for sort, src, tgt in touching[pn]:
-            if src == pn and tgt in node_map and tgt != pn:
-                candidate_sets.append(in_by.get((sort, node_map[tgt]), set()))
-            if tgt == pn and src in node_map and src != pn:
-                candidate_sets.append(out_by.get((sort, node_map[src]), set()))
-        if candidate_sets:
+        pn, anchors, closes = steps[pos]
+        if anchors:
             # adjacency by edge sort already fixes the node sort
-            found = set.intersection(*candidate_sets)
-            if admits is not None:
-                return sorted(c for c in found if admits(pn, c))
-            return sorted(found)
-        if pn not in starts:
-            admitted = runs[pn]
-            starts[pn] = (admitted[0] if len(admitted) == 1
-                          else sorted(itertools.chain.from_iterable(admitted)))
-        return starts[pn]
-
-    def consistent(pn: str, image: str, node_map: dict[str, str]) -> bool:
-        for sort, src, tgt in touching[pn]:
-            if src == pn and (tgt == pn or tgt in node_map):
-                t = image if tgt == pn else node_map[tgt]
-                if (sort, image, t) not in edge_index:
-                    return False
-            elif tgt == pn and src in node_map:
-                if (sort, node_map[src], image) not in edge_index:
-                    return False
-        return True
-
-    def assign_nodes(pos: int, node_map: dict[str, str], used: set[str]) -> None:
-        if pos == len(order):
-            assign_edges(0, node_map, {}, set())
-            return
-        pn = order[pos]
-        for c in node_candidates(pn, node_map):
+            found = set.intersection(*[tables[table].get((sort, images[earlier]), set())
+                                       for table, sort, earlier in anchors])
+            candidates = found if admits is None else [c for c in found if admits(pn, c)]
+        else:
+            candidates = itertools.chain.from_iterable(runs[pn])
+        for c in candidates:
             if injective_only and c in used:
                 continue
-            if not consistent(pn, c, node_map):
-                continue
-            node_map[pn] = c
-            used.add(c)
-            assign_nodes(pos + 1, node_map, used)
-            used.discard(c)
-            del node_map[pn]
+            images[pos] = c
+            bound = []
+            for pe, sort, src, tgt in closes:
+                bucket = edge_index.get((sort, images[src], images[tgt]), ())
+                if admits is not None:
+                    bucket = [he for he in bucket if admits(pe, he)]
+                if not bucket:
+                    break
+                bound.append(bucket)
+            else:
+                used.add(c)
+                buckets.extend(bound)
+                place(pos + 1)
+                del buckets[len(buckets) - len(bound):]
+                used.discard(c)
 
-    assign_nodes(0, {}, set())
-    # the two searches call themselves through their closures; emptying the
-    # cells lets the search state go at return instead of at the next gc
-    del assign_nodes, assign_edges
+    place(0)
+    # the search calls itself through its closure; emptying the cell lets
+    # the search state go at return instead of at the next gc
+    del place
 
-    node_key_ids = sorted(pattern.nodes)
-    edge_key_ids = pattern_edges
-    results.sort(key=lambda m: (tuple(m.node_map[n] for n in node_key_ids),
-                                tuple(m.edge_map[e] for e in edge_key_ids)))
+    if len(results) > 1:
+        node_key_ids = sorted(pattern.nodes)
+        edge_key_ids = sorted(pattern.edges)
+        results.sort(key=lambda m: (tuple(m.node_map[n] for n in node_key_ids),
+                                    tuple(m.edge_map[e] for e in edge_key_ids)))
     return results
 
 

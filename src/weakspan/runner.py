@@ -117,8 +117,14 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     The host's label groups are built once, and each distinct left side is
     searched once: a rule whose L equals an earlier rule's takes that rule's
     morphisms, in the same canonical order, since ``find_matches`` reads the
-    rule only through L.
+    rule only through L.  Raises ValueError when two rules share a name,
+    since step reports and listings are keyed by rule name.
     """
+    names = set()
+    for rule in system.rules:
+        if rule.name in names:
+            raise ValueError(f"duplicate rule name {rule.name!r}")
+        names.add(rule.name)
     groups = host.label_groups()
     searched: list[tuple[AttributedGraph, list[Match]]] = []
     found = []
@@ -177,10 +183,10 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
     whole list exactly once.
     """
     report = StepReport(index=step_index, mode="sequential")
-    matches = all_matches(system, host)
-    for rule in system.rules:
-        report.matches_per_rule[rule.name] = sum(
-            1 for match in matches if match.rule.name == rule.name)
+    matches = []
+    for rule, found in zip(system.rules, rule_matches(system, host), strict=True):
+        report.matches_per_rule[rule.name] = len(found)
+        matches.extend(found)
     if not matches:
         report.fixpoint = True
         return host, report

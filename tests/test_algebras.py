@@ -154,6 +154,15 @@ def test_apply_to_labelset_collapses_equal_images():
     assert apply_to_labelset(h, labels) == LabelSet([2, 5])
 
 
+def test_apply_to_labelset_shares_a_label_set_under_an_identity():
+    ident = AlgebraMorphism.identity(NatPlus())
+    labels = LabelSet([1, 3])
+    assert apply_to_labelset(ident, labels) is labels
+    for other in ([1, 3], {1, 3}, frozenset([1, 3]), (v for v in (1, 3))):
+        mapped = apply_to_labelset(ident, other)
+        assert type(mapped) is LabelSet and mapped == labels and mapped is not other
+
+
 def test_labelset_renders_sorted_and_braced():
     assert LabelSet([3, 1]).render() == "{1, 3}"
     assert LabelSet([Var("u"), Lit(2)]).render() == "{2, u}"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 
@@ -309,6 +310,18 @@ class TestSharedSearch:
         run = cmd_run(system, steps=1, mode=mode)
         assert calls == ["shift"]
         assert run.steps[0].matches_per_rule == {"shift": 1, "sum": 1}
+
+
+@pytest.mark.parametrize("mode", ["pct", "sequential"])
+def test_two_rules_with_one_name_are_refused_before_searching(fib, monkeypatch, mode):
+    """Step reports count matches by rule name, so a system built in Python
+    with two rules of one name is refused, as a loaded file is."""
+    fib.rules[1] = dataclasses.replace(fib.rules[1], name="shift")
+    monkeypatch.setattr(runner, "find_matches", None)
+    with pytest.raises(ValueError, match="^duplicate rule name 'shift'$"):
+        cmd_run(fib, 1, mode)
+    with pytest.raises(ValueError, match="^duplicate rule name 'shift'$"):
+        rule_matches(fib, fib.host)
 
 
 def test_runs_leave_no_reference_cycles():
