@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -48,18 +49,21 @@ class AttributedGraph:
                                 f"label {render_value(v)} on element {x!r} is outside the carrier")
         self.labeling: dict[str, LabelSet] = labels
 
-    def label_groups(self) -> dict[str, dict[LabelSet, list[str]]]:
-        """Node ids by sort and then by label set, each group sorted.
+    def label_groups(self) -> dict[str, dict[LabelSet, set[str]]]:
+        """Node ids by sort and then by label set, each group a set.
 
-        Built on each call and kept by no graph: a caller that matches
-        several rules against this graph builds it once and passes it on.
+        A matcher admits a pattern node by testing each group's label once
+        and searching the admitted groups' ids, so no order is needed here:
+        its results are sorted once found.  Built on each call and kept by
+        no graph: a caller that matches several rules against this graph
+        builds it once and passes it on.
         """
         labeling = self.labeling
-        groups: dict[str, dict[LabelSet, list[str]]] = {}
+        groups: dict[str, dict[LabelSet, set[str]]] = {}
         for sort, ids in self.graph.index.nodes_by_sort.items():
             by_label = groups[sort] = {}
             for n in ids:
-                by_label.setdefault(labeling[n], []).append(n)
+                by_label.setdefault(labeling[n], set()).add(n)
         return groups
 
     def label(self, x: str) -> LabelSet:
@@ -160,15 +164,29 @@ class AttrMorphism:
 
 
 def validate_attr_morphism(m: AttrMorphism) -> ValidationReport:
-    """Check the label condition on every element; list each violation."""
+    """Check the label condition on every element; list each violation.
+
+    Every element is tested in one pass; the violations, in element id
+    order, are gathered only when one fails.  An empty label holds
+    anywhere, and under an identity algebra part a label is its own image.
+    """
+    source, target = m.source.labeling, m.target.labeling
+    alpha, sigma = m.alpha, m.sigma
+    identity = alpha.is_identity
+    for x, y in itertools.chain(sigma.node_map.items(), sigma.edge_map.items()):
+        label = source[x]
+        if label and not (label if identity else apply_to_labelset(alpha, label)) <= target[y]:
+            break
+    else:
+        return ValidationReport(True, [])
     violations = []
     for x in m.source.element_ids():
-        image = m.sigma.apply(x)
-        mapped = apply_to_labelset(m.alpha, m.source.label(x))
-        have = m.target.label(image)
+        image = sigma.apply(x)
+        mapped = apply_to_labelset(alpha, source[x])
+        have = target[image]
         if not mapped <= have:
             violations.append(Violation(x, image, LabelSet(mapped), have))
-    return ValidationReport(not violations, violations)
+    return ValidationReport(False, violations)
 
 
 def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:

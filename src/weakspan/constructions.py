@@ -318,7 +318,8 @@ def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> DeletionRecord:
     placed = {place(v): label for v, label in plan.deleted}
     deleted = frozenset(placed)
 
-    incident = host.graph.index.incident
+    # a rule that deletes nothing leaves the incidence table unbuilt
+    incident = host.graph.index.incident if deleted else {}
     dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
     if dangling:
         eid = min(dangling)

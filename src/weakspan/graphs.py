@@ -117,7 +117,8 @@ class GraphIndex:
     As a search host, ``out_by`` and ``in_by`` give the candidates of a
     pattern node from its placed neighbours, and ``edges_by_ends`` gives the
     bucket of host edges a pattern edge may take once both its ends are
-    placed."""
+    placed.  ``incident`` is built on first read: only a match that deletes
+    a node reads it."""
 
     def __init__(self, g: Graph):
         self.nodes_by_sort: dict[str, list[str]] = {}
@@ -126,17 +127,28 @@ class GraphIndex:
         self.edges_by_ends: dict[tuple[str, str, str], list[str]] = {}
         self.out_by: dict[tuple[str, str], set[str]] = {}   # (sort, src) -> targets
         self.in_by: dict[tuple[str, str], set[str]] = {}    # (sort, tgt) -> sources
-        self.incident: dict[str, list[str]] = {}
         for eid, (sort, src, tgt) in g.edges.items():
             self.edges_by_ends.setdefault((sort, src, tgt), []).append(eid)
             self.out_by.setdefault((sort, src), set()).add(tgt)
             self.in_by.setdefault((sort, tgt), set()).add(src)
-            self.incident.setdefault(src, []).append(eid)
-            if tgt != src:
-                self.incident.setdefault(tgt, []).append(eid)
-        for lists in (self.nodes_by_sort, self.edges_by_ends, self.incident):
+        for lists in (self.nodes_by_sort, self.edges_by_ends):
             for ids in lists.values():
                 ids.sort()
+        # the edge table, not the graph: the graph keeps this index, and a
+        # reference back would make a cycle
+        self._edges = g.edges
+
+    @cached_property
+    def incident(self) -> dict[str, list[str]]:
+        """The edges at each node, loops once."""
+        incident: dict[str, list[str]] = {}
+        for eid, (_sort, src, tgt) in self._edges.items():
+            incident.setdefault(src, []).append(eid)
+            if tgt != src:
+                incident.setdefault(tgt, []).append(eid)
+        for ids in incident.values():
+            ids.sort()
+        return incident
 
 
 class GraphMorphism:
@@ -146,25 +158,28 @@ class GraphMorphism:
                  node_map: Mapping[str, str], edge_map: Mapping[str, str]):
         self.source = source
         self.target = target
-        self.node_map = dict(node_map)
-        self.edge_map = dict(edge_map)
-        if set(self.node_map) != set(source.nodes):
+        self.node_map = node_map = dict(node_map)
+        self.edge_map = edge_map = dict(edge_map)
+        source_nodes, target_nodes = source.nodes, target.nodes
+        source_edges, target_edges = source.edges, target.edges
+        if node_map.keys() != source_nodes.keys():
             raise ValueError("node map is not total on the source nodes")
-        if set(self.edge_map) != set(source.edges):
+        if edge_map.keys() != source_edges.keys():
             raise ValueError("edge map is not total on the source edges")
-        for n, image in self.node_map.items():
-            if image not in target.nodes:
-                raise ValueError(f"node {n!r} maps to unknown node {image!r}")
-            if source.nodes[n] != target.nodes[image]:
+        # one lookup per element on success; a failure is told apart below
+        for n, image in node_map.items():
+            if target_nodes.get(image) != source_nodes[n]:
+                if image not in target_nodes:
+                    raise ValueError(f"node {n!r} maps to unknown node {image!r}")
                 raise ValueError(f"node {n!r} changes sort under the map")
-        for e, image in self.edge_map.items():
-            if image not in target.edges:
-                raise ValueError(f"edge {e!r} maps to unknown edge {image!r}")
-            s_sort, s_src, s_tgt = source.edges[e]
-            t_sort, t_src, t_tgt = target.edges[image]
-            if s_sort != t_sort:
-                raise ValueError(f"edge {e!r} changes sort under the map")
-            if self.node_map[s_src] != t_src or self.node_map[s_tgt] != t_tgt:
+        for e, image in edge_map.items():
+            sort, src, tgt = source_edges[e]
+            found = target_edges.get(image)
+            if found != (sort, node_map[src], node_map[tgt]):
+                if found is None:
+                    raise ValueError(f"edge {e!r} maps to unknown edge {image!r}")
+                if found[0] != sort:
+                    raise ValueError(f"edge {e!r} changes sort under the map")
                 raise ValueError(f"edge {e!r} breaks incidence under the map")
 
     @staticmethod
@@ -266,43 +281,39 @@ class SearchPlan:
 
 
 def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
-                        admits: Optional[Callable[[str, str], bool]] = None,
-                        classes: Optional[Mapping[str, Mapping[object, list[str]]]] = None
+                        admitted: Optional[Mapping[str, set[str]]] = None
                         ) -> list[GraphMorphism]:
     """Every morphism from pattern into host, in a canonical deterministic order.
 
-    ``admits(x, h)`` says whether pattern element x may map to host element
-    h; without it every host element of the right sort is admitted.  It
-    comes with ``classes``, which splits each node sort's host nodes into
-    sorted runs on each of which ``admits`` gives one answer per pattern
-    node, so a pattern node's admitted nodes are found with one test per
-    run.  A node whose placed neighbours give candidates tests those
-    candidates alone.
+    ``admitted`` maps a pattern element to the set of host ids it may take:
+    a node's set holds host nodes of its sort, an edge's set host edges.  An
+    element without an entry may take any host element of its sort.  The
+    sets are read and never changed, so a caller may pass sets it shares.
+    A node whose placed neighbours give candidates takes those candidates
+    that its set also holds; a node that starts a search walks its set.
 
     The search walks the pattern's `SearchPlan`, built once per ranking of
     the pattern nodes and kept on the pattern graph.  Placing a node binds
-    every pattern edge it closes to its bucket of admitted host edges and
-    rejects the node when a bucket is empty; a complete node map gives one
-    morphism per choice across the buckets.
-    The order is lexicographic on the tuple of host images taken over the
+    every pattern edge it closes to its bucket of host edges, narrowed to
+    the edge's set when it has one, and rejects the node when a bucket is
+    empty; a complete node map gives one morphism per choice across the
+    buckets.  Candidates are tried in set order, so the results are sorted
+    at the end: lexicographically on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
     """
     if pattern.signature != host.signature:
         raise ValueError("pattern and host use different sort signatures")
 
     index = host.index
-    if admits is None:
-        runs = {pn: [index.nodes_by_sort.get(sort, [])] for pn, sort in pattern.nodes.items()}
-    elif classes is None:
-        raise ValueError("admits is tested once per class and needs the classes")
-    else:
-        runs = {pn: [run for run in classes.get(sort, {}).values() if admits(pn, run[0])]
-                for pn, sort in pattern.nodes.items()}
-    sizes = {pn: sum(map(len, admitted)) for pn, admitted in runs.items()}
-    if not all(sizes.values()):
+    if admitted is None:
+        admitted = {}
+    by_sort = index.nodes_by_sort
+    starts = {pn: admitted[pn] if pn in admitted else by_sort.get(sort, ())
+              for pn, sort in pattern.nodes.items()}
+    if not all(starts.values()):
         return []
 
-    plan = pattern.search_plan(tuple(sorted(sizes, key=lambda n: (sizes[n], n))))
+    plan = pattern.search_plan(tuple(sorted(starts, key=lambda n: (len(starts[n]), n))))
     steps, order, edge_order = plan.steps, plan.order, plan.edge_order
     # under an injective node map only parallel pattern edges share a bucket
     distinct = injective_only and plan.parallel
@@ -310,6 +321,7 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     tables = (index.out_by, index.in_by)
     images: list[str] = [""] * len(steps)
     used: set[str] = set()
+    empty: set[str] = set()
     buckets: list[list[str]] = []
     results: list[GraphMorphism] = []
 
@@ -324,12 +336,16 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
             return
         pn, anchors, closes = steps[pos]
         if anchors:
-            # adjacency by edge sort already fixes the node sort
-            found = set.intersection(*[tables[table].get((sort, images[earlier]), set())
-                                       for table, sort, earlier in anchors])
-            candidates = found if admits is None else [c for c in found if admits(pn, c)]
+            # adjacency by edge sort already fixes the node sort; a set
+            # intersection walks its smaller side, so a large admitted set
+            # costs no more than a small one
+            found = [tables[table].get((sort, images[earlier]), empty)
+                     for table, sort, earlier in anchors]
+            if pn in admitted:
+                found.append(admitted[pn])
+            candidates = set.intersection(*found)
         else:
-            candidates = itertools.chain.from_iterable(runs[pn])
+            candidates = starts[pn]
         for c in candidates:
             if injective_only and c in used:
                 continue
@@ -337,8 +353,9 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
             bound = []
             for pe, sort, src, tgt in closes:
                 bucket = edge_index.get((sort, images[src], images[tgt]), ())
-                if admits is not None:
-                    bucket = [he for he in bucket if admits(pe, he)]
+                if bucket and pe in admitted:
+                    allowed = admitted[pe]
+                    bucket = [he for he in bucket if he in allowed]
                 if not bucket:
                     break
                 bound.append(bucket)

@@ -56,6 +56,9 @@ class RulePlan:
     with a non-empty label, with that label.  ``constraints`` holds the
     left side's (element, term) label constraints, smallest term first, so
     that the variables a sum reads are bound before the sum is matched.
+    ``labelled_edges`` lists the left side's edges with a non-empty label,
+    each with its sort and label, in id order: the edges a match search
+    admits host edges for.
     """
 
     deletion: DeletionPlan
@@ -63,6 +66,7 @@ class RulePlan:
     added: tuple[tuple[str, str, Optional[tuple[str, str]]], ...]
     written: tuple[tuple[str, LabelSet], ...]
     constraints: tuple[tuple[str, Value], ...]
+    labelled_edges: tuple[tuple[str, str, LabelSet], ...]
 
     @property
     def adds(self) -> bool:
@@ -82,8 +86,13 @@ def rule_plan(rule: WeakSpan) -> RulePlan:
     written = tuple((x, label) for x, label in sorted(rule.R.labeling.items()) if label)
     constraints = sorted(((x, t) for x, label in rule.L.labeling.items() for t in label),
                          key=lambda c: (_term_size(c[1]), render_value(c[1]), c[0]))
+    left = rule.L
+    labelled_edges = tuple((e, sort, left.labeling[e])
+                           for e, (sort, _src, _tgt) in sorted(left.graph.edges.items())
+                           if left.labeling[e])
     return RulePlan(deletion=deletion_plan(rule.l), required=required, added=added,
-                    written=written, constraints=tuple(constraints))
+                    written=written, constraints=tuple(constraints),
+                    labelled_edges=labelled_edges)
 
 
 @dataclass
@@ -393,47 +402,57 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
 
 
 def find_matches(rule: WeakSpan, host: AttributedGraph,
-                 groups: Optional[Mapping[str, Mapping[LabelSet, list[str]]]] = None
+                 groups: Optional[Mapping[str, Mapping[LabelSet, set[str]]]] = None
                  ) -> list[Match]:
     """All injective matches of the rule's left side, each with every variable
     assignment that satisfies the label condition, in canonical order.
 
     The result depends on the rule only through ``rule.L``: its graph, its
-    labels and its algebra (``rule.plan.constraints`` is derived from L
-    alone).  Rules with equal left sides therefore have the same matches, and
+    labels and its algebra (``rule.plan.constraints`` and
+    ``rule.plan.labelled_edges`` are derived from L alone).  Rules with
+    equal left sides therefore have the same matches, and
     ``runner.rule_matches`` searches once for all of them.
 
     The search admits only host elements whose labels can satisfy the rule's:
     for an enumerated rule the rule label must be a subset of the host label,
     and for a term rule a non-empty rule label needs a non-empty host label.
-    The test depends on the host label alone, so host nodes are admitted a
-    label group at a time; ``groups`` is ``host.label_groups()``, passed by
-    a caller that matches several rules on one host and built here if not.
+    The test depends on the host label alone, so it is made once per label
+    group: ``groups`` is ``host.label_groups()``, passed by a caller that
+    matches several rules on one host and built here if not.  A labelled
+    left node is admitted the set of the one group that passes (that set
+    itself) or the union of the groups that pass; a labelled left edge the
+    set of host edges of its sort that pass; an unlabelled element admits
+    every host element of its sort and gets no set.
     """
     rule_alg = rule.algebra
     enumerated = isinstance(rule_alg, FiniteEnum)
     if enumerated and rule_alg != host.algebra:
         raise ValueError("an enumerated rule only matches hosts over the same algebra")
-    wanted, have = rule.L.labeling, host.labeling
-    if enumerated:
-        def admits(x: str, h: str) -> bool:
-            return wanted[x] <= have[h]
-    else:
-        def admits(x: str, h: str) -> bool:
-            return not wanted[x] or bool(have[h])
     if groups is None:
         groups = host.label_groups()
+    wanted, have = rule.L.labeling, host.labeling
+    admitted: dict[str, set[str]] = {}
+    for x, sort in rule.L.graph.nodes.items():
+        label = wanted[x]
+        if label:
+            passed = [ids for group, ids in groups.get(sort, {}).items()
+                      if (label <= group if enumerated else group)]
+            admitted[x] = passed[0] if len(passed) == 1 else set().union(*passed)
+    for x, sort, label in rule.plan.labelled_edges:
+        admitted[x] = {h for h, (edge_sort, _src, _tgt) in host.graph.edges.items()
+                       if edge_sort == sort and (label <= have[h] if enumerated else have[h])}
     plan_constraints = rule.plan.constraints
     matches: list[Match] = []
     for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True,
-                                     admits=admits, classes=groups):
+                                     admitted=admitted):
         if enumerated:
             assignments = [{}]
         else:
             constraints = [(t, have[sigma.apply(x)]) for x, t in plan_constraints]
             assignments = _solve_label_constraints(constraints, host.algebra)
-            assignments.sort(
-                key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
+            if len(assignments) > 1:
+                assignments.sort(
+                    key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
         for assignment in assignments:
             alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
             m = AttrMorphism(rule.L, host, sigma, alpha)
@@ -530,6 +549,9 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
     if not gammas:
         raise ValueError("need at least one direct transformation")
     gammas = list(gammas)
+    if len(gammas) == 1:
+        # one application has no pair a != b to check
+        return CoherenceCheckResult(matrix=WitnessMatrix(gammas))
     host = gammas[0].host
     for g in gammas[1:]:
         if g.host != host:

@@ -69,8 +69,8 @@ class TestAttributedGraph:
                   {"n3": "p", "n1": "p", "n2": "q", "n0": "p", "n4": "q"}, {})
         a = AttributedGraph(g, NAT, {"n3": [1], "n0": [1], "n2": [1], "n4": [2]})
         assert a.label_groups() == {
-            "p": {LabelSet([1]): ["n0", "n3"], LabelSet(): ["n1"]},
-            "q": {LabelSet([1]): ["n2"], LabelSet([2]): ["n4"]}}
+            "p": {LabelSet([1]): {"n0", "n3"}, LabelSet(): {"n1"}},
+            "q": {LabelSet([1]): {"n2"}, LabelSet([2]): {"n4"}}}
         assert "label_groups" not in vars(a)
 
     def test_with_labels_replaces_selected_sets(self):
@@ -108,6 +108,38 @@ class TestAttrMorphism:
             AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT), check=False))
         assert not report.ok
         assert {v.element for v in report.violations} == {"x", "y"}
+
+    def test_violations_follow_element_id_order(self):
+        g = Graph(SIG, {"z": "p", "x": "p", "y": "p"},
+                  {"f": ("a", "z", "x"), "e": ("a", "x", "y")})
+        small = AttributedGraph(g, NAT, {"z": [1], "x": [2], "y": [3], "f": [4], "e": [5]})
+        big = AttributedGraph(g, NAT, {"y": [3]})
+        sigma = GraphMorphism(g, g, {"y": "y", "z": "z", "x": "x"}, {"f": "f", "e": "e"})
+        report = validate_attr_morphism(
+            AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT), check=False))
+        assert [v.element for v in report.violations] == ["x", "z", "e", "f"]
+        assert report.describe() == (
+            "element 'x': mapped labels {2} not contained in {} at 'x'; "
+            "element 'z': mapped labels {1} not contained in {} at 'z'; "
+            "element 'e': mapped labels {5} not contained in {} at 'e'; "
+            "element 'f': mapped labels {4} not contained in {} at 'f'")
+
+    def test_violations_under_an_assignment_follow_element_id_order(self):
+        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        g = Graph(SIG, {"z": "p", "x": "p", "y": "p"},
+                  {"f": ("a", "z", "x"), "e": ("a", "x", "y")})
+        pattern = AttributedGraph(g, terms, {"z": [Var("u")], "x": [Lit(2)], "y": [Var("u")],
+                                             "f": [Lit(4)], "e": []})
+        host = AttributedGraph(g, NAT, {"z": [7], "x": [7], "y": [8], "f": [7, 4]})
+        sigma = GraphMorphism(g, g, {"z": "z", "x": "x", "y": "y"}, {"f": "f", "e": "e"})
+        alpha = AlgebraMorphism(terms, NAT, {"u": 7})
+        report = validate_attr_morphism(AttrMorphism(pattern, host, sigma, alpha, check=False))
+        assert report.describe() == (
+            "element 'x': mapped labels {2} not contained in {7} at 'x'; "
+            "element 'y': mapped labels {7} not contained in {8} at 'y'")
+        assert validate_attr_morphism(
+            AttrMorphism(pattern, host.with_labels({"x": [2], "y": [7]}), sigma, alpha,
+                         check=False)).ok
 
     def test_variable_assignment_is_applied_before_comparing(self):
         terms = TermAlg(PLUS_SIGNATURE, ("u",))

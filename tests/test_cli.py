@@ -2,14 +2,17 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from weakspan import LabelSet, load_system
+from weakspan import LabelSet, SystemSpec, cmd_run, load_system, save_system
 from weakspan.cli import main
+
+from randgen import random_host, random_instance
 
 P_SIG = {"nodes": ["p"], "edges": {"a": ["p", "p"]}}
 
@@ -437,3 +440,50 @@ class TestExportAndPreset:
         spec = load_system(path)
         assert [r.name for r in spec.rules] == [f"birth{k}" for k in range(6)]
         assert len(spec.host.graph.nodes) == 19
+
+
+def _churning_system():
+    """Three random rules traced from a random nat host: over three steps
+    one deletes an element and the others add 6, 12 and 24 (seed chosen so)."""
+    rng = random.Random(118)
+    host = random_host(rng, max_elements=rng.randint(1, 7))
+    rules = [random_instance(rng, host, name=f"r{k}").rule for k in range(rng.randint(1, 3))]
+    return SystemSpec(signature=host.graph.signature, algebra=host.algebra,
+                      rules=rules, host=host)
+
+
+class TestHashOrder:
+    """Match candidates are tried in set order, which follows string hashes;
+    the results are sorted, so no output may depend on PYTHONHASHSEED."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hash-order")
+        assert main(["preset", "hex", "--radius", "5", "--seed", "0,0", "--seed", "2,-1",
+                     "--out", str(root / "hex.json")]) == 0
+        churn = _churning_system()
+        history = cmd_run(churn, 3, "pct").history
+        ids = [set(graph.element_ids()) for graph in history]
+        assert any(a - b for a, b in zip(ids, ids[1:]))
+        assert any(b - a for a, b in zip(ids, ids[1:]))
+        save_system(churn, root / "churn.json")
+        return root
+
+    @pytest.mark.parametrize("mode", ["pct", "seq"])
+    @pytest.mark.parametrize("name", ["hex", "churn"])
+    def test_runs_are_byte_identical_under_two_hash_seeds(self, systems, name, mode, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        system = str(systems / f"{name}.json")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out, report = tmp_path / f"out-{hash_seed}.json", tmp_path / f"report-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "weakspan", "run", "--rules", system, "--host", system,
+                 "--steps", "3", "--mode", mode, "--out", str(out), "--report", str(report)],
+                env=env, capture_output=True, timeout=120)
+            outputs.append((done.returncode, done.stdout, done.stderr,
+                            out.read_bytes(), report.read_bytes()))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]

@@ -61,6 +61,33 @@ class TestGraph:
 
 
 class TestGraphMorphism:
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ({"n0": "n0"}, {"e0": "e0", "e1": "e1", "e2": "e2"},
+         "node map is not total on the source nodes"),
+        ({"n0": "n0", "n1": "n1", "n2": "n2", "zz": "n0"}, {"e0": "e0", "e1": "e1", "e2": "e2"},
+         "node map is not total on the source nodes"),
+        ({"n0": "n0", "n1": "n1", "n2": "n2"}, {"e0": "e0"},
+         "edge map is not total on the source edges"),
+        ({"n0": "n0", "n1": "zz", "n2": "n2"}, {"e0": "e0", "e1": "e1", "e2": "e2"},
+         "node 'n1' maps to unknown node 'zz'"),
+        ({"n0": "n0", "n1": "n2", "n2": "n2"}, {"e0": "e0", "e1": "e1", "e2": "e2"},
+         "node 'n1' changes sort under the map"),
+        ({"n0": "n0", "n1": "n1", "n2": "n2"}, {"e0": "e0", "e1": "zz", "e2": "e2"},
+         "edge 'e1' maps to unknown edge 'zz'"),
+        ({"n0": "n0", "n1": "n1", "n2": "n2"}, {"e0": "e1", "e1": "e1", "e2": "e2"},
+         "edge 'e0' changes sort under the map"),
+        ({"n0": "n0", "n1": "n1", "n2": "n2"}, {"e0": "e0", "e1": "e2", "e2": "e1"},
+         "edge 'e1' breaks incidence under the map"),
+        ({"n0": "n1", "n1": "n0", "n2": "n2"}, {"e0": "zz", "e1": "e1", "e2": "e2"},
+         "edge 'e0' maps to unknown edge 'zz'"),
+    ], ids=["partial-nodes", "extra-node", "partial-edges", "unknown-node", "node-sort",
+            "unknown-edge", "edge-sort", "incidence", "first-edge-named"])
+    def test_each_refusal_has_its_message(self, nodes, edges, message):
+        g = triangle()
+        with pytest.raises(ValueError) as refused:
+            GraphMorphism(g, g, nodes, edges)
+        assert str(refused.value) == message
+
     def test_must_be_total(self):
         g = triangle()
         with pytest.raises(ValueError, match="total"):
@@ -155,10 +182,19 @@ class TestEnumerateMorphisms:
         second = [m.node_map["x"] for m in enumerate_morphisms(pattern, host)]
         assert first == second == ["n0", "n1"]
 
-    def test_admits_needs_its_classes(self):
-        pattern = Graph(SIG, {"x": "p"}, {})
-        with pytest.raises(ValueError, match="classes"):
-            enumerate_morphisms(pattern, triangle(), admits=lambda x, h: True)
+    def test_admitted_sets_narrow_nodes_and_edges(self):
+        host = triangle()
+        pattern = Graph(SIG, {"x": "p", "y": "q"}, {"e": ("b", "x", "y")})
+        everything = enumerate_morphisms(pattern, host)
+        assert [m.edge_map["e"] for m in everything] == ["e1", "e2"]
+        assert [m.node_map["x"] for m in enumerate_morphisms(
+            pattern, host, admitted={"x": {"n1"}})] == ["n1"]
+        assert [m.edge_map["e"] for m in enumerate_morphisms(
+            pattern, host, admitted={"e": {"e1"}})] == ["e1"]
+        assert enumerate_morphisms(pattern, host, admitted={"y": set()}) == []
+        shared = {"n0", "n1"}
+        enumerate_morphisms(pattern, host, admitted={"x": shared, "e": {"e2"}})
+        assert shared == {"n0", "n1"}
 
 
 class TestIsomorphism:

@@ -136,6 +136,21 @@ class TestParallelStep:
             deleting += bool(step.deleted)
         assert deleting >= 10
 
+    def test_a_relabelling_step_leaves_the_incidence_table_unbuilt(self):
+        hexes = hex_system(HexGridSpec(radius=5))
+        _, report = apply_parallel_step(hexes, hexes.host, 0)
+        assert report.applied == 6
+        assert "incident" not in vars(hexes.host.graph.index)
+
+    def test_a_deleting_match_reads_the_incidence_table(self):
+        deleting = 0
+        for trial in range(40):
+            host, m1, _m2 = random_independent_pair(random.Random(9000 + trial))
+            record = apply_direct(m1).record
+            assert ("incident" in vars(host.graph.index)) == bool(record.deleted)
+            deleting += bool(record.deleted)
+        assert deleting >= 5
+
     def test_report_renders_the_step_summary(self, fib):
         _, report = apply_parallel_step(fib, fib.host, 0)
         text = report.describe()

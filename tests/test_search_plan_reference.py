@@ -1,11 +1,13 @@
 """The plan-driven search against the recursive search it replaced.
 
 `reference_morphisms` is `enumerate_morphisms` as it was before each
-pattern's search was compiled into a `SearchPlan`: it rebuilt the node order
-and the edges at each node on every call, tested each pattern edge when
-picking candidates and again when checking a placed node, and bound the
-edges one recursion level each once every node was placed.  Both must give
-the same node maps and edge maps in the same order.
+pattern's search was compiled into a `SearchPlan` and before admission was
+given as sets: it rebuilt the node order and the edges at each node on
+every call, called ``admits(x, h)`` on each candidate node and host edge,
+tested each pattern edge when picking candidates and again when checking a
+placed node, and bound the edges one recursion level each once every node
+was placed.  Both must give the same node maps and edge maps in the same
+order when the admitted sets hold exactly what ``admits`` accepts.
 """
 
 import itertools
@@ -179,8 +181,9 @@ def random_piece(rng, host):
 
 
 def random_admission(rng, pattern, host):
-    """``admits`` by label inclusion over random labels, with the classes
-    that group the host nodes of each sort by label."""
+    """``admits`` by label inclusion over random labels on the pattern's
+    nodes and edges, with the classes that group the host nodes of each sort
+    by label."""
     labels = {x: frozenset(rng.sample("xy", rng.choice((0, 0, 1)))) for x in pattern.element_ids()}
     labels.update({h: frozenset(rng.sample("xy", rng.choice((0, 1, 1, 2))))
                    for h in host.element_ids()})
@@ -193,27 +196,54 @@ def random_admission(rng, pattern, host):
     return admits, classes
 
 
+def admitted_sets(pattern, host, admits):
+    """The ``admitted`` argument that admits what ``admits`` does: a set for
+    each pattern element that some host element of its sort fails."""
+    admitted = {}
+    for x in pattern.element_ids():
+        sort = pattern.sort_of(x)
+        same = host.nodes if pattern.is_node(x) else host.edges
+        of_sort = [h for h in same if host.sort_of(h) == sort]
+        passed = {h for h in of_sort if admits(x, h)}
+        if len(passed) < len(of_sort):
+            admitted[x] = passed
+    return admitted
+
+
+def admission_of(host, admitted):
+    """``admits`` and one-node classes that accept what ``admitted`` does."""
+    def admits(x, h):
+        return x not in admitted or h in admitted[x]
+    classes = {}
+    for h in sorted(host.nodes):
+        classes.setdefault(host.nodes[h], {})[h] = [h]
+    return admits, classes
+
+
 @pytest.mark.parametrize("injective_only", [True, False], ids=["injective", "any"])
 @pytest.mark.parametrize("admitted", [False, True], ids=["all", "admits"])
 def test_random_multigraphs(injective_only, admitted):
     """Loops, parallel edges of one sort, several components, isolated nodes
     and the empty pattern, each against the recursive search."""
-    found = parallel = components = empty = 0
+    found = parallel = components = empty = narrowed_edges = 0
     for trial in range(300):
         rng = random.Random(12000 + trial)
         host = random_multigraph(rng, rng.randint(1, 6), rng.randint(0, 12), "h", 0.4)
         pattern = (random_piece(rng, host) if rng.random() < 0.5
                    else random_multigraph(rng, rng.randint(0, 4), rng.randint(0, 5), "x", 0.3))
         admits, classes = random_admission(rng, pattern, host) if admitted else (None, None)
-        got = enumerate_morphisms(pattern, host, injective_only, admits, classes)
+        sets = admitted_sets(pattern, host, admits) if admitted else None
+        got = enumerate_morphisms(pattern, host, injective_only, sets)
         assert maps(got) == maps(reference_morphisms(pattern, host, injective_only,
                                                       admits, classes)), trial
         found += len(got)
+        narrowed_edges += bool(sets) and any(pattern.is_edge(x) for x in sets) and bool(got)
         parallel += len(set(pattern.edges.values())) < len(pattern.edges) and bool(got)
         plan = next(iter(pattern._search_plans.values()), None)
         components += plan is not None and sum(not anchors for _n, anchors, _c in plan.steps) > 1
         empty += not pattern.nodes
     assert found >= 1000 and parallel >= 15 and components >= 80 and empty >= 50
+    assert narrowed_edges >= 15 or not admitted
 
 
 def test_loops_and_parallel_edges_by_hand():
@@ -234,11 +264,12 @@ def test_loops_and_parallel_edges_by_hand():
 
 
 def test_every_hex_and_fibonacci_step_host(monkeypatch):
-    """Each search a step makes, with the step's own admission and classes."""
+    """Each search a step makes, with the step's own admitted sets."""
     searched = []
 
-    def checking(pattern, host, injective_only=False, admits=None, classes=None):
-        got = enumerate_morphisms(pattern, host, injective_only, admits, classes)
+    def checking(pattern, host, injective_only=False, admitted=None):
+        got = enumerate_morphisms(pattern, host, injective_only, admitted)
+        admits, classes = admission_of(host, admitted)
         assert maps(got) == maps(reference_morphisms(pattern, host, injective_only,
                                                       admits, classes))
         searched.append(len(got))
