@@ -11,7 +11,7 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
                        Lit, NatPlus, OpApp, OpSignature, PLUS_SIGNATURE,
                        TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
-from .attrgraphs import (AttrMorphism, AttributedGraph, ValidationReport,
+from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, ValidationReport,
                          Violation, compose_attr, identity_attr,
                          is_attr_isomorphic, rename_attributed,
                          validate_attr_morphism)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .algebras import (Algebra, AlgebraMorphism, LabelSet, EMPTY_LABELS,
                        apply_to_labelset, render_value, value_sort_key)
@@ -38,15 +39,8 @@ class AttributedGraph:
         for x, value in labels.items():
             if type(value) is not LabelSet:
                 labels[x] = LabelSet(value)
-        # each distinct label set is checked once; a failure is reported at
-        # the first element in id order that carries an outside value
-        for distinct in set(labels.values()):
-            if not all(map(algebra.contains, distinct)):
-                for x in graph.element_ids():
-                    for v in labels[x]:
-                        if not algebra.contains(v):
-                            raise ValueError(
-                                f"label {render_value(v)} on element {x!r} is outside the carrier")
+        # each distinct label set is checked once
+        _check_carrier(algebra, graph, labels, set(labels.values()))
         self.labeling: dict[str, LabelSet] = labels
 
     def label_groups(self) -> dict[str, dict[LabelSet, set[str]]]:
@@ -76,7 +70,18 @@ class AttributedGraph:
         return self.graph.element_count()
 
     def with_labels(self, updates: Mapping[str, object]) -> "AttributedGraph":
-        return AttributedGraph(self.graph, self.algebra, {**self.labeling, **updates})
+        """This graph with the given elements' label sets replaced; only the
+        new label sets are checked against the carrier."""
+        extra = updates.keys() - self.labeling.keys()
+        if extra:
+            raise ValueError(f"labeling names unknown elements {sorted(extra)}")
+        labeling = self.labeling
+        relabelled = {}
+        for x, value in updates.items():
+            label = value if type(value) is LabelSet else LabelSet(value)
+            if label != labeling[x]:
+                relabelled[x] = (labeling[x], label)
+        return derive_graph(self, ChangeSet(relabelled=relabelled))
 
     def __eq__(self, other) -> bool:
         # labels first: the left sides a step groups (`runner.rule_matches`)
@@ -90,6 +95,86 @@ class AttributedGraph:
         parts = ", ".join(f"{x}:{self.labeling[x].render()}"
                           for x in self.element_ids() if self.labeling[x])
         return f"AttributedGraph({self.graph!r}; {parts})"
+
+
+def _check_carrier(algebra: Algebra, graph: Graph, labels: Mapping[str, LabelSet],
+                   distinct: Iterable[LabelSet]) -> None:
+    """Raise ValueError when a label set in ``distinct`` holds a value outside
+    the carrier, naming the first element in the graph's id order whose label
+    in ``labels`` does."""
+    for label in distinct:
+        if not all(map(algebra.contains, label)):
+            for x in graph.element_ids():
+                for v in labels[x]:
+                    if not algebra.contains(v):
+                        raise ValueError(
+                            f"label {render_value(v)} on element {x!r} is outside the carrier")
+
+
+_NO_IDS: frozenset = frozenset()
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class ChangeSet:
+    """What one step (or one application) changes in its host, in ids of the
+    result.
+
+    ``deleted`` holds the host ids the result drops.  ``relabelled`` maps each
+    surviving id whose label set differs to its (old, new) label sets.
+    ``added`` maps each new id, in creation order, to its sort, its
+    (source, target) ends for an edge or None for a node, and its label set.
+    Every empty part is one shared empty container, so a run can keep a
+    change set per step cheaply.
+    """
+
+    deleted: frozenset
+    relabelled: Mapping[str, tuple[LabelSet, LabelSet]]
+    added: Mapping[str, tuple[str, Optional[tuple[str, str]], LabelSet]]
+
+    def __init__(self, deleted: frozenset = _NO_IDS,
+                 relabelled: Mapping[str, tuple[LabelSet, LabelSet]] = _NO_ENTRIES,
+                 added: Mapping[str, tuple[str, Optional[tuple[str, str]], LabelSet]] = _NO_ENTRIES):
+        object.__setattr__(self, "deleted", deleted or _NO_IDS)
+        object.__setattr__(self, "relabelled", relabelled or _NO_ENTRIES)
+        object.__setattr__(self, "added", added or _NO_ENTRIES)
+
+
+def derive_graph(parent: AttributedGraph, changes: ChangeSet) -> AttributedGraph:
+    """``parent`` with ``changes`` applied, in one copy of its labeling.
+
+    The parent is trusted: only the label sets the change introduces are
+    checked against the carrier, and a failure names the first element in
+    the result's id order, as the constructor does.  The result shares the
+    parent's graph, and so its index, when nothing is deleted or added;
+    otherwise its graph goes through the public ``Graph`` constructor with
+    all of that constructor's checks.  Label sets nothing changes are shared
+    with the parent.
+    """
+    deleted, relabelled, added = changes.deleted, changes.relabelled, changes.added
+    labels = parent.labeling.copy()
+    new = set()
+    for x, (_old, label) in relabelled.items():
+        labels[x] = label
+        new.add(label)
+    graph = parent.graph
+    if deleted or added:
+        for x in deleted:
+            del labels[x]
+        nodes = {n: s for n, s in graph.nodes.items() if n not in deleted}
+        edges = {e: d for e, d in graph.edges.items() if e not in deleted}
+        for z, (sort, ends, label) in added.items():
+            if ends is None:
+                nodes[z] = sort
+            else:
+                edges[z] = (sort, *ends)
+            labels[z] = label
+            new.add(label)
+        graph = Graph(graph.signature, nodes, edges)
+    _check_carrier(parent.algebra, graph, labels, new)
+    derived = object.__new__(AttributedGraph)
+    derived.graph, derived.algebra, derived.labeling = graph, parent.algebra, labels
+    return derived
 
 
 @dataclass

@@ -13,7 +13,7 @@ from functools import cache
 from typing import Iterable
 
 from .algebras import AlgebraMorphism, FiniteEnum, LabelSet
-from .attrgraphs import AttrMorphism, AttributedGraph
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
 from .fileio import SystemSpec
 from .graphs import Graph, GraphMorphism, SortSignature
 from .rewriting import WeakSpan
@@ -78,20 +78,26 @@ def parse_cell_id(text: str) -> tuple[int, int]:
 
 def encode_grid(spec: HexGridSpec) -> AttributedGraph:
     """The bounded disk as a sorted graph; adjacent cells carry one directed
-    edge each way, sorted by the direction index."""
+    edge each way, sorted by the direction index.
+
+    Each cell's id (``cell_id``) is formatted once and its edge ids are
+    built from it; every live cell shares one label set and every dead cell
+    the other.
+    """
     signature = hex_signature()
-    cells = disk(spec.radius)
-    inside = set(cells)
-    seeds = set(spec.seeds)
-    nodes = {cell_id(c): "cell" for c in cells}
+    ids = {cell: f"c:{cell[0]},{cell[1]}" for cell in disk(spec.radius)}
+    sorts = [f"dir{k}" for k in range(6)]
     edges = {}
-    for q, r in cells:
+    for (q, r), x in ids.items():
+        prefix = f"e{x[1:]}:"
         for k, (dq, dr) in enumerate(DIRECTIONS):
-            other = (q + dq, r + dr)
-            if other in inside:
-                edges[f"e:{q},{r}:{k}"] = (f"dir{k}", cell_id((q, r)), cell_id(other))
-    labeling = {cell_id(c): LabelSet([LIVE if c in seeds else DEAD]) for c in cells}
-    graph = Graph(signature, nodes, edges)
+            y = ids.get((q + dq, r + dr))
+            if y is not None:
+                edges[f"{prefix}{k}"] = (sorts[k], x, y)
+    seeds = set(spec.seeds)
+    dead, live = LabelSet([DEAD]), LabelSet([LIVE])
+    labeling = {x: live if cell in seeds else dead for cell, x in ids.items()}
+    graph = Graph(signature, dict.fromkeys(ids.values(), "cell"), edges)
     return AttributedGraph(graph, CELL_ALGEBRA, labeling)
 
 
@@ -100,6 +106,27 @@ def live_cells(graph: AttributedGraph) -> frozenset[tuple[int, int]]:
     for n in graph.graph.nodes:
         if LIVE in graph.label(n):
             out.add(parse_cell_id(n))
+    return frozenset(out)
+
+
+def changed_live_cells(live: frozenset[tuple[int, int]], before: AttributedGraph,
+                       changes: ChangeSet) -> frozenset[tuple[int, int]]:
+    """The live cells of ``before`` with ``changes`` applied, given ``live``,
+    the live cells of ``before``; only the changed elements are read."""
+    nodes, labels = before.graph.nodes, before.labeling
+    out = set(live)
+    for x in changes.deleted:
+        if x in nodes and LIVE in labels[x]:
+            out.discard(parse_cell_id(x))
+    for x, (old, new) in changes.relabelled.items():
+        if x in nodes and (LIVE in old) != (LIVE in new):
+            if LIVE in new:
+                out.add(parse_cell_id(x))
+            else:
+                out.discard(parse_cell_id(x))
+    for x, (_sort, ends, label) in changes.added.items():
+        if ends is None and LIVE in label:
+            out.add(parse_cell_id(x))
     return frozenset(out)
 
 

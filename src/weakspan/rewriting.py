@@ -13,11 +13,12 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
-from .attrgraphs import AttrMorphism, AttributedGraph, Violation, identity_attr
+from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation, derive_graph,
+                         identity_attr)
 from .constructions import (ComplementResult, DeletionPlan, DeletionRecord,
                             deletion_plan, deletion_record, pushout_along_neutral,
                             pushout_complement)
-from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
+from .graphs import GraphMorphism, enumerate_morphisms, is_mono
 
 
 class IncoherentSetError(Exception):
@@ -291,21 +292,29 @@ class ParallelStep:
     """A parallel coherent transformation: contexts intersected, additions glued.
 
     D' and H' use host ids: D' is the part of the host that every context
-    keeps, and H' is D' plus each application's additions.  ``deleted``
-    holds the host ids outside D'; D' itself is built on first read.
+    keeps, and H' is D' plus each application's additions.  ``changes`` is
+    H' as a change set against the host; its ``deleted`` are the host ids
+    outside D'.  D' and H' are derived from the host when first read.
     ``born[c]`` maps each right-side element of application c to its id in
     H'.
     """
 
     gammas: list
     witnesses: WitnessMatrix
-    deleted: frozenset
-    Hprime: AttributedGraph
+    changes: ChangeSet
     born: list
+
+    @property
+    def deleted(self) -> frozenset:
+        return self.changes.deleted
 
     @cached_property
     def Dprime(self) -> AttributedGraph:
-        return _intersected_context(self.gammas, self.deleted)
+        return _intersected_context(self.gammas, self.changes.deleted)
+
+    @cached_property
+    def Hprime(self) -> AttributedGraph:
+        return derive_graph(self.gammas[0].host, self.changes)
 
 
 def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterable[dict]:
@@ -577,46 +586,41 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
     return CoherenceCheckResult(matrix=WitnessMatrix(gammas))
 
 
-def _fresh_id(candidate: str, taken: Container[str]) -> str:
-    """``candidate`` with primes appended until it is not in ``taken``."""
-    while candidate in taken:
+def _fresh_id(candidate: str, host: Container[str], deleted: Container[str],
+              taken: Container[str]) -> str:
+    """``candidate`` with primes appended until it names no host element
+    outside ``deleted`` and is not in ``taken``."""
+    while candidate in taken or (candidate in host and candidate not in deleted):
         candidate += "'"
     return candidate
 
 
 def _context_labels(gammas: Sequence[DirectTransformation],
                     deleted: frozenset) -> dict[str, LabelSet]:
-    """The labels of D': each host label outside ``deleted``, intersected
-    with every context label the records give for its element."""
-    labels = dict(gammas[0].host.labeling)
-    for x in deleted:
-        del labels[x]
+    """The labels of D' that differ from the host's: for each element outside
+    ``deleted`` that some record relabels, its host label intersected with
+    every context label the records give for it."""
+    host_labels = gammas[0].host.labeling
+    labels: dict[str, LabelSet] = {}
     # a context label is a subset of the host label, so intersecting with the
-    # host label stands in for every context that leaves the element untouched;
-    # a label no context changes stays the host's LabelSet object
+    # host label stands in for every context that leaves the element untouched
     for gamma in gammas:
         for x, label in gamma.record.labels.items():
-            if x not in deleted and not labels[x] <= label:
-                labels[x] = LabelSet(labels[x] & label)
+            if x not in deleted:
+                have = labels.get(x, host_labels[x])
+                if not have <= label:
+                    labels[x] = LabelSet(have & label)
     return labels
-
-
-def _glued_graph(host: Graph, deleted: frozenset, nodes: dict, edges: dict) -> Graph:
-    """The host graph without ``deleted``, plus ``nodes`` and ``edges``; the
-    host graph itself when that changes nothing."""
-    if not (deleted or nodes or edges):
-        return host
-    return Graph(host.signature,
-                 {**{n: s for n, s in host.nodes.items() if n not in deleted}, **nodes},
-                 {**{e: d for e, d in host.edges.items() if e not in deleted}, **edges})
 
 
 def _intersected_context(gammas: Sequence[DirectTransformation],
                          deleted: frozenset) -> AttributedGraph:
     """D', the limit of the contexts, in host ids."""
     host = gammas[0].host
-    return AttributedGraph(_glued_graph(host.graph, deleted, {}, {}), host.algebra,
-                           _context_labels(gammas, deleted))
+    host_labels = host.labeling
+    relabelled = {x: (host_labels[x], label)
+                  for x, label in _context_labels(gammas, deleted).items()}
+    return derive_graph(host, ChangeSet(deleted, relabelled))
 
 
 def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
@@ -629,8 +633,13 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     labels unioned, and every other right-side element is added under a
     fresh ``<c>:<id>`` id.  ``limit_of_neutrals`` and
     ``colimit_of_neutrals`` are the general constructions this computes.
-    Only H' is built here; D' is built when it is first read.  When nothing
-    is deleted or added, H' shares the host's graph.
+
+    The step is computed as one ``ChangeSet`` against the host: the deleted
+    ids, each surviving id whose H' label differs from its host label, and
+    the additions.  Its cost grows with the matched region, not the host.
+    H' and D' are derived from the host (``derive_graph``) when first read;
+    each costs one copy of the host labeling, and shares the host's graph
+    when nothing is deleted or added.
     """
     gammas = list(gammas)
     check = coherent_set_check(gammas)
@@ -643,32 +652,33 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
             f"parallel coherent at element {check.failing_element!r}: {check.reason}")
 
     host = gammas[0].host
+    host_labels = host.labeling
     deleted = frozenset().union(*(g.record.deleted for g in gammas))
     labels = _context_labels(gammas, deleted)
-    nodes: dict[str, str] = {}
-    edges: dict[str, tuple[str, str, str]] = {}
+    added: dict[str, tuple[str, Optional[tuple[str, str]], LabelSet]] = {}
     born = []
     for c, gc in enumerate(gammas):
         plan, image, alpha = gc.rule.plan, gc.required_image, gc.match.alpha
         # the required part lands on the host ids its images kept in the context
         ids = {ry: image[y] for y, _ly, ry in plan.required}
         for x, sort, ends in plan.added:
-            z = ids[x] = _fresh_id(f"{c}:{x}", labels)
-            labels[z] = EMPTY_LABELS
-            if ends is None:
-                nodes[z] = sort
-            else:
-                edges[z] = (sort, ids[ends[0]], ids[ends[1]])
+            z = ids[x] = _fresh_id(f"{c}:{x}", host_labels, deleted, added)
+            added[z] = (sort, ends and (ids[ends[0]], ids[ends[1]]), EMPTY_LABELS)
         for x, label in plan.written:
             z = ids[x]
-            added = apply_to_labelset(alpha, label)
-            have = labels.get(z, EMPTY_LABELS)
-            labels[z] = have if added <= have else LabelSet(have | added)
+            written = apply_to_labelset(alpha, label)
+            if z in added:
+                sort, ends, have = added[z]
+                added[z] = (sort, ends, LabelSet(have | written))
+            else:
+                have = labels.get(z, host_labels[z])
+                if not written <= have:
+                    labels[z] = LabelSet(have | written)
         born.append(ids)
-    hprime = AttributedGraph(_glued_graph(host.graph, deleted, nodes, edges),
-                             host.algebra, labels)
-    return ParallelStep(gammas=gammas, witnesses=check.matrix, deleted=deleted,
-                        Hprime=hprime, born=born)
+    relabelled = {x: (host_labels[x], label) for x, label in labels.items()
+                  if label != host_labels[x]}
+    return ParallelStep(gammas=gammas, witnesses=check.matrix,
+                        changes=ChangeSet(deleted, relabelled, added), born=born)
 
 
 def _rename_rule_variables(rule: WeakSpan, taken: set[str]) -> WeakSpan:

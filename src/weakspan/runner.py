@@ -20,18 +20,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .attrgraphs import AttrMorphism, AttributedGraph, rename_attributed
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph
 from .constructions import GluingError
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
-from .hexgrid import HexGridSpec, hex_system, live_cells
+from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
 from .rewriting import (DirectTransformation, Match, ParallelStep, _fresh_id,
                         apply_direct, find_matches, pct)
 
 
 @dataclass
 class StepReport:
-    """What one engine step did, in fixed fields plus a rendered form."""
+    """What one engine step did, in fixed fields plus a rendered form.
+
+    ``changes`` is what the step did to its host, in the step's final ids:
+    one change set for a joint step, and in sequential mode one per applied
+    match, each against the graph the one before it produced.  Applying
+    them in order to the step's host (``derive_graph``) gives its result.
+    A fixpoint step has none.  ``describe`` does not read them.
+    """
 
     index: int
     mode: str
@@ -44,6 +51,7 @@ class StepReport:
     dprime_elements: int | None = None
     hprime_elements: int | None = None
     fixpoint: bool = False
+    changes: list[ChangeSet] = field(default_factory=list, repr=False)
 
     def describe(self) -> str:
         parts = [f"step {self.index} [{self.mode}]"]
@@ -76,24 +84,35 @@ class RunResult:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def relabel_parallel_result(step: ParallelStep, step_index: int,
-                            numbers: Sequence[int]) -> AttributedGraph:
+def relabel_parallel_result(step: ParallelStep, step_index: int, numbers: Sequence[int],
+                            changes: list[ChangeSet] | None = None) -> AttributedGraph:
     """Rename the additions of the glued result to fresh `s<step>:<n>:<id>` ids,
     where n is ``numbers[c]`` for application c; D' keeps its host ids.  A
-    step that adds nothing returns H' itself."""
-    applied = list(zip(numbers, step.gammas, step.born, strict=True))
-    if not any(gamma.rule.plan.adds for _n, gamma, _born in applied):
+    step that adds nothing returns H' itself.  The result is derived from the
+    host by the step's change set with its additions renamed; when
+    ``changes`` is given, that change set is appended to it."""
+    if not step.changes.added:
+        if changes is not None:
+            changes.append(step.changes)
         return step.Hprime
-    # H' is D' plus additions named `<c>:<id>` with an integer c; no such
-    # name starts with `s`, so H' rules out the same names here as D' would
-    graph = step.Hprime.graph
-    used = set(graph.nodes).union(graph.edges)
+    # every addition is renamed, so a new name only has to avoid the host ids
+    # that survive and the names given before it
+    host = step.gammas[0].host
+    deleted = step.changes.deleted
     mapping: dict[str, str] = {}
-    for number, gamma, born in applied:
+    used: set[str] = set()
+    for number, gamma, born in zip(numbers, step.gammas, step.born, strict=True):
         for x, _sort, _ends in gamma.rule.plan.added:
-            z = mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}", used)
+            z = mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}",
+                                             host.labeling, deleted, used)
             used.add(z)
-    return rename_attributed(step.Hprime, mapping)
+    added = {mapping[z]: (sort, ends and (mapping.get(ends[0], ends[0]),
+                                          mapping.get(ends[1], ends[1])), label)
+             for z, (sort, ends, label) in step.changes.added.items()}
+    renamed = ChangeSet(deleted, step.changes.relabelled, added)
+    if changes is not None:
+        changes.append(renamed)
+    return derive_graph(host, renamed)
 
 
 def transport_match(match: Match, host: AttributedGraph) -> Match:
@@ -171,8 +190,8 @@ def finish_parallel_step(gammas: list[DirectTransformation],
     report.coherent = True
     report.witness_count = len(step.witnesses)
     report.dprime_elements = gammas[0].host.element_count() - len(step.deleted)
-    report.hprime_elements = step.Hprime.graph.element_count()
-    return relabel_parallel_result(step, report.index, range(len(gammas))), report
+    report.hprime_elements = report.dprime_elements + len(step.changes.added)
+    return relabel_parallel_result(step, report.index, range(len(gammas)), report.changes), report
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,
@@ -207,7 +226,7 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
         except GluingError as err:
             report.skipped_gluing.append(f"{match.rule.name}@{pos}: {err}")
             continue
-        current = relabel_parallel_result(pct([gamma]), step_index, [pos])
+        current = relabel_parallel_result(pct([gamma]), step_index, [pos], report.changes)
         report.applied += 1
     return current, report
 
@@ -250,16 +269,30 @@ def cmd_hexca(grid: HexGridSpec, generations: int) -> HexcaResult:
 
     The disk must leave a margin: every cell that can be born within the
     requested number of generations needs its full neighbourhood inside the
-    disk, so the radius must exceed the generation count.
+    disk.  Births spread one cell per generation from the seeds, so the
+    radius must be at least the largest seed distance from the centre plus
+    the generation count plus one.
+
+    The live cells are read off the first graph once; after that each
+    generation's live set is the one before it updated by the step's change
+    set, so no generation is scanned again.
     """
     if generations < 0:
         raise ValueError("generations must be nonnegative")
-    if grid.radius < generations + 1:
+    reach = max((hex_distance(*cell) for cell in grid.seeds), default=0)
+    if grid.radius < reach + generations + 1:
         raise ValueError(
             f"margin violation: radius {grid.radius} cannot host {generations} "
-            f"generations; need radius >= generations + 1")
+            f"generations from seeds up to distance {reach} of the centre; need "
+            f"radius >= seed distance + generations + 1 = {reach + generations + 1}")
     system = hex_system(grid)
     run = cmd_run(system, generations, mode="pct")
-    live = [live_cells(g) for g in run.history]
+    live = [live_cells(run.history[0])]
+    for before, report in zip(run.history, run.steps):
+        cells = live[-1]
+        if report.changes:   # a joint step has one change set, a fixpoint none
+            [changes] = report.changes
+            cells = changed_live_cells(cells, before, changes)
+        live.append(cells)
     return HexcaResult(graphs=run.history, live_counts=[len(s) for s in live],
                        live_sets=live, steps=run.steps)

@@ -80,6 +80,25 @@ class TestAttributedGraph:
         assert b.label("y") == LabelSet([5, 6])
         assert a.label("y") == LabelSet([2])
 
+    def test_with_labels_checks_only_the_new_label_sets(self):
+        seen = []
+
+        class Watched(NatPlus):
+            def contains(self, value):
+                seen.append(value)
+                return super().contains(value)
+
+        a = AttributedGraph(chain().graph, Watched(), {"x": [1], "y": [2], "e": [3]})
+        seen.clear()
+        b = a.with_labels({"y": [5, 6], "x": LabelSet([1])})
+        assert sorted(seen) == [5, 6]
+        assert b.graph is a.graph and b.label("x") is a.label("x")
+        assert [type(label) for label in b.labeling.values()] == [LabelSet] * 3
+        with pytest.raises(ValueError, match="^label -1 on element 'y' is outside the carrier$"):
+            a.with_labels({"y": [-1], "e": [-2]})
+        with pytest.raises(ValueError, match=r"^labeling names unknown elements \['ghost'\]$"):
+            a.with_labels({"ghost": [1], "x": [-1]})
+
     def test_equality_includes_labels(self):
         assert chain(labels_x=(1,)) == chain(labels_x=(1,))
         assert chain(labels_x=(1,)) != chain(labels_x=(2,))

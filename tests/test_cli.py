@@ -204,6 +204,18 @@ class TestInputErrors:
         assert main(["hexca", "--radius", "2", "--generations", "2"]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_hexca_margin_counts_the_seed_distance(self, capsys):
+        # births from (2, 1) reach the rim of a radius-8 disk in generation 6
+        assert main(["hexca", "--radius", "8", "--generations", "7", "--seed", "2,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid input: margin violation: radius 8 cannot host 7 generations from seeds"
+            " up to distance 2 of the centre; need radius >= seed distance + generations"
+            " + 1 = 10\n")
+        assert main(["hexca", "--radius", "10", "--generations", "7", "--seed", "2,1"]) == 0
+        assert "live counts: [1, 7, 13, 31, 37, 55, 85, 127]" in capsys.readouterr().out
+
 
 class TestGluingAndCoherenceFailures:
     def test_apply_reports_a_dangling_edge(self, files, capsys):

@@ -87,7 +87,7 @@ def test_random_sets_of_three_to_six():
 
 
 def test_hex_steps_and_their_subsets():
-    grid = HexGridSpec(radius=5, seeds=((0, 0), (2, -1)))
+    grid = HexGridSpec(radius=7, seeds=((0, 0), (2, -1)))
     system = hex_system(grid)
     rng = random.Random(11)
     for host in cmd_hexca(grid, generations=3).graphs[:-1]:

@@ -100,6 +100,22 @@ class TestEncoding:
             dq, dr = DIRECTIONS[k]
             assert parse_cell_id(tgt) == (q + dq, r + dr)
 
+    @pytest.mark.parametrize("radius, seeds", [(1, ((0, 0),)), (3, ((1, -2), (0, 0))),
+                                               (5, ())])
+    def test_the_encoding_keeps_its_ids_and_their_order(self, radius, seeds):
+        spec = HexGridSpec(radius=radius, seeds=seeds)
+        cells = disk(radius)
+        edges = {f"e:{q},{r}:{k}": (f"dir{k}", cell_id((q, r)), cell_id((q + dq, r + dr)))
+                 for q, r in cells for k, (dq, dr) in enumerate(DIRECTIONS)
+                 if (q + dq, r + dr) in cells}
+        grid = encode_grid(spec)
+        assert list(grid.graph.nodes.items()) == [(cell_id(c), "cell") for c in cells]
+        assert list(grid.graph.edges.items()) == list(edges.items())
+        assert list(grid.labeling) == [cell_id(c) for c in cells] + list(edges)
+        assert live_cells(grid) == frozenset(seeds)
+        # one label set object per cell state, and the empty one on every edge
+        assert len({id(label) for label in grid.labeling.values()}) == (3 if seeds else 2)
+
     def test_boundary_cells_have_no_edges_leaving_the_disk(self):
         grid = encode_grid(HexGridSpec(radius=1))
         for _sort, src, tgt in grid.graph.edges.values():

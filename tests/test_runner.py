@@ -241,6 +241,19 @@ class TestHexca:
         with pytest.raises(ValueError, match="nonnegative"):
             cmd_hexca(HexGridSpec(radius=2), generations=-1)
 
+    @pytest.mark.parametrize("radius, seeds, generations, bound", [
+        (8, ((2, 1),), 7, 10),
+        (5, ((0, 0), (2, -1)), 3, 7),
+        (6, ((0, 0), (2, -1)), 3, 7),
+        (4, ((-3, 0),), 1, 5),
+    ])
+    def test_the_margin_counts_the_farthest_seed(self, radius, seeds, generations, bound):
+        grid = HexGridSpec(radius=radius, seeds=seeds)
+        with pytest.raises(ValueError, match=f"margin violation: .* = {bound}$"):
+            cmd_hexca(grid, generations)
+        wide = HexGridSpec(radius=bound, seeds=seeds)
+        assert cmd_hexca(wide, generations).live_sets == ca_oracle(wide, generations)
+
     def test_steps_share_every_label_they_leave_alone(self):
         grid = HexGridSpec(radius=5)
         result = cmd_hexca(grid, generations=4)

@@ -276,7 +276,7 @@ def test_every_hex_and_fibonacci_step_host(monkeypatch):
         return got
 
     monkeypatch.setattr(rewriting, "enumerate_morphisms", checking)
-    cmd_hexca(HexGridSpec(radius=5, seeds=((0, 0), (2, -1))), generations=3)
+    cmd_hexca(HexGridSpec(radius=7, seeds=((0, 0), (2, -1))), generations=3)
     cmd_run(fibonacci_system(), 30, "pct")
     cmd_run(fibonacci_system(), 30, "sequential")
     assert len(searched) == 3 * 6 + 30 + 30 and sum(searched) >= 60
