@@ -11,6 +11,7 @@ failure, 4 incoherent match set.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
 
@@ -22,9 +23,9 @@ from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
 from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
 from .presets import fibonacci_system
 from .rewriting import IncoherentSetError, Match, apply_direct, find_matches, pct
-from .runner import (HexcaResult, RunResult, StepReport, all_matches,
-                     apply_parallel_step, cmd_hexca, cmd_run,
-                     finish_parallel_step, relabel_parallel_result, rule_matches)
+from .runner import (HexcaResult, RunResult, StepReport, added_names, all_matches,
+                     apply_parallel_step, cmd_hexca, cmd_run, finish_parallel_step,
+                     rule_matches)
 
 __all__ = [
     "main", "entry", "UsageError",
@@ -121,6 +122,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_seed_values(argv: list[str]) -> list[str]:
+    """``--seed Q,R`` as one ``--seed=Q,R`` token: argparse reads a value
+    that starts with ``-`` and is not a plain number as an option."""
+    joined: list[str] = []
+    for token in argv:
+        if joined[-1:] == ["--seed"] and re.fullmatch(r"-?\d+,-?\d+", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -190,7 +203,7 @@ def _cmd_apply(args) -> int:
         raise ValidationError(
             f"rule {args.rule!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
-    result = relabel_parallel_result(pct([gamma]), 0, [args.match])
+    result = pct([gamma], added_names(0, [args.match])).Hprime
     report = [
         f"applied {args.rule}#{args.match}",
         f"context: {host.element_count() - len(gamma.record.deleted)} elements",
@@ -298,7 +311,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_seed_values(sys.argv[1:] if argv is None else argv))
         if args.command is None:
             raise UsageError("a command is required; try --help")
         return _HANDLERS[args.command](args)

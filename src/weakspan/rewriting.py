@@ -292,11 +292,11 @@ class ParallelStep:
     """A parallel coherent transformation: contexts intersected, additions glued.
 
     D' and H' use host ids: D' is the part of the host that every context
-    keeps, and H' is D' plus each application's additions.  ``changes`` is
-    H' as a change set against the host; its ``deleted`` are the host ids
-    outside D'.  D' and H' are derived from the host when first read.
-    ``born[c]`` maps each right-side element of application c to its id in
-    H'.
+    keeps, and H' is D' plus each application's additions under the names
+    ``pct`` gave them.  ``changes`` is H' as a change set against the host;
+    its ``deleted`` are the host ids outside D'.  D' and H' are derived from
+    the host when first read.  ``born[c]`` maps each right-side element of
+    application c to its id in H'.
     """
 
     gammas: list
@@ -431,7 +431,9 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
     left node is admitted the set of the one group that passes (that set
     itself) or the union of the groups that pass; a labelled left edge the
     set of host edges of its sort that pass; an unlabelled element admits
-    every host element of its sort and gets no set.
+    every host element of its sort and gets no set.  For an enumerated rule
+    admission is the label check, and the algebra part is the identity, so
+    its matches are built without checking labels again.
     """
     rule_alg = rule.algebra
     enumerated = isinstance(rule_alg, FiniteEnum)
@@ -464,7 +466,7 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
                     key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
         for assignment in assignments:
             alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
-            m = AttrMorphism(rule.L, host, sigma, alpha)
+            m = AttrMorphism(rule.L, host, sigma, alpha, check=not enumerated)
             matches.append(Match(rule, host, m))
     return matches
 
@@ -623,15 +625,17 @@ def _intersected_context(gammas: Sequence[DirectTransformation],
     return derive_graph(host, ChangeSet(deleted, relabelled))
 
 
-def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
+def pct(gammas: Sequence[DirectTransformation],
+        names: Optional[Sequence[str]] = None) -> ParallelStep:
     """Parallel coherent transformation of a host by a coherent set.
 
     Every context keeps host ids, so the limit D' of the contexts is the set
     of host elements that no deletion record removes, labelled by the
     intersection of their context labels.  The colimit H' glues each right
     side onto D': images of the required part land on their host ids with
-    labels unioned, and every other right-side element is added under a
-    fresh ``<c>:<id>`` id.  ``limit_of_neutrals`` and
+    labels unioned, and every other right-side element x of application c
+    is added as ``names[c] + x`` (default ``<c>:<x>``), primed past the
+    surviving host ids and earlier additions.  ``limit_of_neutrals`` and
     ``colimit_of_neutrals`` are the general constructions this computes.
 
     The step is computed as one ``ChangeSet`` against the host: the deleted
@@ -655,14 +659,16 @@ def pct(gammas: Sequence[DirectTransformation]) -> ParallelStep:
     host_labels = host.labeling
     deleted = frozenset().union(*(g.record.deleted for g in gammas))
     labels = _context_labels(gammas, deleted)
+    if names is None:
+        names = [f"{c}:" for c in range(len(gammas))]
     added: dict[str, tuple[str, Optional[tuple[str, str]], LabelSet]] = {}
     born = []
-    for c, gc in enumerate(gammas):
+    for gc, name in zip(gammas, names, strict=True):
         plan, image, alpha = gc.rule.plan, gc.required_image, gc.match.alpha
         # the required part lands on the host ids its images kept in the context
         ids = {ry: image[y] for y, _ly, ry in plan.required}
         for x, sort, ends in plan.added:
-            z = ids[x] = _fresh_id(f"{c}:{x}", host_labels, deleted, added)
+            z = ids[x] = _fresh_id(name + x, host_labels, deleted, added)
             added[z] = (sort, ends and (ids[ends[0]], ids[ends[1]]), EMPTY_LABELS)
         for x, label in plan.written:
             z = ids[x]

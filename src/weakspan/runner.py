@@ -9,35 +9,34 @@ A step of either mode searches each distinct left side once
 (`rule_matches`): rules whose L are equal share one search and its
 canonical match order.
 
-Both modes rename result elements so that surviving elements keep their host
-ids and created elements get fresh `s<step>:<match>:<id>` names.  Ids then
-stay stable across steps, which keeps reports readable and lets matches be
-carried from one intermediate graph to the next.
+Surviving elements keep their host ids, and ``pct`` names each created
+element `s<step>:<n>:<id>` from the prefixes `added_names` gives it.  Ids
+then stay stable across steps, which keeps reports readable and lets
+matches be carried from one intermediate graph to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
-from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
 from .constructions import GluingError
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
-from .rewriting import (DirectTransformation, Match, ParallelStep, _fresh_id,
-                        apply_direct, find_matches, pct)
+from .rewriting import DirectTransformation, Match, apply_direct, find_matches, pct
 
 
 @dataclass
 class StepReport:
     """What one engine step did, in fixed fields plus a rendered form.
 
-    ``changes`` is what the step did to its host, in the step's final ids:
-    one change set for a joint step, and in sequential mode one per applied
-    match, each against the graph the one before it produced.  Applying
-    them in order to the step's host (``derive_graph``) gives its result.
-    A fixpoint step has none.  ``describe`` does not read them.
+    ``changes`` holds the change set of each ``pct`` the step ran, in the
+    step's final ids: one for a joint step, and in sequential mode one per
+    applied match, each against the graph the one before it produced.
+    Applying them in order to the step's host (``derive_graph``) gives its
+    result.  A fixpoint step has none.  ``describe`` does not read them.
     """
 
     index: int
@@ -84,35 +83,10 @@ class RunResult:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def relabel_parallel_result(step: ParallelStep, step_index: int, numbers: Sequence[int],
-                            changes: list[ChangeSet] | None = None) -> AttributedGraph:
-    """Rename the additions of the glued result to fresh `s<step>:<n>:<id>` ids,
-    where n is ``numbers[c]`` for application c; D' keeps its host ids.  A
-    step that adds nothing returns H' itself.  The result is derived from the
-    host by the step's change set with its additions renamed; when
-    ``changes`` is given, that change set is appended to it."""
-    if not step.changes.added:
-        if changes is not None:
-            changes.append(step.changes)
-        return step.Hprime
-    # every addition is renamed, so a new name only has to avoid the host ids
-    # that survive and the names given before it
-    host = step.gammas[0].host
-    deleted = step.changes.deleted
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for number, gamma, born in zip(numbers, step.gammas, step.born, strict=True):
-        for x, _sort, _ends in gamma.rule.plan.added:
-            z = mapping[born[x]] = _fresh_id(f"s{step_index}:{number}:{x}",
-                                             host.labeling, deleted, used)
-            used.add(z)
-    added = {mapping[z]: (sort, ends and (mapping.get(ends[0], ends[0]),
-                                          mapping.get(ends[1], ends[1])), label)
-             for z, (sort, ends, label) in step.changes.added.items()}
-    renamed = ChangeSet(deleted, step.changes.relabelled, added)
-    if changes is not None:
-        changes.append(renamed)
-    return derive_graph(host, renamed)
+def added_names(step_index: int, numbers: Iterable[int]) -> list[str]:
+    """The ``pct`` name prefixes of a step's applications: the additions of
+    the one numbered n are called `s<step>:<n>:<id>`."""
+    return [f"s{step_index}:{n}:" for n in numbers]
 
 
 def transport_match(match: Match, host: AttributedGraph) -> Match:
@@ -183,15 +157,16 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
 
 def finish_parallel_step(gammas: list[DirectTransformation],
                          report: StepReport) -> tuple[AttributedGraph, StepReport]:
-    """Apply the applications jointly, record the step in the report, and
-    rename the result for step ``report.index``."""
-    step = pct(gammas)
+    """Apply the applications jointly, numbered by position, and record the
+    step in the report."""
+    step = pct(gammas, added_names(report.index, range(len(gammas))))
     report.applied = len(gammas)
     report.coherent = True
     report.witness_count = len(step.witnesses)
     report.dprime_elements = gammas[0].host.element_count() - len(step.deleted)
     report.hprime_elements = report.dprime_elements + len(step.changes.added)
-    return relabel_parallel_result(step, report.index, range(len(gammas)), report.changes), report
+    report.changes.append(step.changes)
+    return step.Hprime, report
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,
@@ -226,7 +201,9 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
         except GluingError as err:
             report.skipped_gluing.append(f"{match.rule.name}@{pos}: {err}")
             continue
-        current = relabel_parallel_result(pct([gamma]), step_index, [pos], report.changes)
+        step = pct([gamma], added_names(step_index, [pos]))
+        report.changes.append(step.changes)
+        current = step.Hprime
         report.applied += 1
     return current, report
 
@@ -241,7 +218,7 @@ def cmd_run(system: SystemSpec, steps: int, mode: str = "pct") -> RunResult:
         raise ValueError("system has no host graph to run on")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if mode not in ("pct", "sequential", "seq"):
+    if mode not in ("pct", "sequential"):
         raise ValueError(f"unknown mode {mode!r}: expected pct or sequential")
     stepper = apply_parallel_step if mode == "pct" else apply_sequential_step
     current = system.host

@@ -7,6 +7,8 @@ planned only where the gluing conditions hold, and the match assignment is
 derived from the host values the left side was traced from.
 """
 
+import random
+
 from weakspan import (
     PLUS_SIGNATURE,
     AlgebraMorphism,
@@ -20,11 +22,13 @@ from weakspan import (
     NatPlus,
     OpApp,
     SortSignature,
+    SystemSpec,
     TermAlg,
     Var,
     WeakSpan,
     coproduct_rule,
 )
+from weakspan.algebras import value_sort_key
 
 SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q")})
 NAT = NatPlus()
@@ -118,13 +122,16 @@ def random_instance(rng, host, ids=None, var_names=("u", "v"), name="rnd"):
 
     kept_nodes = [n for n in image_nodes if n not in drop_nodes]
     kept_edges = [e for e in image_edges if e not in drop_edges]
-    k_labels = {x: LabelSet(t for t in l_labels[x] if rng.random() < 0.7)
+    # terms are drawn in a fixed order: set order follows string hashes
+    k_labels = {x: LabelSet(t for t in sorted(l_labels[x], key=value_sort_key)
+                            if rng.random() < 0.7)
                 for x in kept_nodes + kept_edges}
 
     i_edges = [e for e in kept_edges if rng.random() < 0.6]
     needed = {end for e in i_edges for end in graph.edges[e][1:]}
     i_nodes = [n for n in kept_nodes if n in needed or rng.random() < 0.6]
-    i_labels = {x: LabelSet(t for t in k_labels[x] if rng.random() < 0.7)
+    i_labels = {x: LabelSet(t for t in sorted(k_labels[x], key=value_sort_key)
+                            if rng.random() < 0.7)
                 for x in i_nodes + i_edges}
 
     r_nodes = {n: graph.nodes[n] for n in i_nodes}
@@ -230,3 +237,13 @@ def left_side_twin(rule, name):
                         rule.algebra, {**L.labeling, f"{name}.new": LabelSet()})
     return WeakSpan(name=name, L=L, K=L, I=L, R=R,
                     l=_inclusion(L, L), i=_inclusion(L, L), r=_inclusion(L, R))
+
+
+def random_system(seed):
+    """A random nat host and one to three rules traced from it, replayed from
+    ``seed``."""
+    rng = random.Random(seed)
+    host = random_host(rng, max_elements=rng.randint(1, 7))
+    rules = [random_instance(rng, host, name=f"r{k}").rule for k in range(rng.randint(1, 3))]
+    return SystemSpec(signature=host.graph.signature, algebra=host.algebra,
+                      rules=rules, host=host)

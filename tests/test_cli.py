@@ -2,17 +2,16 @@ import gc
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from weakspan import LabelSet, SystemSpec, cmd_run, load_system, save_system
+from weakspan import LabelSet, cmd_run, live_cells, load_system, save_system
 from weakspan.cli import main
 
-from randgen import random_host, random_instance
+from randgen import random_system
 
 P_SIG = {"nodes": ["p"], "edges": {"a": ["p", "p"]}}
 
@@ -436,6 +435,29 @@ class TestHexca:
         assert len(live) == 7
 
 
+class TestNegativeSeeds:
+    """A seed that starts with a minus reads like an option to argparse;
+    ``--seed -1,-1`` must mean the same as ``--seed=-1,-1``."""
+
+    def test_hexca(self, capsys):
+        outputs = []
+        for seeds in (["--seed", "-1,-1", "--seed", "-2,1"], ["--seed=-1,-1", "--seed=-2,1"]):
+            assert main(["hexca", "--radius", "5", "--generations", "1", *seeds]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "generation 0: 2 live" in outputs[0].out
+
+    def test_preset(self, tmp_path, capsys):
+        saved = []
+        for seed in (["--seed", "-1,-1"], ["--seed=-1,-1"]):
+            out = tmp_path / f"hex{len(saved)}.json"
+            assert main(["preset", "hex", "--radius", "3", *seed, "--out", str(out)]) == 0
+            saved.append(out.read_bytes())
+        capsys.readouterr()
+        assert saved[0] == saved[1]
+        assert live_cells(load_system(tmp_path / "hex0.json").host) == {(-1, -1)}
+
+
 class TestExportAndPreset:
     def test_export_writes_dot(self, files, tmp_path, capsys):
         fib = str(files / "fib.json")
@@ -454,16 +476,6 @@ class TestExportAndPreset:
         assert len(spec.host.graph.nodes) == 19
 
 
-def _churning_system():
-    """Three random rules traced from a random nat host: over three steps
-    one deletes an element and the others add 6, 12 and 24 (seed chosen so)."""
-    rng = random.Random(118)
-    host = random_host(rng, max_elements=rng.randint(1, 7))
-    rules = [random_instance(rng, host, name=f"r{k}").rule for k in range(rng.randint(1, 3))]
-    return SystemSpec(signature=host.graph.signature, algebra=host.algebra,
-                      rules=rules, host=host)
-
-
 class TestHashOrder:
     """Match candidates are tried in set order, which follows string hashes;
     the results are sorted, so no output may depend on PYTHONHASHSEED."""
@@ -473,7 +485,7 @@ class TestHashOrder:
         root = tmp_path_factory.mktemp("hash-order")
         assert main(["preset", "hex", "--radius", "5", "--seed", "0,0", "--seed", "2,-1",
                      "--out", str(root / "hex.json")]) == 0
-        churn = _churning_system()
+        churn = random_system(118)   # its three steps delete and add elements
         history = cmd_run(churn, 3, "pct").history
         ids = [set(graph.element_ids()) for graph in history]
         assert any(a - b for a, b in zip(ids, ids[1:]))

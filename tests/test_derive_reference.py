@@ -10,8 +10,6 @@ labels and insertion order included, and folding a step's recorded change
 sets onto its host through the public constructors must give its result.
 """
 
-import random
-
 import pytest
 
 from weakspan import (
@@ -20,7 +18,6 @@ from weakspan import (
     Graph,
     HexGridSpec,
     LabelSet,
-    SystemSpec,
     apply_to_labelset,
     ca_oracle,
     cmd_hexca,
@@ -34,23 +31,16 @@ from weakspan import runner
 from weakspan.attrgraphs import derive_graph
 from weakspan.hexgrid import DEAD, LIVE, changed_live_cells, cell_id
 
-from randgen import random_host, random_instance
+from randgen import random_system
 
 # random systems whose three pct steps both delete and add elements
 CHURN_SEEDS = (115, 118, 131)
 
 
-def churning_system(seed):
-    rng = random.Random(seed)
-    host = random_host(rng, max_elements=rng.randint(1, 7))
-    rules = [random_instance(rng, host, name=f"r{k}").rule for k in range(rng.randint(1, 3))]
-    return SystemSpec(signature=host.graph.signature, algebra=host.algebra,
-                      rules=rules, host=host)
-
-
-def old_route(gammas):
+def old_route(gammas, names):
     """D' and H' of a coherent set, built the way the joint step built them
-    before change sets: whole copies through the public constructors."""
+    before change sets: whole copies through the public constructors.
+    Application c's additions are named ``names[c] + x``, primed."""
     host = gammas[0].host
     signature = host.graph.signature
     deleted = frozenset().union(*(g.record.deleted for g in gammas))
@@ -67,7 +57,7 @@ def old_route(gammas):
         plan = gamma.rule.plan
         ids = {ry: gamma.required_image[y] for y, _ly, ry in plan.required}
         for x, sort, ends in plan.added:
-            z = f"{c}:{x}"
+            z = names[c] + x
             while z in labels:
                 z += "'"
             ids[x] = z
@@ -114,7 +104,7 @@ def assert_same_graph(got, want):
 RUNS = [
     ("hex", lambda: hex_system(HexGridSpec(radius=6, seeds=((0, 0), (2, -1)))), 3),
     ("fib", fibonacci_system, 30),
-    *((f"churn{seed}", lambda seed=seed: churning_system(seed), 3) for seed in CHURN_SEEDS),
+    *((f"churn{seed}", lambda seed=seed: random_system(seed), 3) for seed in CHURN_SEEDS),
 ]
 
 
@@ -124,15 +114,15 @@ def test_every_step_derives_what_the_old_route_builds(name, make, steps, mode, m
     recorded = []
     joint = runner.pct
 
-    def recording(gammas):
-        step = joint(gammas)
-        recorded.append(step)
+    def recording(gammas, names):
+        step = joint(gammas, names)
+        recorded.append((step, names))
         return step
     monkeypatch.setattr(runner, "pct", recording)
     run = cmd_run(make(), steps, mode)
     assert recorded
-    for step in recorded:
-        dprime, hprime = old_route(step.gammas)
+    for step, names in recorded:
+        dprime, hprime = old_route(step.gammas, names)
         assert_same_graph(step.Hprime, hprime)
         assert_same_graph(step.Dprime, dprime)
         assert step.deleted == step.changes.deleted

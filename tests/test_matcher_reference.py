@@ -40,6 +40,7 @@ from weakspan import (
     find_matches,
     huw_rules,
     load_system,
+    validate_attr_morphism,
 )
 from weakspan.algebras import render_value, term_variables
 from weakspan.cli import main
@@ -79,10 +80,14 @@ def filtered_matches(rule, host):
 
 
 def assert_same_matches(rules, host):
+    """Same matches as the filtered matcher, each a valid attributed
+    morphism: an enumerated rule's matches are built without the label
+    check, so this is where it is made."""
     for rule in rules:
-        got = [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment)
-               for m in find_matches(rule, host)]
+        found = find_matches(rule, host)
+        got = [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment) for m in found]
         assert got == filtered_matches(rule, host), rule.name
+        assert all(validate_attr_morphism(m.m).ok for m in found), rule.name
 
 
 def test_every_hex_growth_step():

@@ -25,7 +25,7 @@ from weakspan import (
     transport_match,
 )
 from weakspan import runner
-from weakspan.runner import StepReport, finish_parallel_step, relabel_parallel_result
+from weakspan.runner import StepReport, added_names, finish_parallel_step
 from weakspan.rewriting import pct
 
 from randgen import NAT, SIG, left_side_twin, random_host, random_instance, random_independent_pair
@@ -45,24 +45,19 @@ def fib_pair(graph):
 class TestRelabeling:
     def test_parallel_result_lands_back_on_host_ids(self, fib):
         gammas = [apply_direct(m) for m in all_matches(fib, fib.host)]
-        renamed = relabel_parallel_result(pct(gammas), 0, range(len(gammas)))
+        renamed = pct(gammas, added_names(0, range(len(gammas)))).Hprime
         assert renamed.element_ids() == ["x", "y", "e"]
         assert renamed.label("x") == LabelSet([2])
         assert renamed.label("y") == LabelSet([3])
 
-    def test_direct_result_marks_created_elements(self, fib):
-        shift = fib.rules[0]
-        step = pct([apply_direct(find_matches(shift, fib.host)[0])])
-        renamed = relabel_parallel_result(step, 4, [1])
-        # this rule creates nothing, so ids pass through untouched
-        assert renamed.element_ids() == ["x", "y", "e"]
-        assert renamed is step.Hprime
-
-    def test_a_step_that_adds_nothing_reads_nothing_of_its_result(self):
-        system = hex_system(HexGridSpec(radius=4))
-        step = pct([apply_direct(m) for m in all_matches(system, system.host)])
-        step.Hprime = placeholder = object()   # no graph to collect names from
-        assert relabel_parallel_result(step, 0, range(len(step.gammas))) is placeholder
+    def test_direct_result_marks_created_elements(self):
+        rng = random.Random(4)
+        host = random_host(rng)
+        grow = left_side_twin(random_instance(rng, host).rule, "grow")
+        step = pct([apply_direct(find_matches(grow, host)[0])], added_names(4, [1]))
+        assert step.born[0]["grow.new"] == "s4:1:grow.new"
+        assert list(step.changes.added) == ["s4:1:grow.new"]
+        assert set(step.Hprime.element_ids()) == {*host.element_ids(), "s4:1:grow.new"}
 
 
 class TestTransport:
@@ -92,7 +87,7 @@ class TestTransport:
         shift, total = fib.rules
         match = find_matches(total, fib.host)[0]     # binds u=1, v=2
         gamma = apply_direct(find_matches(shift, fib.host)[0])
-        after_shift = relabel_parallel_result(pct([gamma]), 0, [0])   # x now holds 2
+        after_shift = pct([gamma]).Hprime   # x now holds 2
         with pytest.raises(ValueError, match="label condition"):
             transport_match(match, after_shift)
 
@@ -215,6 +210,8 @@ class TestRun:
     def test_argument_validation(self, fib):
         with pytest.raises(ValueError, match="unknown mode"):
             cmd_run(fib, steps=1, mode="both")
+        with pytest.raises(ValueError, match="unknown mode 'seq'"):   # the CLI's spelling only
+            cmd_run(fib, steps=1, mode="seq")
         with pytest.raises(ValueError, match="nonnegative"):
             cmd_run(fib, steps=-1)
         headless = fibonacci_system()
