@@ -241,7 +241,7 @@ def _cmd_pct(args) -> int:
         for rule in system.rules:
             report.matches_per_rule[rule.name] = sum(
                 1 for g in gammas if g.rule.name == rule.name)
-        result, report = finish_parallel_step(gammas, report)
+        result, report = finish_parallel_step(gammas, report, indices)
     _emit(report.describe(), args.report)
     if args.out:
         save_graph(result, args.out)

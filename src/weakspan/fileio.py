@@ -195,30 +195,48 @@ def _parse_rule(data, signature: SortSignature, host_algebra: Algebra) -> WeakSp
         raise ValidationError(f"{where}: {exc}") from None
 
 
+# The last text with rules that loaded in full, and the signature, algebra
+# and rules it parsed to.  A load of the same text shares those rules, and
+# with them the search plans kept on their left sides, so nothing may change
+# a loaded rule's graphs or maps in place.  The key is the text itself:
+# parsed JSON compares 1, 1.0 and true equal, but they load differently.
+_LAST: tuple[str, SortSignature, Algebra, tuple[WeakSpan, ...]] | None = None
+
+
 def loads_system(text: str, source: str = "<string>") -> SystemSpec:
+    """Parse a system file's text.  The host is parsed on every call; the
+    rules of a text loaded before are the same objects, in a new list."""
+    global _LAST
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ParseError(f"{source}: JSON nests too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     _require("sorts" in data, f"{source}: missing 'sorts'")
     _require("algebra" in data, f"{source}: missing 'algebra'")
-    signature = _parse_signature(data["sorts"])
-    algebra = _parse_algebra(data["algebra"])
-    rules = [_parse_rule(entry, signature, algebra)
-             for entry in _list_field(data, "rules", source)]
-    names: set[str] = set()
-    for rule in rules:
-        _require(rule.name not in names, f"{source}: duplicate rule name {rule.name!r}")
-        names.add(rule.name)
+    if _LAST is not None and _LAST[0] == text:
+        _, signature, algebra, rules = _LAST
+    else:
+        signature = _parse_signature(data["sorts"])
+        algebra = _parse_algebra(data["algebra"])
+        rules = tuple(_parse_rule(entry, signature, algebra)
+                      for entry in _list_field(data, "rules", source))
+        names: set[str] = set()
+        for rule in rules:
+            _require(rule.name not in names, f"{source}: duplicate rule name {rule.name!r}")
+            names.add(rule.name)
     host = None
     if "host" in data:
         host = _parse_graph(data["host"], signature, algebra, "host")
     elif "nodes" in data or "edges" in data:
         host = _parse_graph(data, signature, algebra, "host")
-    return SystemSpec(signature=signature, algebra=algebra, rules=rules, host=host)
+    if rules:   # a text with no rules has nothing to share
+        _LAST = (text, signature, algebra, rules)
+    return SystemSpec(signature=signature, algebra=algebra, rules=list(rules), host=host)
 
 
 def load_system(path) -> SystemSpec:

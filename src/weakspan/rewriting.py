@@ -25,15 +25,25 @@ class IncoherentSetError(Exception):
     """A set of direct transformations fails pairwise coherence.
 
     ``pair`` gives the two positions in the application list, ``rules`` the
-    names of their rules, and ``element`` the obstructing host element.
+    names of their rules, ``element`` the obstructing host element, and
+    ``reason`` what the one application does to what the other requires.
     """
 
     def __init__(self, pair: tuple[int, int], rules: tuple[str, str],
-                 element: str | None, message: str):
-        super().__init__(message)
+                 element: str | None, reason: str):
+        super().__init__(f"pair {pair} (rules {rules[0]!r} and {rules[1]!r}) is not "
+                         f"parallel coherent at element {element!r}: {reason}")
         self.pair = pair
         self.rules = rules
         self.element = element
+        self.reason = reason
+
+    def renumbered(self, numbers: Sequence[int]) -> IncoherentSetError:
+        """The same refusal with each position p in ``pair`` given as
+        ``numbers[p]``, for callers that number applications otherwise."""
+        a, b = self.pair
+        return IncoherentSetError((numbers[a], numbers[b]), self.rules, self.element,
+                                  self.reason)
 
 
 def _labels_variables(g: AttributedGraph) -> set[str]:
@@ -96,13 +106,16 @@ def rule_plan(rule: WeakSpan) -> RulePlan:
                     labelled_edges=labelled_edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakSpan:
     """A rewrite rule L <- K <- I -> R with neutral injective structure maps.
 
     K is what survives deletion; I is the part whose presence the rule
     actively requires when extending; R is what gets added.  ``plan`` is
-    built once from the legs when the rule is made.
+    built once from the legs when the rule is made.  Its fields cannot be
+    reassigned, but its graphs and maps can be changed in place, and that
+    must not happen: loads of one text share the rule and its plan.
+    ``dataclasses.replace`` with new graphs makes a changed copy.
     """
 
     name: str
@@ -140,7 +153,7 @@ class WeakSpan:
                 raise ValueError(
                     f"rule {self.name!r}: declared variables {sorted(declared - in_left)} "
                     "do not occur in the left side")
-        self.plan = rule_plan(self)
+        object.__setattr__(self, "plan", rule_plan(self))
 
     @property
     def algebra(self) -> Algebra:
@@ -650,10 +663,8 @@ def pct(gammas: Sequence[DirectTransformation],
     if not check.ok:
         a, b = check.failing_pair
         rules = (gammas[a].rule.name, gammas[b].rule.name)
-        raise IncoherentSetError(
-            check.failing_pair, rules, check.failing_element,
-            f"pair {check.failing_pair} (rules {rules[0]!r} and {rules[1]!r}) is not "
-            f"parallel coherent at element {check.failing_element!r}: {check.reason}")
+        raise IncoherentSetError(check.failing_pair, rules, check.failing_element,
+                                 check.reason)
 
     host = gammas[0].host
     host_labels = host.labeling

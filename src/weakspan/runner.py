@@ -18,14 +18,15 @@ matches be carried from one intermediate graph to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
 from .constructions import GluingError
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
-from .rewriting import DirectTransformation, Match, apply_direct, find_matches, pct
+from .rewriting import (DirectTransformation, IncoherentSetError, Match, apply_direct,
+                        find_matches, pct)
 
 
 @dataclass
@@ -142,24 +143,35 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
                         step_index: int) -> tuple[AttributedGraph, StepReport]:
     report = StepReport(index=step_index, mode="pct")
     gammas = []
+    indices = []   # each application's global match index
+    index = 0
     for rule, matches in zip(system.rules, rule_matches(system, host), strict=True):
         report.matches_per_rule[rule.name] = len(matches)
         for pos, match in enumerate(matches):
             try:
                 gammas.append(apply_direct(match))
+                indices.append(index)
             except GluingError as err:
                 report.skipped_gluing.append(f"{rule.name}#{pos}: {err}")
+            index += 1
     if not gammas:
         report.fixpoint = True
         return host, report
-    return finish_parallel_step(gammas, report)
+    return finish_parallel_step(gammas, report, indices)
 
 
-def finish_parallel_step(gammas: list[DirectTransformation],
-                         report: StepReport) -> tuple[AttributedGraph, StepReport]:
+def finish_parallel_step(gammas: list[DirectTransformation], report: StepReport,
+                         indices: Sequence[int]) -> tuple[AttributedGraph, StepReport]:
     """Apply the applications jointly, numbered by position, and record the
-    step in the report."""
-    step = pct(gammas, added_names(report.index, range(len(gammas))))
+    step in the report.
+
+    ``indices`` gives each application's global match index, as ``weakspan
+    match`` lists them; an IncoherentSetError names its pair by these.
+    """
+    try:
+        step = pct(gammas, added_names(report.index, range(len(gammas))))
+    except IncoherentSetError as err:
+        raise err.renumbered(indices) from None
     report.applied = len(gammas)
     report.coherent = True
     report.witness_count = len(step.witnesses)

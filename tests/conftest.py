@@ -1,6 +1,15 @@
 import pytest
 
+from weakspan import fileio
+
 _RESULTS: dict[str, tuple[str, bool]] = {}
+
+
+@pytest.fixture
+def cold_loads():
+    """Forget the rules text loaded last, for a test that counts the
+    parses or plan builds of a first load, as a fresh process makes them."""
+    fileio._LAST = None
 
 
 def pytest_configure(config):

@@ -53,6 +53,20 @@ CLASHING = {
     "host": {"nodes": [{"id": "x", "sort": "p", "label": [5]}]},
 }
 
+# CLASHING behind a rule whose two matches both fail to glue: the clashing
+# applications are positions 0 and 1 of the step, and matches 2 and 3
+CUT_FIRST = {
+    "sorts": {"nodes": ["p", "q"], "edges": {"a": ["q", "q"]}},
+    "algebra": "nat",
+    "rules": [{"name": "cut", "L": {"nodes": [{"id": "c", "sort": "q"}]},
+               "K": {"nodes": []}, "I": {"nodes": []}, "R": {"nodes": []},
+               "l": {}, "i": {}, "r": {}},
+              *CLASHING["rules"]],
+    "host": {"nodes": [{"id": "x", "sort": "p", "label": [5]},
+                       {"id": "n1", "sort": "q"}, {"id": "n2", "sort": "q"}],
+             "edges": [{"id": "e", "sort": "a", "src": "n1", "tgt": "n2"}]},
+}
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -61,6 +75,7 @@ def files(tmp_path_factory):
     assert main(["preset", "fib", "--out", str(fib)]) == 0
     (root / "dangling.json").write_text(json.dumps(DANGLING))
     (root / "clash.json").write_text(json.dumps(CLASHING))
+    (root / "cut_first.json").write_text(json.dumps(CUT_FIRST))
     (root / "broken.json").write_text("{nope")
     return root
 
@@ -138,6 +153,18 @@ class TestInputErrors:
         bad = str(files / "broken.json")
         assert main(["match", "--rules", bad, "--host", bad]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    def test_an_integer_past_the_digit_limit_names_the_file(self, files, tmp_path, capsys):
+        data = json.loads((files / "fib.json").read_text())
+        data["host"]["nodes"][0]["label"] = ["HUGE"]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace('"HUGE"', "9" * 5000))
+        assert main(["run", "--rules", str(path), "--host", str(path), "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"invalid input: {path}: Exceeds the limit (4300 digits) for integer string "
+            "conversion")
 
     @pytest.mark.parametrize("command", [
         ["match", "--rules", "{dir}", "--host", "{fib}"],
@@ -243,6 +270,26 @@ class TestGluingAndCoherenceFailures:
         err = capsys.readouterr().err
         assert "incoherent match set" in err and "'x'" in err
         assert "pair (1, 0) (rules 'keep' and 'erase') is not parallel coherent" in err
+
+    @pytest.mark.parametrize("name, command, pair", [
+        ("clash.json", ["pct", "--matches", "1,0"], (1, 0)),
+        ("clash.json", ["pct", "--matches", "0,1"], (1, 0)),
+        ("cut_first.json", ["pct"], (3, 2)),
+        ("cut_first.json", ["pct", "--matches", "3,2"], (3, 2)),
+        ("cut_first.json", ["run", "--steps", "1"], (3, 2)),
+    ], ids=["out-of-order", "in-order", "after-gluing-skips", "chosen", "run"])
+    def test_incoherent_pairs_are_named_by_match_index(self, files, capsys, name, command,
+                                                       pair):
+        path = str(files / name)
+        assert main(["match", "--rules", path, "--host", path]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert [listing[1 + k].split(":")[0] for k in pair] == [
+            f"[{pair[0]}] keep#0", f"[{pair[1]}] erase#0"]
+        assert main([command[0], "--rules", path, "--host", path, *command[1:]]) == 4
+        assert capsys.readouterr().err == (
+            f"incoherent match set: pair {pair} (rules 'keep' and 'erase') is not parallel "
+            "coherent at element 'x': element 'x': mapped labels {5} not contained in {} "
+            "at 'x'\n")
 
 
 class TestMatchListing:
@@ -355,13 +402,15 @@ class TestRun:
         # sha256 of the saved graph and the report as the iterated
         # limit/colimit construction wrote them; the one-pass step keeps both
         preset, out, report = (tmp_path / name for name in ("hex.json", "final.json", "report"))
+        # the second call reuses the rules the first one loaded
         assert main(["preset", "hex", "--radius", "5", "--out", str(preset)]) == 0
-        assert main(["run", "--rules", str(preset), "--host", str(preset), "--steps", "3",
-                     "--mode", "pct", "--out", str(out), "--report", str(report)]) == 0
-        assert capsys.readouterr().out.endswith("3 steps; final graph has 571 elements\n")
-        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == [
-            "e33e149329078f715a077b4aa8d6754bf6d3c935417c28a72c252faaa363ca4d",
-            "1dbd92a44f28963a5278e5656aa219f4e95860c32a653b13f132fc301cac36a1"]
+        for _ in range(2):
+            assert main(["run", "--rules", str(preset), "--host", str(preset), "--steps", "3",
+                         "--mode", "pct", "--out", str(out), "--report", str(report)]) == 0
+            assert capsys.readouterr().out.endswith("3 steps; final graph has 571 elements\n")
+            assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == [
+                "e33e149329078f715a077b4aa8d6754bf6d3c935417c28a72c252faaa363ca4d",
+                "1dbd92a44f28963a5278e5656aa219f4e95860c32a653b13f132fc301cac36a1"]
 
     def test_repeated_calls_leave_no_garbage_for_the_collector(self, tmp_path, capsys):
         # a caller that runs `main` many times in one process (the benchmark
@@ -407,12 +456,15 @@ class TestRun:
         # sha256 of the saved graph and the report as the per-match pushout
         # wrote them; the one-application parallel step keeps both
         system, out, report = (tmp_path / name for name in ("system.json", "final.json", "report"))
+        # and again on a second call, which reuses the rules the first one loaded
         assert main(["preset", *preset, "--out", str(system)]) == 0
         capsys.readouterr()
-        assert main([command[0], "--rules", str(system), "--host", str(system), *command[1:],
-                     "--out", str(out), "--report", str(report)]) == 0
-        assert capsys.readouterr().out == stdout
-        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, report)] == digests
+        for _ in range(2):
+            assert main([command[0], "--rules", str(system), "--host", str(system),
+                         *command[1:], "--out", str(out), "--report", str(report)]) == 0
+            assert capsys.readouterr().out == stdout
+            assert [hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, report)] == digests
 
 
 class TestHexca:

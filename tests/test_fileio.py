@@ -21,6 +21,7 @@ from weakspan import (
     save_graph,
     save_system,
 )
+from weakspan import fileio
 from weakspan.cli import main
 
 MINIMAL = {
@@ -76,6 +77,11 @@ class TestParseFailures:
     def test_source_name_appears_in_the_message(self):
         with pytest.raises(ParseError, match="bad.json"):
             loads_system("[", source="bad.json")
+
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self):
+        text = json.dumps(with_host(nodes=[{"id": "x", "sort": "p", "label": [0]}]))
+        with pytest.raises(ParseError, match=r"^big.json: Exceeds the limit \(4300 digits\)"):
+            loads_system(text.replace("[0]", "[" + "9" * 5000 + "]"), source="big.json")
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ValidationError, match="top level"):
@@ -228,6 +234,108 @@ class TestRuleValidation:
         data["algebra"] = {"enum": ["0", "1"]}
         with pytest.raises(ValidationError, match="variable-free"):
             loads_system(json.dumps(data))
+
+
+def counting_rule_parses(monkeypatch):
+    """A list that grows by one rule name per ``_parse_rule`` call."""
+    parsed = []
+    real = fileio._parse_rule
+
+    def counting(data, signature, algebra):
+        parsed.append(data["name"])
+        return real(data, signature, algebra)
+    monkeypatch.setattr(fileio, "_parse_rule", counting)
+    return parsed
+
+
+ONE_NODE_RULE = ('{"sorts": {"nodes": ["p"], "edges": {}}, "algebra": %s, "rules": [{'
+                 '"name": "r", "L": {"nodes": [{"id": %s, "sort": "p", "label": [%s]}]}, '
+                 '"K": {"nodes": []}, "I": {"nodes": []}, "R": {"nodes": []}, '
+                 '"l": {}, "i": {}, "r": {}}], '
+                 '"host": {"nodes": [{"id": "h", "sort": "p", "label": [%s]}]}}')
+LITERAL_CASES = {
+    # (system text with LIT for the literal, the left node each of 1, 1.0 and
+    # true loads to, or the start of its refusal)
+    "rule node id": (ONE_NODE_RULE % ('"nat"', "LIT", "3", "3"),
+                     ["1", "1.0", "True"]),
+    "enumerated rule label": (ONE_NODE_RULE % ('{"enum": ["1"]}', '"x"', "LIT", '"1"'),
+                              ["x", "rule 'r' L node 'x': label 1.0 is not",
+                               "rule 'r' L node 'x': label True is not"]),
+    "nat host label": (ONE_NODE_RULE % ('"nat"', '"x"', "3", "LIT"),
+                       ["x", "host node 'h': natural-number label expected, got 1.0",
+                        "host node 'h': natural-number label expected, got True"]),
+}
+
+
+class TestReloading:
+    """A rules text loaded before gives the same rule objects; its host is
+    parsed again on every load."""
+
+    def test_a_second_load_shares_the_rules_in_a_fresh_list(self, monkeypatch):
+        text = json.dumps({**rule_skeleton(), "host": {"nodes": [{"id": "h", "sort": "p"}]}})
+        first = loads_system(text)
+        parsed = counting_rule_parses(monkeypatch)
+        second = loads_system(text)
+        assert parsed == []
+        assert second.rules is not first.rules
+        assert [a is b for a, b in zip(first.rules, second.rules, strict=True)] == [True]
+        assert second.host == first.host and second.host is not first.host
+        second.rules.append(second.rules[0])
+        assert len(loads_system(text).rules) == 1
+
+    @pytest.mark.parametrize("case", sorted(LITERAL_CASES))
+    def test_texts_that_differ_by_one_literal_load_on_their_own(self, case, cold_loads):
+        template, expected = LITERAL_CASES[case]
+        literals = ["1", "1.0", "true"]
+        cold = {}
+        for literal in literals:
+            try:
+                loads_system(template.replace("LIT", literal))
+            except ValidationError as err:
+                cold[literal] = str(err)
+            fileio._LAST = None
+        for literal, want in zip(literals * 2, expected * 2):
+            text = template.replace("LIT", literal)
+            if literal in cold:
+                with pytest.raises(ValidationError) as refused:
+                    loads_system(text)
+                assert str(refused.value) == cold[literal] and cold[literal].startswith(want)
+            else:
+                (rule,) = loads_system(text).rules
+                assert list(rule.L.graph.nodes) == [want]
+
+    @pytest.mark.parametrize("fault", ["duplicate rule name", "bad host"])
+    def test_a_refused_text_is_parsed_and_refused_again(self, fault, monkeypatch):
+        data = rule_skeleton()
+        if fault == "duplicate rule name":
+            data["rules"] *= 2
+        else:
+            data = with_host(nodes=[{"id": "x", "sort": "p", "label": ["five"]}]) | data
+        parsed = counting_rule_parses(monkeypatch)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as refused:
+                loads_system(json.dumps(data), source="bad.json")
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        assert parsed == ["demo"] * len(data["rules"]) * 2
+
+    def test_only_the_last_text_with_rules_is_kept(self, monkeypatch, cold_loads):
+        first = json.dumps(rule_skeleton())
+        other = json.dumps(rule_skeleton(name="other"))
+        host_only = json.dumps(with_host(nodes=[{"id": "x", "sort": "p"}]))
+        loads_system(first)
+        parsed = counting_rule_parses(monkeypatch)
+        loads_system(host_only)
+        loads_system(first)
+        assert parsed == []
+        loads_system(other)
+        loads_system(first)
+        assert parsed == ["other", "demo"]
+
+    def test_a_text_without_rules_is_not_kept(self, cold_loads):
+        loads_system(json.dumps(with_host(nodes=[{"id": "x", "sort": "p"}])))
+        assert fileio._LAST is None
 
 
 class TestDotExport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from weakspan import (
@@ -110,6 +112,17 @@ class TestWeakSpanValidation:
         with pytest.raises(ValueError, match="neutral"):
             WeakSpan(name="bad", L=L, K=K, I=K, R=K,
                      l=skew, i=identity_attr(K), r=identity_attr(K))
+
+
+    def test_a_rule_is_immutable(self, fib):
+        rule = fib.rules[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.plan = None
+        renamed = dataclasses.replace(rule, name="other")
+        assert (renamed.name, rule.name) == ("other", "shift")
+        assert renamed.plan is not rule.plan
 
 
 class TestFindMatches:
@@ -332,6 +345,10 @@ class TestParallelTransformation:
             pct(gammas)
         assert (refused.value.pair, refused.value.rules) == ((0, 1), ("keep", "erase"))
         assert refused.value.element == "x"
+        renumbered = refused.value.renumbered([7, 3])
+        assert (renumbered.pair, renumbered.rules, renumbered.reason) == (
+            (7, 3), ("keep", "erase"), refused.value.reason)
+        assert str(renumbered) == str(refused.value).replace("pair (0, 1)", "pair (7, 3)")
 
     def test_parallel_label_erasure(self):
         host = point(NAT, [5, 7])

@@ -124,7 +124,7 @@ class TestParallelStep:
         for trial in range(40):
             _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
             gammas = [apply_direct(m1), apply_direct(m2)]
-            _, report = finish_parallel_step(gammas, StepReport(index=0, mode="pct"))
+            _, report = finish_parallel_step(gammas, StepReport(index=0, mode="pct"), [0, 1])
             step = pct(gammas)
             assert report.dprime_elements == step.Dprime.element_count()
             assert report.hprime_elements == step.Hprime.element_count()

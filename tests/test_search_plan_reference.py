@@ -25,7 +25,8 @@ from weakspan import (
     enumerate_morphisms,
     fibonacci_system,
 )
-from weakspan import graphs, hexgrid, rewriting
+from weakspan import fileio, graphs, hexgrid, rewriting
+from weakspan.cli import main
 
 
 def _node_order(pattern, admitted):
@@ -306,6 +307,26 @@ def test_hex_birth_rules_build_one_plan_per_start_node(counting_plans):
     assert counting_plans.built == 6
     cmd_hexca(HexGridSpec(radius=5), generations=3)
     assert counting_plans.built == 6
+
+
+def test_a_warm_run_parses_no_rule_and_builds_no_plan(counting_plans, cold_loads,
+                                                     monkeypatch, tmp_path, capsys):
+    """A second `weakspan run` of one file reuses the rules the first loaded,
+    and with them the search plans on their left sides."""
+    parsed = []
+    real = fileio._parse_rule
+    monkeypatch.setattr(fileio, "_parse_rule",
+                        lambda *args: parsed.append(args[0]["name"]) or real(*args))
+    preset, out = str(tmp_path / "hex.json"), str(tmp_path / "out.json")
+    assert main(["preset", "hex", "--radius", "8", "--out", preset]) == 0
+    run = ["run", "--rules", preset, "--host", preset, "--steps", "2", "--out", out]
+    assert main(run) == 0
+    assert (len(parsed), counting_plans.built) == (6, 6)
+    parsed.clear()
+    counting_plans.built = 0
+    assert main(run) == 0
+    assert (parsed, counting_plans.built) == ([], 0)
+    capsys.readouterr()
 
 
 def test_a_long_fibonacci_run_builds_one_plan(counting_plans):
