@@ -12,11 +12,11 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
                        TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, ValidationReport,
-                         Violation, compose_attr, identity_attr,
+                         Violation, compose_attr, identity_attr, inclusion,
                          is_attr_isomorphic, rename_attributed,
                          validate_attr_morphism)
-from .constructions import (ComplementResult, DeletionPlan, DeletionRecord,
-                            GluingError, PullbackResult, PushoutResult,
+from .constructions import (ComplementResult, DeletionPlan, GluingError,
+                            PullbackResult, PushoutResult,
                             check_universal_property, colimit_of_neutrals,
                             deletion_plan, deletion_record, limit_of_neutrals,
                             pullback_of_neutrals, pushout_along_neutral,

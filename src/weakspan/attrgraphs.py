@@ -286,9 +286,17 @@ def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:
                         g.alpha.compose(f.alpha), check=False)
 
 
+def inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:
+    """The neutral map sending each element of ``small`` to the element of
+    ``big`` with its id; its labels are checked."""
+    graph = small.graph
+    sigma = GraphMorphism(graph, big.graph, {n: n for n in graph.nodes},
+                          {e: e for e in graph.edges})
+    return AttrMorphism(small, big, sigma, AlgebraMorphism.identity(small.algebra))
+
+
 def identity_attr(a: AttributedGraph) -> AttrMorphism:
-    return AttrMorphism(a, a, GraphMorphism.identity(a.graph),
-                        AlgebraMorphism.identity(a.algebra))
+    return inclusion(a, a)
 
 
 def is_attr_isomorphic(a: AttributedGraph, b: AttributedGraph) -> Optional[AttrMorphism]:
@@ -304,9 +312,7 @@ def is_attr_isomorphic(a: AttributedGraph, b: AttributedGraph) -> Optional[AttrM
     def key_b(x: str):
         return tuple(sorted(b.labeling[x], key=value_sort_key))
 
-    iso = find_isomorphism(a.graph, b.graph,
-                           node_key=key_a, edge_key=key_a,
-                           node_key_b=key_b, edge_key_b=key_b)
+    iso = find_isomorphism(a.graph, b.graph, key=key_a, key_b=key_b)
     if iso is None:
         return None
     return AttrMorphism(a, b, iso, AlgebraMorphism.identity(a.algebra))

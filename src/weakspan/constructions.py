@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import EMPTY_LABELS, AlgebraMorphism, LabelSet, apply_to_labelset
-from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr,
-                         identity_attr)
+from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, compose_attr,
+                         derive_graph, identity_attr, inclusion)
 from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 
 
@@ -255,20 +255,6 @@ def colimit_of_neutrals(legs: Sequence[AttrMorphism]) -> tuple[AttributedGraph, 
     return apex, out_legs
 
 
-@dataclass(frozen=True)
-class DeletionRecord:
-    """What one match removes from its host, in host ids.
-
-    ``deleted`` holds the host elements outside the image of the preserved
-    part.  ``labels`` gives the context label of each kept element whose
-    label the rule changes; every other kept element keeps its host label,
-    so readers take ``labels.get(w, host_label)``.
-    """
-
-    deleted: frozenset
-    labels: dict
-
-
 @dataclass(frozen=True, eq=False)
 class DeletionPlan:
     """What a rule's left leg l: K -> L deletes and relabels, in L ids.
@@ -300,14 +286,19 @@ def deletion_plan(l_neutral: AttrMorphism) -> DeletionPlan:
     return DeletionPlan(left=l_neutral.target, deleted=deleted, relabelled=relabelled)
 
 
-def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> DeletionRecord:
-    """Check the gluing conditions of a match and record what it deletes.
+def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> ChangeSet:
+    """Check the gluing conditions of a match and record its context D as a
+    change set against the host.
 
     ``plan`` is the deletion plan of the rule's left leg; ``m`` the match
-    into the host.  Raises ``GluingError`` when a deleted node would leave
-    an edge dangling (naming the smallest such edge id) or a deleted element
-    carries labels the left side did not place.  Only the planned elements
-    and the edges at deleted nodes are visited.
+    into the host.  ``deleted`` holds the host elements outside the image of
+    the preserved part, and ``relabelled`` maps each kept element whose
+    context label differs from its host label to (host label, context
+    label); every other kept element keeps its host label.  Raises
+    ``GluingError`` when a deleted node would leave an edge dangling (naming
+    the smallest such edge id) or a deleted element carries labels the left
+    side did not place.  Only the planned elements and the edges at deleted
+    nodes are visited.
     """
     if not is_mono(m.sigma):
         raise ValueError("match must be injective")
@@ -337,47 +328,41 @@ def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> DeletionRecord:
                 f"element {x!r} is deleted but carries labels "
                 f"{LabelSet(extra).render()} beyond the matched left side")
 
-    labels = {}
+    relabelled = {}
     for v, erased, back in plan.relabelled:
         w = place(v)
-        labels[w] = LabelSet((host.label(w) - apply_to_labelset(alpha, erased))
-                             | apply_to_labelset(alpha, back))
-    return DeletionRecord(deleted=deleted, labels=labels)
+        have = host.label(w)
+        label = LabelSet((have - apply_to_labelset(alpha, erased)) | apply_to_labelset(alpha, back))
+        if label != have:
+            relabelled[w] = (have, label)
+    return ChangeSet(deleted, relabelled)
 
 
 def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
     """Remove a match's image (outside the preserved part) from the host.
 
-    This is ``deletion_record`` made into a graph.  Kept elements keep their
-    host ids; labels lose what the match placed there and regain what the
-    preserved part carries.  The recorded deletion sets are maximal: each
-    matched kept element loses everything the match placed on it.
+    The complement D is ``derive_graph(host, deletion_record(...))``.  Kept
+    elements keep their host ids; labels lose what the match placed there
+    and regain what the preserved part carries.  The recorded deletion sets
+    are maximal: each matched kept element loses everything the match placed
+    on it.
     """
-    record = deletion_record(deletion_plan(l_neutral), m)
     kept = l_neutral.source
     host = m.target
-
-    nodes = {n: s for n, s in host.graph.nodes.items() if n not in record.deleted}
-    edges = {e: d for e, d in host.graph.edges.items() if e not in record.deleted}
-    d_graph = Graph(host.graph.signature, nodes, edges)
-    labels = {w: record.labels.get(w, host.label(w)) for w in d_graph.element_ids()}
-    deletion_sets = dict.fromkeys(d_graph.element_ids(), EMPTY_LABELS)
+    complement = derive_graph(host, deletion_record(deletion_plan(l_neutral), m))
+    deletion_sets = dict.fromkeys(complement.element_ids(), EMPTY_LABELS)
     for u in kept.element_ids():
         v = l_neutral.apply(u)
         deletion_sets[m.apply(v)] = apply_to_labelset(m.alpha, m.source.label(v))
 
-    complement = AttributedGraph(d_graph, host.algebra, labels)
-    ident = AlgebraMorphism.identity(host.algebra)
-    incl = AttrMorphism(complement, host, GraphMorphism(
-        d_graph, host.graph,
-        {n: n for n in d_graph.nodes}, {e: e for e in d_graph.edges}), ident)
     k_sigma = GraphMorphism(
-        kept.graph, d_graph,
+        kept.graph, complement.graph,
         {u: m.apply(l_neutral.apply(u)) for u in kept.graph.nodes},
         {u: m.apply(l_neutral.apply(u)) for u in kept.graph.edges})
     k_morph = AttrMorphism(kept, complement, k_sigma, m.alpha)
     return ComplementResult(complement=complement, k_to_complement=k_morph,
-                            complement_to_host=incl, deletion_sets=deletion_sets)
+                            complement_to_host=inclusion(complement, host),
+                            deletion_sets=deletion_sets)
 
 
 _SIZE_BOUND = 6

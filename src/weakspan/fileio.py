@@ -89,6 +89,8 @@ def _parse_label(raw, algebra: Algebra, where: str, kind: str, ident: str) -> Va
             return raw
         raise ValidationError(
             f"{where} {kind} {ident!r}: natural-number label expected, got {raw!r}")
+    if isinstance(raw, bool):
+        raise ValidationError(f"{where} {kind} {ident!r}: term label expected, got {raw!r}")
     if isinstance(raw, int):
         return Lit(raw)
     try:

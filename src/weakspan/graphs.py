@@ -380,61 +380,58 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
 
 
 def find_isomorphism(a: Graph, b: Graph,
-                     node_key: Optional[Callable[[str], object]] = None,
-                     edge_key: Optional[Callable[[str], object]] = None,
-                     node_key_b: Optional[Callable[[str], object]] = None,
-                     edge_key_b: Optional[Callable[[str], object]] = None) -> Optional[GraphMorphism]:
+                     key: Optional[Callable[[str], object]] = None,
+                     key_b: Optional[Callable[[str], object]] = None) -> Optional[GraphMorphism]:
     """Find one bijective morphism a -> b compatible with the given element keys.
 
-    Keys act as invariants: a node of ``a`` may only map to a node of ``b``
-    with an equal key (and likewise for edges).  Used with label keys this
-    gives attributed isomorphism search.
+    Keys act as invariants: an element of ``a`` may only map to an element
+    of ``b`` with an equal key.  ``key`` keys the nodes and edges of ``a``,
+    and ``key_b`` (``key`` if not given) those of ``b``.  Used with label
+    keys this gives attributed isomorphism search.
     """
     if a.signature != b.signature:
         raise ValueError("graphs use different sort signatures")
-    nk_a = node_key or (lambda x: None)
-    ek_a = edge_key or (lambda x: None)
-    nk_b = node_key_b or nk_a
-    ek_b = edge_key_b or ek_a
+    key_a = key or (lambda x: None)
+    key_b = key_b or key_a
 
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
 
-    def degree_profile(g: Graph, ek) -> dict[str, tuple]:
+    def degree_profile(g: Graph, key_of) -> dict[str, tuple]:
         outs: dict[str, Counter] = {n: Counter() for n in g.nodes}
         ins: dict[str, Counter] = {n: Counter() for n in g.nodes}
         for eid, (sort, src, tgt) in g.edges.items():
-            outs[src][(sort, ek(eid))] += 1
-            ins[tgt][(sort, ek(eid))] += 1
+            outs[src][(sort, key_of(eid))] += 1
+            ins[tgt][(sort, key_of(eid))] += 1
         return {n: (tuple(sorted(outs[n].items())), tuple(sorted(ins[n].items())))
                 for n in g.nodes}
 
-    prof_a = degree_profile(a, ek_a)
-    prof_b = degree_profile(b, ek_b)
+    prof_a = degree_profile(a, key_a)
+    prof_b = degree_profile(b, key_b)
 
-    def node_class(g, n, prof, nk):
-        return (g.nodes[n], nk(n), prof[n])
+    def node_class(g, n, prof, key_of):
+        return (g.nodes[n], key_of(n), prof[n])
 
-    classes_a = Counter(node_class(a, n, prof_a, nk_a) for n in a.nodes)
-    classes_b = Counter(node_class(b, n, prof_b, nk_b) for n in b.nodes)
+    classes_a = Counter(node_class(a, n, prof_a, key_a) for n in a.nodes)
+    classes_b = Counter(node_class(b, n, prof_b, key_b) for n in b.nodes)
     if classes_a != classes_b:
         return None
 
     # pairwise edge fingerprints between ordered node pairs (and loops)
-    def pair_counts(g: Graph, ek) -> dict[tuple[str, str], Counter]:
+    def pair_counts(g: Graph, key_of) -> dict[tuple[str, str], Counter]:
         pc: dict[tuple[str, str], Counter] = {}
         for eid, (sort, src, tgt) in g.edges.items():
-            pc.setdefault((src, tgt), Counter())[(sort, ek(eid))] += 1
+            pc.setdefault((src, tgt), Counter())[(sort, key_of(eid))] += 1
         return pc
 
-    pc_a = pair_counts(a, ek_a)
-    pc_b = pair_counts(b, ek_b)
+    pc_a = pair_counts(a, key_a)
+    pc_b = pair_counts(b, key_b)
 
     b_by_class: dict[tuple, list[str]] = {}
     for n in sorted(b.nodes):
-        b_by_class.setdefault(node_class(b, n, prof_b, nk_b), []).append(n)
+        b_by_class.setdefault(node_class(b, n, prof_b, key_b), []).append(n)
 
-    a_order = sorted(a.nodes, key=lambda n: (len(b_by_class[node_class(a, n, prof_a, nk_a)]), n))
+    a_order = sorted(a.nodes, key=lambda n: (len(b_by_class[node_class(a, n, prof_a, key_a)]), n))
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
@@ -453,7 +450,7 @@ def find_isomorphism(a: Graph, b: Graph,
         if pos == len(a_order):
             return True
         n = a_order[pos]
-        for c in b_by_class[node_class(a, n, prof_a, nk_a)]:
+        for c in b_by_class[node_class(a, n, prof_a, key_a)]:
             if c in used or not ok(n, c):
                 continue
             assignment[n] = c
@@ -471,12 +468,12 @@ def find_isomorphism(a: Graph, b: Graph,
     edge_map: dict[str, str] = {}
     groups_a: dict[tuple, list[str]] = {}
     for eid, (sort, src, tgt) in a.edges.items():
-        groups_a.setdefault((assignment[src], assignment[tgt], sort, ek_a(eid)), []).append(eid)
+        groups_a.setdefault((assignment[src], assignment[tgt], sort, key_a(eid)), []).append(eid)
     groups_b: dict[tuple, list[str]] = {}
     for eid, (sort, src, tgt) in b.edges.items():
-        groups_b.setdefault((src, tgt, sort, ek_b(eid)), []).append(eid)
-    for key, ids_a in groups_a.items():
-        ids_b = groups_b.get(key, [])
+        groups_b.setdefault((src, tgt, sort, key_b(eid)), []).append(eid)
+    for group, ids_a in groups_a.items():
+        ids_b = groups_b.get(group, [])
         if len(ids_a) != len(ids_b):
             return None
         for ea, eb in zip(sorted(ids_a), sorted(ids_b)):

@@ -10,12 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
 
-from .algebras import AlgebraMorphism, FiniteEnum, LabelSet
-from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
+from .algebras import FiniteEnum, LabelSet
+from .attrgraphs import AttributedGraph, ChangeSet, inclusion
 from .fileio import SystemSpec
-from .graphs import Graph, GraphMorphism, SortSignature
+from .graphs import Graph, SortSignature
 from .rewriting import WeakSpan
 
 DIRECTIONS: tuple[tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -158,7 +157,6 @@ def huw_rules() -> list[WeakSpan]:
 def _birth_rules() -> tuple[WeakSpan, ...]:
     signature = hex_signature()
     patch = _patch_graph(signature)
-    ident = AlgebraMorphism.identity(CELL_ALGEBRA)
     rules = []
     for k in range(6):
         labels_l = {"x": LabelSet([DEAD])}
@@ -170,10 +168,8 @@ def _birth_rules() -> tuple[WeakSpan, ...]:
         centre = Graph(signature, {"x": "cell"}, {})
         I = AttributedGraph(centre, CELL_ALGEBRA, {"x": LabelSet()})
         R = AttributedGraph(centre, CELL_ALGEBRA, {"x": LabelSet([LIVE])})
-        l = AttrMorphism(K, L, GraphMorphism.identity(patch), ident)
-        i = AttrMorphism(I, K, GraphMorphism(centre, patch, {"x": "x"}, {}), ident)
-        r = AttrMorphism(I, R, GraphMorphism.identity(centre), ident)
-        rules.append(WeakSpan(name=f"birth{k}", L=L, K=K, I=I, R=R, l=l, i=i, r=r))
+        rules.append(WeakSpan(name=f"birth{k}", L=L, K=K, I=I, R=R, l=inclusion(K, L),
+                              i=inclusion(I, K), r=inclusion(I, R)))
     return tuple(rules)
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMorphism, LabelSet, NatPlus, OpApp, PLUS_SIGNATURE,
-                       TermAlg, Var)
-from .attrgraphs import AttrMorphism, AttributedGraph
+from .algebras import LabelSet, NatPlus, OpApp, PLUS_SIGNATURE, TermAlg, Var
+from .attrgraphs import AttributedGraph, inclusion
 from .fileio import SystemSpec
-from .graphs import Graph, GraphMorphism, SortSignature
+from .graphs import Graph, SortSignature
 from .rewriting import WeakSpan
 
 
@@ -23,7 +22,6 @@ def fibonacci_system() -> SystemSpec:
     shape = Graph(signature, {"x": "reg", "y": "reg"}, {"e": ("next", "x", "y")})
     terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
     u, v = Var("u"), Var("v")
-    ident = AlgebraMorphism.identity(terms)
 
     def obj(x_labels, y_labels):
         return AttributedGraph(shape, terms, {
@@ -35,11 +33,8 @@ def fibonacci_system() -> SystemSpec:
     def rule(name, keep_x, keep_y, write_x, write_y):
         K = obj(keep_x, keep_y)
         R = obj(write_x, write_y)
-        arrow = GraphMorphism.identity(shape)
         return WeakSpan(name=name, L=L, K=K, I=I, R=R,
-                        l=AttrMorphism(K, L, arrow, ident),
-                        i=AttrMorphism(I, K, arrow, ident),
-                        r=AttrMorphism(I, R, arrow, ident))
+                        l=inclusion(K, L), i=inclusion(I, K), r=inclusion(I, R))
 
     shift = rule("shift", [], [v], [v], [])
     total = rule("sum", [u], [], [], [OpApp("+", (u, v))])

@@ -14,11 +14,10 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation, derive_graph,
-                         identity_attr)
-from .constructions import (ComplementResult, DeletionPlan, DeletionRecord,
-                            deletion_plan, deletion_record, pushout_along_neutral,
-                            pushout_complement)
-from .graphs import GraphMorphism, enumerate_morphisms, is_mono
+                         identity_attr, inclusion)
+from .constructions import (ComplementResult, DeletionPlan, deletion_plan, deletion_record,
+                            pushout_along_neutral, pushout_complement)
+from .graphs import GraphMorphism, disjoint_union, enumerate_morphisms, is_mono
 
 
 class IncoherentSetError(Exception):
@@ -78,11 +77,6 @@ class RulePlan:
     written: tuple[tuple[str, LabelSet], ...]
     constraints: tuple[tuple[str, Value], ...]
     labelled_edges: tuple[tuple[str, str, LabelSet], ...]
-
-    @property
-    def adds(self) -> bool:
-        """Whether a match of the rule adds an element to the host."""
-        return bool(self.added)
 
 
 def rule_plan(rule: WeakSpan) -> RulePlan:
@@ -186,15 +180,16 @@ class Match:
 class DirectTransformation:
     """One rule application: its match and the deletion record of its context.
 
-    The context D keeps host ids: it is the host without ``record.deleted``,
-    relabelled by ``record.labels``.  D with its legs k: K -> D (carrying
-    alpha) and f: D -> host (a neutral inclusion) is built on first use by
-    ``pushout_complement``; coherence and the joint step read only the
-    record.  The application's result is ``pct([gamma]).Hprime``.
+    The context D keeps host ids, and ``record`` is D as a change set
+    against the host: D is ``derive_graph(host, record)``.  D with its legs
+    k: K -> D (carrying alpha) and f: D -> host (a neutral inclusion) is
+    built on first use by ``pushout_complement``; coherence and the joint
+    step read only the record.  The application's result is
+    ``pct([gamma]).Hprime``.
     """
 
     match: Match
-    record: DeletionRecord
+    record: ChangeSet
 
     @property
     def rule(self) -> WeakSpan:
@@ -444,9 +439,12 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
     left node is admitted the set of the one group that passes (that set
     itself) or the union of the groups that pass; a labelled left edge the
     set of host edges of its sort that pass; an unlabelled element admits
-    every host element of its sort and gets no set.  For an enumerated rule
-    admission is the label check, and the algebra part is the identity, so
-    its matches are built without checking labels again.
+    every host element of its sort and gets no set.  No match is checked
+    for labels again: for an enumerated rule admission is the label check
+    and the algebra part is the identity, and for a term rule each
+    assignment ``_solve_label_constraints`` returns puts every (element,
+    term) constraint of L into its host label, which is the lax label
+    condition.
     """
     rule_alg = rule.algebra
     enumerated = isinstance(rule_alg, FiniteEnum)
@@ -479,7 +477,7 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
                     key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
         for assignment in assignments:
             alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
-            m = AttrMorphism(rule.L, host, sigma, alpha, check=not enumerated)
+            m = AttrMorphism(rule.L, host, sigma, alpha, check=False)
             matches.append(Match(rule, host, m))
     return matches
 
@@ -529,7 +527,8 @@ def _obstruction(required: AttributedGraph, image: dict, alpha: AlgebraMorphism,
     for x in ids:
         target = image[x]
         mapped = apply_to_labelset(alpha, required.label(x))
-        have = record.labels.get(target, host_labels[target])
+        changed = record.relabelled.get(target)
+        have = host_labels[target] if changed is None else changed[1]
         if not mapped <= have:
             return x, Violation(x, target, mapped, have).describe()
     return None
@@ -584,12 +583,10 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
     for a, ga in enumerate(gammas):
         for z in ga.required_image.values():
             requirers.setdefault(z, []).append(a)
-    host_labels = host.labeling
     pairs: set[tuple[int, int]] = set()
     for b, gb in enumerate(gammas):
         record = gb.record
-        relabelled = (w for w, label in record.labels.items() if label != host_labels[w])
-        for z in itertools.chain(record.deleted, relabelled):
+        for z in itertools.chain(record.deleted, record.relabelled):
             pairs.update((a, b) for a in requirers.get(z, ()) if a != b)
     for a, b in sorted(pairs):
         ga = gammas[a]
@@ -620,7 +617,7 @@ def _context_labels(gammas: Sequence[DirectTransformation],
     # a context label is a subset of the host label, so intersecting with the
     # host label stands in for every context that leaves the element untouched
     for gamma in gammas:
-        for x, label in gamma.record.labels.items():
+        for x, (_old, label) in gamma.record.relabelled.items():
             if x not in deleted:
                 have = labels.get(x, host_labels[x])
                 if not have <= label:
@@ -736,8 +733,6 @@ def _rename_rule_variables(rule: WeakSpan, taken: set[str]) -> WeakSpan:
 
 def coproduct_rule(r1: WeakSpan, r2: WeakSpan) -> WeakSpan:
     """Componentwise disjoint union of two rules over a merged algebra."""
-    from .graphs import disjoint_union, compose as compose_graph
-
     alg1, alg2 = r1.algebra, r2.algebra
     if isinstance(alg1, FiniteEnum) or isinstance(alg2, FiniteEnum):
         if alg1 != alg2:
@@ -751,9 +746,6 @@ def coproduct_rule(r1: WeakSpan, r2: WeakSpan) -> WeakSpan:
         rr2 = _rename_rule_variables(r2, taken)
         combined = TermAlg(alg1.signature, alg1.variables | rr2.algebra.variables)
         rr1 = r1
-
-    def widen(obj: AttributedGraph) -> AttributedGraph:
-        return AttributedGraph(obj.graph, combined, obj.labeling)
 
     parts = {}
     injections = {}
@@ -788,8 +780,7 @@ def coproduct_rule(r1: WeakSpan, r2: WeakSpan) -> WeakSpan:
         r=sum_map("I", "R", rr1.r, rr2.r))
 
 
-def derive_span_from_pct(rules: Sequence[WeakSpan],
-                         matches: Optional[Sequence[Match]] = None) -> WeakSpan:
+def derive_span_from_pct(rules: Sequence[WeakSpan]) -> WeakSpan:
     """Collapse rules sharing one left side into a single plain span.
 
     Runs the parallel coherent transformation with the shared left side as
@@ -801,25 +792,9 @@ def derive_span_from_pct(rules: Sequence[WeakSpan],
     for rule in rules[1:]:
         if rule.L != shared_l:
             raise ValueError("rules do not share an identical left side")
-    if matches is None:
-        matches = [Match(rule, shared_l, identity_attr(shared_l)) for rule in rules]
-    else:
-        matches = list(matches)
-        for match in matches:
-            if match.host != shared_l or not match.m.sigma.is_identity() \
-                    or not match.m.is_neutral:
-                raise ValueError("matches must be identity occurrences of the shared left side")
-    step = pct([apply_direct(m) for m in matches])
+    step = pct([apply_direct(Match(rule, shared_l, identity_attr(shared_l))) for rule in rules])
     return WeakSpan(
         name="+".join(r.name for r in rules),
         L=shared_l, K=step.Dprime, I=step.Dprime, R=step.Hprime,
-        l=_inclusion(step.Dprime, shared_l), i=identity_attr(step.Dprime),
-        r=_inclusion(step.Dprime, step.Hprime))
-
-
-def _inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:
-    """The neutral map sending each element to the element of ``big`` with its id."""
-    sigma = GraphMorphism(small.graph, big.graph,
-                          {n: n for n in small.graph.nodes},
-                          {e: e for e in small.graph.edges})
-    return AttrMorphism(small, big, sigma, AlgebraMorphism.identity(small.algebra))
+        l=inclusion(step.Dprime, shared_l), i=identity_attr(step.Dprime),
+        r=inclusion(step.Dprime, step.Hprime))

@@ -27,6 +27,7 @@ from weakspan import (
     Var,
     WeakSpan,
     coproduct_rule,
+    inclusion,
 )
 from weakspan.algebras import value_sort_key
 
@@ -168,20 +169,13 @@ def random_instance(rng, host, ids=None, var_names=("u", "v"), name="rnd"):
     R = AttributedGraph(Graph(SIG, r_nodes, r_edges), algebra, r_labels)
 
     rule = WeakSpan(name=name, L=L, K=K, I=required, R=R,
-                    l=_inclusion(K, L), i=_inclusion(required, K),
-                    r=_inclusion(required, R))
+                    l=inclusion(K, L), i=inclusion(required, K),
+                    r=inclusion(required, R))
     sigma = GraphMorphism(L.graph, graph,
                           {n: n for n in L.graph.nodes},
                           {e: e for e in L.graph.edges})
     alpha = AlgebraMorphism(algebra, NAT, values)
     return Match(rule, host, AttrMorphism(L, host, sigma, alpha))
-
-
-def _inclusion(small, big):
-    sigma = GraphMorphism(small.graph, big.graph,
-                          {n: n for n in small.graph.nodes},
-                          {e: e for e in small.graph.edges})
-    return AttrMorphism(small, big, sigma, AlgebraMorphism.identity(small.algebra))
 
 
 def random_independent_pair(rng):
@@ -236,7 +230,7 @@ def left_side_twin(rule, name):
     R = AttributedGraph(Graph(SIG, {**L.graph.nodes, f"{name}.new": "q"}, L.graph.edges),
                         rule.algebra, {**L.labeling, f"{name}.new": LabelSet()})
     return WeakSpan(name=name, L=L, K=L, I=L, R=R,
-                    l=_inclusion(L, L), i=_inclusion(L, L), r=_inclusion(L, R))
+                    l=inclusion(L, L), i=inclusion(L, L), r=inclusion(L, R))
 
 
 def random_system(seed):

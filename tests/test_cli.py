@@ -166,6 +166,19 @@ class TestInputErrors:
             f"invalid input: {path}: Exceeds the limit (4300 digits) for integer string "
             "conversion")
 
+    def test_a_boolean_term_label_exits_with_code_2(self, files, tmp_path, capsys):
+        data = json.loads((files / "fib.json").read_text())
+        shift = next(rule for rule in data["rules"] if rule["name"] == "shift")
+        x = next(node for node in shift["L"]["nodes"] if node["id"] == "x")
+        x["label"] = [True]
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--rules", str(path), "--host", str(path), "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "invalid input: rule 'shift' L node 'x': term label expected, got True\n"
+
     @pytest.mark.parametrize("command", [
         ["match", "--rules", "{dir}", "--host", "{fib}"],
         ["match", "--rules", "{fib}", "--host", "{dir}"],

@@ -27,6 +27,7 @@ from weakspan import (
     find_matches,
     hex_system,
     identity_attr,
+    inclusion,
     is_attr_isomorphic,
     limit_of_neutrals,
     pullback_of_neutrals,
@@ -45,13 +46,6 @@ IDENT = AlgebraMorphism.identity(NAT)
 def obj(nodes, edges=None, labels=None):
     g = Graph(SIG, {n: "p" for n in nodes}, edges or {})
     return AttributedGraph(g, NAT, labels or {})
-
-
-def inclusion(small, big):
-    sigma = GraphMorphism(small.graph, big.graph,
-                          {n: n for n in small.graph.nodes},
-                          {e: e for e in small.graph.edges})
-    return AttrMorphism(small, big, sigma, IDENT)
 
 
 class TestPushout:
@@ -205,7 +199,8 @@ def refusal_of(build, *args):
 
 def assert_planned_record_agrees(l_neutral, m, plan):
     """The planned record deletes what the full visit deletes, gives every
-    host element the same context label, and refuses with the same error.
+    host element the same context label, relabels only with a real change
+    from the host label, adds nothing, and refuses with the same error.
     Returns what the record did: "refused", "deleted", "relabelled" or
     "kept"."""
     record, got_refusal = refusal_of(deletion_record, plan, m)
@@ -215,15 +210,18 @@ def assert_planned_record_agrees(l_neutral, m, plan):
         return "refused"
     deleted, labels = want
     assert record.deleted == deleted
+    assert not record.added
     host = m.target
-    assert record.labels.keys() <= set(host.element_ids()) - deleted
+    assert record.relabelled.keys() <= set(host.element_ids()) - deleted
+    for w, (old, new) in record.relabelled.items():
+        assert old == host.label(w) and new != old, w
     for w in host.element_ids():
         if w not in deleted:
-            assert record.labels.get(w, host.label(w)) == labels.get(w, host.label(w)), w
+            got = record.relabelled[w][1] if w in record.relabelled else host.label(w)
+            assert got == labels.get(w, host.label(w)), w
     if deleted:
         return "deleted"
-    return "relabelled" if any(host.label(w) != label for w, label in record.labels.items()) \
-        else "kept"
+    return "relabelled" if record.relabelled else "kept"
 
 
 def assert_match_record_agrees(match):
@@ -261,7 +259,7 @@ class TestDeletionPlan:
         assert plan.deletion.deleted == ()
         assert plan.deletion.relabelled == (("x", LabelSet(["0"]), LabelSet()),)
         assert plan.required == (("x", "x", "x"),)
-        assert plan.added == () and not plan.adds
+        assert plan.added == ()
         assert plan.written == (("x", LabelSet(["1"])),)
 
     def test_the_left_leg_is_checked_when_the_plan_is_built(self):

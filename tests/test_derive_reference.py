@@ -46,7 +46,8 @@ def old_route(gammas, names):
     deleted = frozenset().union(*(g.record.deleted for g in gammas))
     labels = {x: label for x, label in host.labeling.items() if x not in deleted}
     for gamma in gammas:
-        for x, label in gamma.record.labels.items():
+        for x, (old, label) in gamma.record.relabelled.items():
+            assert old == host.label(x) and label != old, x
             if x not in deleted:
                 labels[x] = LabelSet(labels[x] & label)
     nodes = {n: s for n, s in host.graph.nodes.items() if n not in deleted}

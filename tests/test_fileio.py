@@ -8,6 +8,7 @@ from weakspan import (
     Graph,
     HexGridSpec,
     LabelSet,
+    Lit,
     NatPlus,
     ParseError,
     SortSignature,
@@ -228,6 +229,23 @@ class TestRuleValidation:
             I={"nodes": [{"id": "x", "sort": "p", "label": ["u"]}]})
         with pytest.raises(ValidationError, match="rule 'demo'"):
             loads_system(json.dumps(data))
+
+    def test_a_number_term_label_round_trips_and_a_boolean_is_refused(self, tmp_path):
+        # Python counts a JSON boolean as an integer; read as a literal, it
+        # was saved as "True", a term the loader cannot read back
+        numbered = rule_skeleton(variables=[],
+                                 L={"nodes": [{"id": "x", "sort": "p", "label": [1]}]})
+        spec = loads_system(json.dumps(numbered))
+        assert spec.rules[0].L.label("x") == LabelSet([Lit(1)])
+        path = tmp_path / "saved.json"
+        save_system(spec, path)
+        assert load_system(path) == spec
+        for raw, shown in ((True, "True"), (False, "False")):
+            data = rule_skeleton(variables=[],
+                                 L={"nodes": [{"id": "x", "sort": "p", "label": [raw]}]})
+            with pytest.raises(ValidationError, match=(
+                    f"^rule 'demo' L node 'x': term label expected, got {shown}$")):
+                loads_system(json.dumps(data))
 
     def test_enumerated_systems_use_variable_free_rules(self):
         data = json.loads(json.dumps(rule_skeleton()))

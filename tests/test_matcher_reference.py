@@ -81,8 +81,8 @@ def filtered_matches(rule, host):
 
 def assert_same_matches(rules, host):
     """Same matches as the filtered matcher, each a valid attributed
-    morphism: an enumerated rule's matches are built without the label
-    check, so this is where it is made."""
+    morphism: `find_matches` builds every match without the label check,
+    so this is where it is made."""
     for rule in rules:
         found = find_matches(rule, host)
         got = [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment) for m in found]
