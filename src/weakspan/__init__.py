@@ -28,8 +28,8 @@ from .graphs import (Graph, GraphMorphism, SortSignature, compose,
                      is_mono)
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
-from .rewriting import (CoherenceCheckResult, CoherenceWitness,
-                        DirectTransformation, IncoherentSetError, Match,
+from .rewriting import (CoherenceCheckResult, DirectTransformation,
+                        IncoherentSetError, Match,
                         ParallelStep, RulePlan, WeakSpan, apply_direct, apply_span_dpo,
                         associated_span, check_parallel_coherent,
                         check_parallel_independent, coherent_set_check,

@@ -22,7 +22,7 @@ from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, save_graph, save_system)
 from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
 from .presets import fibonacci_system
-from .rewriting import IncoherentSetError, Match, apply_direct, find_matches, pct
+from .rewriting import IncoherentSetError, Match, apply_direct, pct
 from .runner import (HexcaResult, RunResult, StepReport, added_names, all_matches,
                      apply_parallel_step, cmd_hexca, cmd_run, finish_parallel_step,
                      rule_matches)
@@ -195,15 +195,18 @@ def _cmd_match(args) -> int:
 
 def _cmd_apply(args) -> int:
     system, host = _load_inputs(args)
-    rules = [r for r in system.rules if r.name == args.rule]
-    if not rules:
+    names = [rule.name for rule in system.rules]
+    if args.rule not in names:
         raise ValidationError(f"no rule named {args.rule!r}")
-    matches = find_matches(rules[0], host)
+    found = rule_matches(system, host)
+    position = names.index(args.rule)
+    matches = found[position]
     if not 0 <= args.match < len(matches):
         raise ValidationError(
             f"rule {args.rule!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
-    result = pct([gamma], added_names(0, [args.match])).Hprime
+    offset = sum(len(earlier) for earlier in found[:position])
+    result = pct([gamma], added_names(0, [offset + args.match])).Hprime
     report = [
         f"applied {args.rule}#{args.match}",
         f"context: {host.element_count() - len(gamma.record.deleted)} elements",
@@ -219,11 +222,6 @@ def _cmd_pct(args) -> int:
     system, host = _load_inputs(args)
     if args.matches is None:
         result, report = apply_parallel_step(system, host, 0)
-        if report.fixpoint:
-            _emit("no matches: nothing to apply", args.report)
-            if args.out:
-                save_graph(host, args.out)
-            return EXIT_OK
     else:
         try:
             indices = [int(piece) for piece in args.matches.split(",")]
@@ -242,7 +240,7 @@ def _cmd_pct(args) -> int:
             report.matches_per_rule[rule.name] = sum(
                 1 for g in gammas if g.rule.name == rule.name)
         result, report = finish_parallel_step(gammas, report, indices)
-    _emit(report.describe(), args.report)
+    _emit(report.describe() if report.matched else "no matches: nothing to apply", args.report)
     if args.out:
         save_graph(result, args.out)
     return EXIT_OK

@@ -193,8 +193,8 @@ def _parse_rule(data, signature: SortSignature, host_algebra: Algebra) -> WeakSp
     try:
         return WeakSpan(name=name, L=graphs["L"], K=graphs["K"], I=graphs["I"],
                         R=graphs["R"], l=l, i=i, r=r)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    except ValueError as exc:   # it already names the rule
+        raise ValidationError(str(exc)) from None
 
 
 # The last text with rules that loaded in full, and the signature, algebra
@@ -207,29 +207,39 @@ _LAST: tuple[str, SortSignature, Algebra, tuple[WeakSpan, ...]] | None = None
 
 def loads_system(text: str, source: str = "<string>") -> SystemSpec:
     """Parse a system file's text.  The host is parsed on every call; the
-    rules of a text loaded before are the same objects, in a new list."""
+    rules of a text loaded before are the same objects, in a new list.
+    Every refusal is a ParseError or ValidationError that starts with
+    ``source``."""
+    try:
+        return _loads(text)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
+def _loads(text: str) -> SystemSpec:
     global _LAST
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise ParseError(f"{source}: JSON nests too deeply") from None
+        raise ParseError("JSON nests too deeply") from None
     except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from None
-    _require(isinstance(data, dict), f"{source}: top level must be an object")
-    _require("sorts" in data, f"{source}: missing 'sorts'")
-    _require("algebra" in data, f"{source}: missing 'algebra'")
+        raise ParseError(str(exc)) from None
+    _require(isinstance(data, dict), "top level must be an object")
+    _require("sorts" in data, "missing 'sorts'")
+    _require("algebra" in data, "missing 'algebra'")
     if _LAST is not None and _LAST[0] == text:
         _, signature, algebra, rules = _LAST
     else:
         signature = _parse_signature(data["sorts"])
         algebra = _parse_algebra(data["algebra"])
-        rules = tuple(_parse_rule(entry, signature, algebra)
-                      for entry in _list_field(data, "rules", source))
+        entries = data.get("rules", [])
+        _require(isinstance(entries, list), "'rules' must be a list")
+        rules = tuple(_parse_rule(entry, signature, algebra) for entry in entries)
         names: set[str] = set()
         for rule in rules:
-            _require(rule.name not in names, f"{source}: duplicate rule name {rule.name!r}")
+            _require(rule.name not in names, f"duplicate rule name {rule.name!r}")
             names.add(rule.name)
     host = None
     if "host" in data:

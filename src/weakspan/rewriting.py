@@ -106,9 +106,10 @@ class WeakSpan:
 
     K is what survives deletion; I is the part whose presence the rule
     actively requires when extending; R is what gets added.  ``plan`` is
-    built once from the legs when the rule is made.  Its fields cannot be
-    reassigned, but its graphs and maps can be changed in place, and that
-    must not happen: loads of one text share the rule and its plan.
+    built once from the legs when the rule is made, and each refusal of the
+    legs starts ``rule '<name>':``.  Its fields cannot be reassigned, but
+    its graphs and maps can be changed in place, and that must not happen:
+    loads of one text share the rule and its plan.
     ``dataclasses.replace`` with new graphs makes a changed copy.
     """
 
@@ -123,30 +124,31 @@ class WeakSpan:
     plan: RulePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        where = f"rule {self.name!r}"
         if not isinstance(self.L.algebra, (TermAlg, FiniteEnum)):
-            raise ValueError("rule algebra must be a term algebra or a finite enumeration")
+            raise ValueError(
+                f"{where}: rule algebra must be a term algebra or a finite enumeration")
         for label, morph, src, tgt in (("l", self.l, self.K, self.L),
                                        ("i", self.i, self.I, self.K),
                                        ("r", self.r, self.I, self.R)):
             if morph.source != src or morph.target != tgt:
-                raise ValueError(f"rule map {label} does not run between the right objects")
+                raise ValueError(
+                    f"{where}: rule map {label} does not run between the right objects")
             if not morph.is_neutral:
-                raise ValueError(f"rule map {label} must be neutral")
+                raise ValueError(f"{where}: rule map {label} must be neutral")
             if not is_mono(morph.sigma):
-                raise ValueError(f"rule map {label} must be injective")
+                raise ValueError(f"{where}: rule map {label} must be injective")
         if isinstance(self.L.algebra, TermAlg):
             in_left = _labels_variables(self.L)
             elsewhere = (_labels_variables(self.K) | _labels_variables(self.I)
                          | _labels_variables(self.R))
             declared = set(self.L.algebra.variables)
             if not elsewhere <= in_left:
-                raise ValueError(
-                    f"rule {self.name!r}: variables {sorted(elsewhere - in_left)} "
-                    "do not occur in the left side")
+                raise ValueError(f"{where}: variables {sorted(elsewhere - in_left)} "
+                                 "do not occur in the left side")
             if not declared <= in_left:
-                raise ValueError(
-                    f"rule {self.name!r}: declared variables {sorted(declared - in_left)} "
-                    "do not occur in the left side")
+                raise ValueError(f"{where}: declared variables {sorted(declared - in_left)} "
+                                 "do not occur in the left side")
         object.__setattr__(self, "plan", rule_plan(self))
 
     @property
@@ -222,45 +224,30 @@ class DirectTransformation:
         return {y: place(v) for y, v, _ry in self.rule.plan.required}
 
 
-@dataclass
-class CoherenceWitness:
-    """A verified morphism j from one rule's required part (its left side,
-    for independence) into another application's context.
-
-    The context keeps host ids, so j sends each element of ``required`` to
-    its host id ``image[x]``.  Its labels were checked on the deletion
-    record; j itself is built on first use.
-    """
-
-    required: AttributedGraph
-    image: dict
-    alpha: AlgebraMorphism
-    context: DirectTransformation
-    from_index: int
-    into_index: int
-
-    @cached_property
-    def j(self) -> AttrMorphism:
-        target = self.context.D
-        graph = self.required.graph
-        sigma = GraphMorphism(graph, target.graph,
-                              {x: self.image[x] for x in graph.nodes},
-                              {x: self.image[x] for x in graph.edges})
-        return AttrMorphism(self.required, target, sigma, self.alpha, check=False)
+def _witness(required: AttributedGraph, image: Mapping[str, str], alpha: AlgebraMorphism,
+             context: DirectTransformation) -> AttrMorphism:
+    """The morphism j from ``required`` into ``context``'s D that sends each
+    element x to its host id ``image[x]``; its labels were checked on the
+    deletion record."""
+    target = context.D
+    graph = required.graph
+    sigma = GraphMorphism(graph, target.graph, {x: image[x] for x in graph.nodes},
+                          {x: image[x] for x in graph.edges})
+    return AttrMorphism(required, target, sigma, alpha, check=False)
 
 
 class WitnessMatrix(Mapping):
     """The p x p witnesses of a coherent set, keyed (a, b) in row order.
 
-    Entry (a, b) is the witness from rule a's required part into context b;
-    each one is built when it is first read.
+    Entry (a, b) is the witness morphism j: I_a -> D_b from rule a's
+    required part into context b; each one is built when it is first read.
     """
 
     def __init__(self, gammas: Sequence[DirectTransformation]):
         self._gammas = gammas
-        self._built: dict[tuple[int, int], CoherenceWitness] = {}
+        self._built: dict[tuple[int, int], AttrMorphism] = {}
 
-    def __getitem__(self, key: tuple[int, int]) -> CoherenceWitness:
+    def __getitem__(self, key: tuple[int, int]) -> AttrMorphism:
         if key not in self._built:
             p = len(self._gammas)
             if not (isinstance(key, tuple) and len(key) == 2
@@ -268,8 +255,8 @@ class WitnessMatrix(Mapping):
                 raise KeyError(key)
             a, b = key
             ga = self._gammas[a]
-            self._built[key] = CoherenceWitness(ga.rule.I, ga.required_image, ga.match.alpha,
-                                                self._gammas[b], from_index=a, into_index=b)
+            self._built[key] = _witness(ga.rule.I, ga.required_image, ga.match.alpha,
+                                        self._gammas[b])
         return self._built[key]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -282,14 +269,15 @@ class WitnessMatrix(Mapping):
 
 @dataclass
 class CoherenceCheckResult:
+    """The witness matrix of a coherent set, or the refusal of an incoherent
+    one: exactly one of ``matrix`` and ``error`` is set."""
+
     matrix: Optional[WitnessMatrix]
-    failing_pair: Optional[tuple[int, int]] = None
-    failing_element: Optional[str] = None
-    reason: str = ""
+    error: Optional[IncoherentSetError] = None
 
     @property
     def ok(self) -> bool:
-        return self.matrix is not None
+        return self.error is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -535,8 +523,9 @@ def _obstruction(required: AttributedGraph, image: dict, alpha: AlgebraMorphism,
 
 
 def check_parallel_coherent(g1: DirectTransformation,
-                            g2: DirectTransformation) -> Optional[tuple[CoherenceWitness, CoherenceWitness]]:
-    """Witnesses embedding each rule's required part into the other's context."""
+                            g2: DirectTransformation) -> Optional[tuple[AttrMorphism, AttrMorphism]]:
+    """The witness morphisms embedding each rule's required part into the
+    other's context, or None."""
     check = coherent_set_check([g1, g2])
     if not check.ok:
         return None
@@ -544,26 +533,27 @@ def check_parallel_coherent(g1: DirectTransformation,
 
 
 def check_parallel_independent(g1: DirectTransformation,
-                               g2: DirectTransformation) -> Optional[tuple[CoherenceWitness, CoherenceWitness]]:
-    """Witnesses embedding each full left side into the other's context."""
+                               g2: DirectTransformation) -> Optional[tuple[AttrMorphism, AttrMorphism]]:
+    """The witness morphisms embedding each full left side into the other's
+    context, or None."""
     if g1.host != g2.host:
         raise ValueError("direct transformations live on different hosts")
-    pair = ((0, g1, g2), (1, g2, g1))
-    images = [g.match.m.sigma.element_map() for g in (g1, g2)]
-    for a, ga, gb in pair:
-        if _obstruction(ga.rule.L, images[a], ga.match.alpha, gb) is not None:
-            return None
-    return tuple(CoherenceWitness(ga.rule.L, images[a], ga.match.alpha, gb,
-                                  from_index=a, into_index=1 - a)
-                 for a, ga, gb in pair)
+    pair = ((g1, g2), (g2, g1))
+    embeddings = [(ga.rule.L, ga.match.m.sigma.element_map(), ga.match.alpha, gb)
+                  for ga, gb in pair]
+    if any(_obstruction(*embedding) is not None for embedding in embeddings):
+        return None
+    return _witness(*embeddings[0]), _witness(*embeddings[1])
 
 
 def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheckResult:
-    """Pairwise coherence over a whole set, with the full witness matrix.
+    """Pairwise coherence over a whole set: the full witness matrix, or the
+    refusal at the first pair that fails.
 
-    The matrix maps (a, b) to the witness from rule a's required part into
-    context b; diagonal entries are the composites k o i through the rule's
-    own context.  A match is lax, so the labels a's required part maps to
+    The matrix maps (a, b) to the witness morphism j from rule a's required
+    part into context b; diagonal entries are the composites k o i through
+    the rule's own context.  The refusal names its pair by positions in
+    ``gammas``.  A match is lax, so the labels a's required part maps to
     hold in the host; its image embeds in every context that neither
     deletes nor relabels an element of it.  Only the pairs (a, b) where b's
     record does one of these to an element a requires are checked, in
@@ -592,9 +582,8 @@ def coherent_set_check(gammas: Sequence[DirectTransformation]) -> CoherenceCheck
         ga = gammas[a]
         obstruction = _obstruction(ga.rule.I, ga.required_image, ga.match.alpha, gammas[b])
         if obstruction is not None:
-            element, reason = obstruction
-            return CoherenceCheckResult(
-                matrix=None, failing_pair=(a, b), failing_element=element, reason=reason)
+            rules = (ga.rule.name, gammas[b].rule.name)
+            return CoherenceCheckResult(None, IncoherentSetError((a, b), rules, *obstruction))
     return CoherenceCheckResult(matrix=WitnessMatrix(gammas))
 
 
@@ -657,11 +646,8 @@ def pct(gammas: Sequence[DirectTransformation],
     """
     gammas = list(gammas)
     check = coherent_set_check(gammas)
-    if not check.ok:
-        a, b = check.failing_pair
-        rules = (gammas[a].rule.name, gammas[b].rule.name)
-        raise IncoherentSetError(check.failing_pair, rules, check.failing_element,
-                                 check.reason)
+    if check.error is not None:
+        raise check.error
 
     host = gammas[0].host
     host_labels = host.labeling

@@ -7,12 +7,14 @@ its applications is the one-element parallel step.
 
 A step of either mode searches each distinct left side once
 (`rule_matches`): rules whose L are equal share one search and its
-canonical match order.
+canonical match order.  A step that applies nothing is a fixpoint: the
+next one would find the same matches on the same graph.
 
 Surviving elements keep their host ids, and ``pct`` names each created
-element `s<step>:<n>:<id>` from the prefixes `added_names` gives it.  Ids
-then stay stable across steps, which keeps reports readable and lets
-matches be carried from one intermediate graph to the next.
+element `s<step>:<n>:<id>` from the prefixes `added_names` gives it, where
+n is the global index of its match in that order.  Ids then stay stable
+across steps, which keeps reports readable and lets matches be carried from
+one intermediate graph to the next.
 """
 
 from __future__ import annotations
@@ -46,16 +48,21 @@ class StepReport:
     skipped_gluing: list[str] = field(default_factory=list)
     skipped_invalid: list[str] = field(default_factory=list)
     applied: int = 0
-    coherent: bool | None = None
-    witness_count: int | None = None
     dprime_elements: int | None = None
     hprime_elements: int | None = None
-    fixpoint: bool = False
     changes: list[ChangeSet] = field(default_factory=list, repr=False)
+
+    @property
+    def fixpoint(self) -> bool:
+        return self.applied == 0
+
+    @property
+    def matched(self) -> bool:
+        return any(self.matches_per_rule.values())
 
     def describe(self) -> str:
         parts = [f"step {self.index} [{self.mode}]"]
-        if self.fixpoint:
+        if not self.matched:
             parts.append("no matches: fixpoint reached")
             return " ".join(parts)
         counts = ", ".join(f"{name}: {n}" for name, n in sorted(self.matches_per_rule.items()))
@@ -64,9 +71,11 @@ class StepReport:
             parts.append(f"gluing-skipped [{'; '.join(self.skipped_gluing)}]")
         if self.skipped_invalid:
             parts.append(f"invalidated [{'; '.join(self.skipped_invalid)}]")
-        if self.coherent is not None:
+        if self.fixpoint:
+            parts.append("applied 0: fixpoint reached")
+        elif self.mode == "pct":
             parts.append(f"coherence matrix {self.applied}x{self.applied} "
-                         f"({self.witness_count} witnesses)")
+                         f"({self.applied ** 2} witnesses)")
             parts.append(f"D' {self.dprime_elements} elements,"
                          f" H' {self.hprime_elements} elements")
         else:
@@ -86,7 +95,7 @@ class RunResult:
 
 def added_names(step_index: int, numbers: Iterable[int]) -> list[str]:
     """The ``pct`` name prefixes of a step's applications: the additions of
-    the one numbered n are called `s<step>:<n>:<id>`."""
+    the one whose match has global index n are called `s<step>:<n>:<id>`."""
     return [f"s{step_index}:{n}:" for n in numbers]
 
 
@@ -155,26 +164,23 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
                 report.skipped_gluing.append(f"{rule.name}#{pos}: {err}")
             index += 1
     if not gammas:
-        report.fixpoint = True
         return host, report
     return finish_parallel_step(gammas, report, indices)
 
 
 def finish_parallel_step(gammas: list[DirectTransformation], report: StepReport,
                          indices: Sequence[int]) -> tuple[AttributedGraph, StepReport]:
-    """Apply the applications jointly, numbered by position, and record the
-    step in the report.
+    """Apply the applications jointly and record the step in the report.
 
     ``indices`` gives each application's global match index, as ``weakspan
-    match`` lists them; an IncoherentSetError names its pair by these.
+    match`` lists them: the additions of each are named by it, and an
+    IncoherentSetError names its pair by these.
     """
     try:
-        step = pct(gammas, added_names(report.index, range(len(gammas))))
+        step = pct(gammas, added_names(report.index, indices))
     except IncoherentSetError as err:
         raise err.renumbered(indices) from None
     report.applied = len(gammas)
-    report.coherent = True
-    report.witness_count = len(step.witnesses)
     report.dprime_elements = gammas[0].host.element_count() - len(step.deleted)
     report.hprime_elements = report.dprime_elements + len(step.changes.added)
     report.changes.append(step.changes)
@@ -193,9 +199,6 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
     for rule, found in zip(system.rules, rule_matches(system, host), strict=True):
         report.matches_per_rule[rule.name] = len(found)
         matches.extend(found)
-    if not matches:
-        report.fixpoint = True
-        return host, report
     if order is None:
         order = list(range(len(matches)))
     if sorted(order) != list(range(len(matches))):
@@ -224,7 +227,8 @@ def cmd_run(system: SystemSpec, steps: int, mode: str = "pct") -> RunResult:
     """Iterate full engine steps from the system's host graph.
 
     Parallel mode raises IncoherentSetError when a step's match set cannot be
-    applied jointly.  Iteration stops early when a step finds no matches.
+    applied jointly.  Iteration stops early at a fixpoint, a step that
+    applies nothing.
     """
     if system.host is None:
         raise ValueError("system has no host graph to run on")

@@ -177,7 +177,7 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
-            "invalid input: rule 'shift' L node 'x': term label expected, got True\n"
+            f"invalid input: {path}: rule 'shift' L node 'x': term label expected, got True\n"
 
     @pytest.mark.parametrize("command", [
         ["match", "--rules", "{dir}", "--host", "{fib}"],
@@ -190,6 +190,28 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("cannot open file: ")
         assert str(tmp_path) in err
+
+    def test_a_rule_refusal_names_the_rule_once(self, files, tmp_path, capsys):
+        data = json.loads((files / "fib.json").read_text())
+        shift = next(rule for rule in data["rules"] if rule["name"] == "shift")
+        shift["variables"] = [*shift["variables"], "zz"]
+        path = tmp_path / "unused.json"
+        path.write_text(json.dumps(data))
+        assert main(["match", "--rules", str(path), "--host", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: rule 'shift': declared variables ['zz'] "
+            "do not occur in the left side\n")
+
+    def test_a_refusal_names_the_file_it_comes_from(self, files, tmp_path, capsys):
+        fib = files / "fib.json"
+        data = json.loads(fib.read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"sorts": data["sorts"], "algebra": data["algebra"],
+                                     "nodes": [{"id": "x", "sort": "q"}]}))
+        for _ in range(2):   # the second load of fib.json shares its rules
+            assert main(["match", "--rules", str(fib), "--host", str(other)]) == 2
+            assert capsys.readouterr().err == \
+                f"invalid input: {other}: host: node 'x' has undeclared sort 'q'\n"
 
     def test_host_file_without_a_graph(self, files, tmp_path, capsys):
         no_host = {k: v for k, v in DANGLING.items() if k != "host"}
@@ -274,8 +296,23 @@ class TestGluingAndCoherenceFailures:
         out = tmp_path / "same.json"
         assert main(["pct", "--rules", path, "--host", path,
                      "--all", "--out", str(out)]) == 0
-        assert "nothing to apply" in capsys.readouterr().out
+        dangles = "edge 'e' would dangle: an endpoint is deleted but the edge is not"
+        assert capsys.readouterr().out == (
+            f"step 0 [pct] matches {{delete: 2}} gluing-skipped [delete#0: {dangles}; "
+            f"delete#1: {dangles}] applied 0: fixpoint reached\n")
         assert load_system(out).host == load_system(path).host
+
+    @pytest.mark.parametrize("mode, tag", [("pct", "#"), ("seq", "@")])
+    def test_a_run_ends_at_a_step_that_applies_nothing(self, files, capsys, mode, tag):
+        path = str(files / "dangling.json")
+        assert main(["run", "--rules", path, "--host", path, "--steps", "3",
+                     "--mode", mode]) == 0
+        dangles = "edge 'e' would dangle: an endpoint is deleted but the edge is not"
+        label = "pct" if mode == "pct" else "sequential"
+        assert capsys.readouterr().out == (
+            f"step 0 [{label}] matches {{delete: 2}} gluing-skipped [delete{tag}0: {dangles}; "
+            f"delete{tag}1: {dangles}] applied 0: fixpoint reached\n"
+            "1 steps; final graph has 3 elements\n")
 
     def test_incoherent_set(self, files, capsys):
         path = str(files / "clash.json")
@@ -363,6 +400,32 @@ class TestApply:
                      "--rule", "grow", "--match", "1", "--out", str(out)]) == 0
         assert capsys.readouterr().out.endswith("result: 3 elements\n")
         assert labels_of(out) == {"a": LabelSet(), "b": LabelSet(), "s0:1:n": LabelSet([1])}
+
+
+class TestAdditionNames:
+    def test_every_command_names_a_match_s_additions_by_its_global_index(self, tmp_path,
+                                                                          capsys):
+        # cut's two matches (0 and 1) fail to glue, so grow's second match is
+        # global match 3, position 1 of the joint step and position 0 of
+        # `pct --matches 3`
+        point = {"nodes": [{"id": "x", "sort": "p"}]}
+        grow = {"name": "grow", "L": point, "K": point, "I": point,
+                "R": {"nodes": [{"id": "x", "sort": "p"}, {"id": "n", "sort": "p"}]},
+                "l": {"nodes": {"x": "x"}}, "i": {"nodes": {"x": "x"}},
+                "r": {"nodes": {"x": "x"}}}
+        system = tmp_path / "cut-and-grow.json"
+        system.write_text(json.dumps({**DANGLING, "rules": [*DANGLING["rules"], grow]}))
+        both = ["--rules", str(system), "--host", str(system)]
+        commands = {"apply": ["apply", *both, "--rule", "grow", "--match", "1"],
+                    "pct": ["pct", *both, "--matches", "3"],
+                    "run": ["run", *both, "--steps", "1"]}
+        named = {}
+        for name, command in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert main([*command, "--out", str(out)]) == 0
+            named[name] = {x for x in labels_of(out) if x.startswith("s0:3:")}
+        capsys.readouterr()
+        assert named == {name: {"s0:3:n"} for name in commands}
 
 
 class TestPct:

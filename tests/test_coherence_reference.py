@@ -38,8 +38,13 @@ def all_pairs(gammas):
 def assert_same_verdict(gammas):
     """Compare the two checks; for a coherent set also read the whole matrix."""
     check = coherent_set_check(gammas)
-    assert (check.ok, check.failing_pair, check.failing_element, check.reason) \
-        == all_pairs(gammas)
+    error = check.error
+    if error is None:
+        assert (True, None, None, "") == all_pairs(gammas)
+    else:
+        assert (False, error.pair, error.element, error.reason) == all_pairs(gammas)
+        assert error.rules == tuple(gammas[i].rule.name for i in error.pair)
+        assert check.matrix is None
     if check.ok:
         p = len(gammas)
         keys = [(a, b) for a in range(p) for b in range(p)]
@@ -48,10 +53,9 @@ def assert_same_verdict(gammas):
         for a, b in keys:
             witness = check.matrix[(a, b)]
             assert witness is check.matrix[(a, b)]
-            assert (witness.from_index, witness.into_index) == (a, b)
-            assert witness.context is gammas[b]
-            assert witness.required is gammas[a].rule.I
-            assert validate_attr_morphism(witness.j).ok
+            assert witness.target is gammas[b].D
+            assert witness.source is gammas[a].rule.I
+            assert validate_attr_morphism(witness).ok
     return check.ok
 
 
@@ -80,7 +84,7 @@ def test_random_sets_of_three_to_six():
         rng = random.Random(7000 + trial)
         gammas = random_set(rng, rng.randint(3, 6))
         verdicts.append(assert_same_verdict(gammas))
-        pairs_refused.add(coherent_set_check(gammas).failing_pair)
+        pairs_refused.add(getattr(coherent_set_check(gammas).error, "pair", None))
     assert 30 <= sum(verdicts) <= 270
     # refusals are not all found at the first pair the loop reaches
     assert len(pairs_refused - {None, (0, 1)}) >= 5

@@ -244,7 +244,7 @@ class TestRuleValidation:
             data = rule_skeleton(variables=[],
                                  L={"nodes": [{"id": "x", "sort": "p", "label": [raw]}]})
             with pytest.raises(ValidationError, match=(
-                    f"^rule 'demo' L node 'x': term label expected, got {shown}$")):
+                    f"^<string>: rule 'demo' L node 'x': term label expected, got {shown}$")):
                 loads_system(json.dumps(data))
 
     def test_enumerated_systems_use_variable_free_rules(self):
@@ -277,11 +277,11 @@ LITERAL_CASES = {
     "rule node id": (ONE_NODE_RULE % ('"nat"', "LIT", "3", "3"),
                      ["1", "1.0", "True"]),
     "enumerated rule label": (ONE_NODE_RULE % ('{"enum": ["1"]}', '"x"', "LIT", '"1"'),
-                              ["x", "rule 'r' L node 'x': label 1.0 is not",
-                               "rule 'r' L node 'x': label True is not"]),
+                              ["x", "<string>: rule 'r' L node 'x': label 1.0 is not",
+                               "<string>: rule 'r' L node 'x': label True is not"]),
     "nat host label": (ONE_NODE_RULE % ('"nat"', '"x"', "3", "LIT"),
-                       ["x", "host node 'h': natural-number label expected, got 1.0",
-                        "host node 'h': natural-number label expected, got True"]),
+                       ["x", "<string>: host node 'h': natural-number label expected, got 1.0",
+                        "<string>: host node 'h': natural-number label expected, got True"]),
 }
 
 

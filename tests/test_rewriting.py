@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -37,9 +38,11 @@ from weakspan import (
     pct,
     pushout_along_neutral,
 )
-from weakspan import hexgrid, rewriting
+from weakspan import hexgrid, rewriting, validate_attr_morphism
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
+
+from randgen import random_independent_pair
 
 NAT = NatPlus()
 POINT_SIG = SortSignature(["p"], {})
@@ -112,6 +115,18 @@ class TestWeakSpanValidation:
         with pytest.raises(ValueError, match="neutral"):
             WeakSpan(name="bad", L=L, K=K, I=K, R=K,
                      l=skew, i=identity_attr(K), r=identity_attr(K))
+
+    def test_each_refusal_names_the_rule_once(self):
+        with pytest.raises(ValueError, match=(
+                r"^rule 'bad': declared variables \['v'\] do not occur in the left side$")):
+            point_rule("bad", ("u", "v"), [Var("u")], [], [], [])
+        alg = TermAlg(PLUS_SIGNATURE, ())
+        one = point(alg, [])
+        two = AttributedGraph(Graph(POINT_SIG, {"x": "p", "y": "p"}, {}), alg)
+        with pytest.raises(ValueError, match=(
+                r"^rule 'bad': rule map l does not run between the right objects$")):
+            WeakSpan(name="bad", L=one, K=one, I=one, R=one,
+                     l=identity_attr(two), i=identity_attr(one), r=identity_attr(one))
 
 
     def test_a_rule_is_immutable(self, fib):
@@ -281,9 +296,9 @@ class TestCoherence:
         assert check_parallel_coherent(g_read, g_erase) is None
         result = coherent_set_check([g_read, g_erase])
         assert not result.ok
-        assert result.failing_pair == (0, 1)
-        assert result.failing_element == "x"
-        assert "not contained" in result.reason
+        assert result.error.pair == (0, 1)
+        assert result.error.element == "x"
+        assert "not contained" in result.error.reason
 
     def test_matrix_covers_every_ordered_pair(self, fib):
         gammas = [apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules]
@@ -291,7 +306,7 @@ class TestCoherence:
         assert result.ok
         assert set(result.matrix) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         for (a, b), witness in result.matrix.items():
-            assert witness.j.target is gammas[b].D
+            assert witness.target is gammas[b].D
 
     def test_hosts_must_agree(self):
         rule = point_rule("noop", (), [], [], [], [])
@@ -305,6 +320,36 @@ class TestCoherence:
     def test_empty_set_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             coherent_set_check([])
+
+    def test_a_refusal_is_the_error_pct_raises(self):
+        eraser = point_rule("erase", ("u",), [Var("u")], [], [], [])
+        reader = point_rule("keep", ("u",), [Var("u")], [Var("u")], [Var("u")], [Var("u")])
+        host = point(NAT, [5])
+        gammas = [apply_direct(match_on(rule, host, {"u": 5})) for rule in (reader, eraser)]
+        check = coherent_set_check(gammas)
+        assert check.matrix is None and not check
+        with pytest.raises(IncoherentSetError) as raised:
+            pct(gammas)
+        error = raised.value
+        assert (error.pair, error.rules, error.element, error.reason, str(error)) == (
+            check.error.pair, check.error.rules, check.error.element, check.error.reason,
+            str(check.error))
+        assert error.rules == ("keep", "erase")
+
+    def test_the_pair_checks_return_witness_morphisms(self):
+        for trial in range(20):
+            _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+            g1, g2 = apply_direct(m1), apply_direct(m2)
+            for check, part in ((check_parallel_independent, lambda g: g.match.m),
+                                (check_parallel_coherent,
+                                 lambda g: compose_attr(g.match.m,
+                                                        compose_attr(g.rule.l, g.rule.i)))):
+                j1, j2 = check(g1, g2)
+                for j, ga, gb in ((j1, g1, g2), (j2, g2, g1)):
+                    # j: (part of) a's left side -> b's context, over a's match
+                    assert j.target is gb.D
+                    assert validate_attr_morphism(j).ok
+                    assert compose_attr(gb.f, j) == part(ga)
 
 
 class TestParallelTransformation:

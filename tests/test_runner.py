@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from weakspan import (
     find_matches,
     hex_system,
     load_system,
+    loads_system,
     rule_matches,
     save_system,
     transport_match,
@@ -40,6 +42,18 @@ def fib_pair(graph):
     x = sorted(graph.label("x"))
     y = sorted(graph.label("y"))
     return (x[0] if x else None, y[0] if y else None)
+
+
+# one rule that deletes a node, on a host p -> q: its one match would leave
+# the edge dangling
+DELETE_ON_AN_EDGE = {
+    "sorts": {"nodes": ["p", "q"], "edges": {"b": ["p", "q"]}},
+    "algebra": "nat",
+    "rules": [{"name": "delete", "L": {"nodes": [{"id": "x", "sort": "p"}]},
+               "K": {}, "I": {}, "R": {}, "l": {}, "i": {}, "r": {}}],
+    "host": {"nodes": [{"id": "n0", "sort": "p"}, {"id": "n1", "sort": "q"}],
+             "edges": [{"id": "e", "sort": "b", "src": "n0", "tgt": "n1"}]},
+}
 
 
 class TestRelabeling:
@@ -113,8 +127,7 @@ class TestParallelStep:
         assert fib_pair(result) == (2, 3)
         assert report.matches_per_rule == {"shift": 1, "sum": 1}
         assert report.applied == 2
-        assert report.coherent is True
-        assert report.witness_count == 4
+        assert "coherence matrix 2x2 (4 witnesses)" in report.describe()
         assert report.dprime_elements == 3
         assert report.hprime_elements == 3
         assert not report.fixpoint
@@ -206,6 +219,18 @@ class TestRun:
         assert len(run.steps) == 1
         assert run.steps[0].fixpoint
         assert run.final is silent.host
+
+    @pytest.mark.parametrize("mode, tag", [("pct", "#"), ("sequential", "@")])
+    def test_a_step_that_applies_nothing_is_a_fixpoint(self, mode, tag):
+        system = loads_system(json.dumps(DELETE_ON_AN_EDGE))
+        run = cmd_run(system, steps=3, mode=mode)
+        [step] = run.steps
+        assert step.fixpoint and step.applied == 0 and step.changes == []
+        assert run.final is system.host and run.history == [system.host, system.host]
+        assert step.describe() == (
+            f"step 0 [{mode}] matches {{delete: 1}} gluing-skipped [delete{tag}0: edge 'e' "
+            "would dangle: an endpoint is deleted but the edge is not] "
+            "applied 0: fixpoint reached")
 
     def test_argument_validation(self, fib):
         with pytest.raises(ValueError, match="unknown mode"):

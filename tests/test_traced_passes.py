@@ -3,10 +3,13 @@
 The tracer's counters read the results of the functions it wraps (for
 example `coherent_set_check(...).matrix`), so a change to one of those
 results would crash a traced benchmark run.  Both passes must pass the
-workload's oracle gate and give the same fingerprint.  The benchmark's
-files are imported, not changed.
+workload's oracle gate and give the same fingerprint.  A refused coherence
+check and a refusing `pct` also run under the tracer: the check's counter
+reads 0 and the refusal comes through unchanged.  The benchmark's files are
+imported, not changed.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,6 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+from weakspan import (IncoherentSetError, all_matches, apply_direct,  # noqa: E402
+                      loads_system, rewriting)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -32,3 +38,39 @@ def test_a_traced_pass_gives_what_an_untraced_one_gives(name, tmp_path):
     assert plain.problems == [] and traced.problems == []
     assert traced.fingerprint == plain.fingerprint
     assert tracer.calls, "the traced pass called no wrapped function"
+
+
+
+def _clash():
+    """Two applications on one node: `erase` drops the label `keep` requires."""
+    read = {"nodes": [{"id": "x", "sort": "p", "label": ["u"]}]}
+    erased = {"nodes": [{"id": "x", "sort": "p"}]}
+    same = {"nodes": {"x": "x"}}
+    rules = [{"name": name, "variables": ["u"], "L": read, "K": kept, "I": kept, "R": kept,
+              "l": same, "i": same, "r": same}
+             for name, kept in (("erase", erased), ("keep", read))]
+    system = loads_system(json.dumps({
+        "sorts": {"nodes": ["p"], "edges": {}}, "algebra": "nat", "rules": rules,
+        "host": {"nodes": [{"id": "x", "sort": "p", "label": [5]}]}}))
+    return [apply_direct(match) for match in all_matches(system, system.host)]
+
+
+def test_a_refusal_passes_the_tracer_unchanged():
+    gammas = _clash()
+    want = rewriting.coherent_set_check(gammas).error
+    tracer = Tracer()
+    tracer.install(1)
+    try:
+        check = rewriting.coherent_set_check(gammas)
+        with pytest.raises(IncoherentSetError) as raised:
+            rewriting.pct(gammas)
+    finally:
+        tracer.uninstall()
+    assert check.matrix is None
+    for error in (check.error, raised.value):
+        assert type(error) is IncoherentSetError
+        assert (error.pair, error.rules, error.element, error.reason, str(error)) == (
+            want.pair, want.rules, want.element, want.reason, str(want))
+    assert tracer.calls["rewriting.coherent_set_check"] == 2
+    assert tracer.calls["rewriting.pct"] == 1
+    assert tracer.counts["rewriting.coherent_set_check.pairs"] == 0
