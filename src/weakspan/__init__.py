@@ -15,11 +15,11 @@ from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, ValidationRep
                          Violation, compose_attr, identity_attr, inclusion,
                          is_attr_isomorphic, rename_attributed,
                          validate_attr_morphism)
-from .constructions import (ComplementResult, DeletionPlan, GluingError,
-                            PullbackResult, PushoutResult,
-                            check_universal_property, colimit_of_neutrals,
-                            deletion_plan, deletion_record, limit_of_neutrals,
-                            pullback_of_neutrals, pushout_along_neutral,
+from .constructions import (ComplementResult, PullbackResult, PushoutResult,
+                            apply_span_dpo, associated_span, check_parallel_coherent,
+                            check_parallel_independent, check_universal_property,
+                            colimit_of_neutrals, coproduct_rule, derive_span_from_pct,
+                            limit_of_neutrals, pullback_of_neutrals, pushout_along_neutral,
                             pushout_complement)
 from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, loads_system, save_graph, save_system)
@@ -28,13 +28,9 @@ from .graphs import (Graph, GraphMorphism, SortSignature, compose,
                      is_mono)
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
-from .rewriting import (CoherenceCheckResult, DirectTransformation,
-                        IncoherentSetError, Match,
-                        ParallelStep, RulePlan, WeakSpan, apply_direct, apply_span_dpo,
-                        associated_span, check_parallel_coherent,
-                        check_parallel_independent, coherent_set_check,
-                        coproduct_rule, derive_span_from_pct, find_matches,
-                        pct)
+from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,
+                        Match, ParallelStep, RulePlan, WeakSpan, apply_direct,
+                        coherent_set_check, deletion_plan, deletion_record, find_matches, pct)
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, apply_sequential_step, cmd_hexca,
                      cmd_run, rule_matches, transport_match)

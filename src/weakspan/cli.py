@@ -17,15 +17,13 @@ from functools import cache
 
 from .algebras import render_value
 from .attrgraphs import AttributedGraph
-from .constructions import GluingError
 from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, save_graph, save_system)
 from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
 from .presets import fibonacci_system
-from .rewriting import IncoherentSetError, Match, apply_direct, pct
-from .runner import (HexcaResult, RunResult, StepReport, added_names, all_matches,
-                     apply_parallel_step, cmd_hexca, cmd_run, finish_parallel_step,
-                     rule_matches)
+from .rewriting import GluingError, IncoherentSetError, Match, apply_direct, pct
+from .runner import (HexcaResult, RunResult, StepReport, added_names, apply_parallel_step,
+                     cmd_hexca, cmd_run, finish_parallel_step, rule_matches)
 
 __all__ = [
     "main", "entry", "UsageError",
@@ -227,7 +225,8 @@ def _cmd_pct(args) -> int:
             indices = [int(piece) for piece in args.matches.split(",")]
         except ValueError:
             raise UsageError(f"bad --matches {args.matches!r}: expected comma-separated integers")
-        matches = all_matches(system, host)
+        found = rule_matches(system, host)
+        matches = [match for rule_found in found for match in rule_found]
         for pos, idx in enumerate(indices):
             if not 0 <= idx < len(matches):
                 raise ValidationError(
@@ -235,10 +234,9 @@ def _cmd_pct(args) -> int:
             if idx in indices[:pos]:
                 raise ValidationError(f"match index {idx} is repeated in --matches")
         gammas = [apply_direct(matches[idx]) for idx in indices]
-        report = StepReport(index=0, mode="pct")
-        for rule in system.rules:
-            report.matches_per_rule[rule.name] = sum(
-                1 for g in gammas if g.rule.name == rule.name)
+        report = StepReport(index=0, mode="pct",
+                            matches_per_rule={rule.name: len(rule_found)
+                                              for rule, rule_found in zip(system.rules, found)})
         result, report = finish_parallel_step(gammas, report, indices)
     _emit(report.describe() if report.matched else "no matches: nothing to apply", args.report)
     if args.out:

@@ -1,24 +1,32 @@
-"""Pushouts along neutral morphisms, pullbacks of neutral morphisms, their
-iterated limit/colimit forms, deletion plans and records, pushout
-complements, and a brute-force universal-property checker used by the tests."""
+"""The specification: the categorical constructions the engine computes.
+
+Pushouts along neutral morphisms, pullbacks of neutral morphisms, their
+iterated limit/colimit forms, pushout complements (the contexts D with
+their legs k and f), the witness matrix of a coherent set, the pairwise
+coherence and independence checks, the span combinators (associated span,
+plain-span application, coproduct and derived rules), and a brute-force
+universal-property checker.
+
+The package has two layers.  This module is the only specification module;
+every other module is the engine.  This module may import the engine, and
+no engine module imports this one, so the tests can hold the engine's
+results against these constructions as an oracle the engine cannot touch.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import EMPTY_LABELS, AlgebraMorphism, LabelSet, apply_to_labelset
-from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, compose_attr,
-                         derive_graph, identity_attr, inclusion)
-from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
-
-
-class GluingError(Exception):
-    """A pushout complement does not exist at the graph level."""
-
-    def __init__(self, message: str, dangling_edge: str | None = None):
-        super().__init__(message)
-        self.dangling_edge = dangling_edge
+from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet,
+                       OpApp, TermAlg, Value, Var, apply_to_labelset)
+from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, derive_graph,
+                         identity_attr, inclusion)
+from .graphs import Graph, GraphMorphism, disjoint_union, enumerate_morphisms
+from .rewriting import (DirectTransformation, IncoherentSetError, Match, WeakSpan,
+                        apply_direct, coherent_set_check, deletion_plan, deletion_record,
+                        obstruction, pct)
 
 
 @dataclass
@@ -255,89 +263,6 @@ def colimit_of_neutrals(legs: Sequence[AttrMorphism]) -> tuple[AttributedGraph, 
     return apex, out_legs
 
 
-@dataclass(frozen=True, eq=False)
-class DeletionPlan:
-    """What a rule's left leg l: K -> L deletes and relabels, in L ids.
-
-    ``deleted`` lists the elements of L outside l(K) with their labels, and
-    ``relabelled`` each kept element whose K label differs from its L label,
-    as (its L id, its L label, its K label).  A plan is fixed by the leg, so
-    a rule builds it once and every match visits only these elements.
-    """
-
-    left: AttributedGraph
-    deleted: tuple[tuple[str, LabelSet], ...]
-    relabelled: tuple[tuple[str, LabelSet, LabelSet], ...]
-
-
-def deletion_plan(l_neutral: AttrMorphism) -> DeletionPlan:
-    """The deletion part of a rule's plan; ``l_neutral`` is the preserved-part
-    inclusion K -> L, which must be neutral and injective."""
-    if not l_neutral.is_neutral:
-        raise ValueError("rule leg must be neutral")
-    if not is_mono(l_neutral.sigma):
-        raise ValueError("rule leg must be injective")
-    left, kept = l_neutral.target.labeling, l_neutral.source.labeling
-    image = l_neutral.sigma.element_map()
-    relabelled = tuple((v, left[v], kept[u]) for u, v in sorted(image.items())
-                       if kept[u] != left[v])
-    survivors = set(image.values())
-    deleted = tuple((v, left[v]) for v in sorted(left) if v not in survivors)
-    return DeletionPlan(left=l_neutral.target, deleted=deleted, relabelled=relabelled)
-
-
-def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> ChangeSet:
-    """Check the gluing conditions of a match and record its context D as a
-    change set against the host.
-
-    ``plan`` is the deletion plan of the rule's left leg; ``m`` the match
-    into the host.  ``deleted`` holds the host elements outside the image of
-    the preserved part, and ``relabelled`` maps each kept element whose
-    context label differs from its host label to (host label, context
-    label); every other kept element keeps its host label.  Raises
-    ``GluingError`` when a deleted node would leave an edge dangling (naming
-    the smallest such edge id) or a deleted element carries labels the left
-    side did not place.  Only the planned elements and the edges at deleted
-    nodes are visited.
-    """
-    if not is_mono(m.sigma):
-        raise ValueError("match must be injective")
-    if plan.left != m.source:
-        raise ValueError("rule leg and match do not meet in the same object")
-
-    host, alpha, place = m.target, m.alpha, m.sigma.apply
-    placed = {place(v): label for v, label in plan.deleted}
-    deleted = frozenset(placed)
-
-    # a rule that deletes nothing leaves the incidence table unbuilt
-    incident = host.graph.index.incident if deleted else {}
-    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
-    if dangling:
-        eid = min(dangling)
-        raise GluingError(
-            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
-            dangling_edge=eid)
-
-    # a deleted element leaves no survivor to carry its labels, so the host
-    # label must be exactly what the left side placed there; anything extra
-    # would be lost and the removal could not be undone by regluing
-    for x in sorted(deleted):
-        extra = host.label(x) - apply_to_labelset(alpha, placed[x])
-        if extra:
-            raise GluingError(
-                f"element {x!r} is deleted but carries labels "
-                f"{LabelSet(extra).render()} beyond the matched left side")
-
-    relabelled = {}
-    for v, erased, back in plan.relabelled:
-        w = place(v)
-        have = host.label(w)
-        label = LabelSet((have - apply_to_labelset(alpha, erased)) | apply_to_labelset(alpha, back))
-        if label != have:
-            relabelled[w] = (have, label)
-    return ChangeSet(deleted, relabelled)
-
-
 def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
     """Remove a match's image (outside the preserved part) from the host.
 
@@ -363,6 +288,210 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
     return ComplementResult(complement=complement, k_to_complement=k_morph,
                             complement_to_host=inclusion(complement, host),
                             deletion_sets=deletion_sets)
+
+
+def _witness(required: AttributedGraph, image: Mapping[str, str], alpha: AlgebraMorphism,
+             context: AttributedGraph) -> AttrMorphism:
+    """The morphism j from ``required`` into ``context`` that sends each
+    element x to its host id ``image[x]``; its labels were checked on the
+    deletion record."""
+    graph = required.graph
+    sigma = GraphMorphism(graph, context.graph, {x: image[x] for x in graph.nodes},
+                          {x: image[x] for x in graph.edges})
+    return AttrMorphism(required, context, sigma, alpha, check=False)
+
+
+class WitnessMatrix(Mapping):
+    """The p x p witnesses of a coherent set, keyed (a, b) in row order.
+
+    Entry (a, b) is the witness morphism j: I_a -> D_b from rule a's
+    required part into context b; diagonal entries are the composites k o i
+    through the rule's own context.  Making the matrix runs
+    ``coherent_set_check``, so an incoherent set raises its
+    ``IncoherentSetError``.  Each witness is built when it is first read,
+    and each context D_b once.
+    """
+
+    def __init__(self, gammas: Sequence[DirectTransformation]):
+        self._gammas = list(gammas)
+        coherent_set_check(self._gammas)
+        self._contexts: dict[int, AttributedGraph] = {}
+        self._built: dict[tuple[int, int], AttrMorphism] = {}
+
+    def __getitem__(self, key: tuple[int, int]) -> AttrMorphism:
+        if key not in self._built:
+            p = len(self._gammas)
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(i, int) and 0 <= i < p for i in key)):
+                raise KeyError(key)
+            a, b = key
+            if b not in self._contexts:
+                gb = self._gammas[b]
+                self._contexts[b] = pushout_complement(gb.rule.l, gb.match.m).complement
+            ga = self._gammas[a]
+            self._built[key] = _witness(ga.rule.I, ga.required_image, ga.match.alpha,
+                                        self._contexts[b])
+        return self._built[key]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        p = len(self._gammas)
+        return ((a, b) for a in range(p) for b in range(p))
+
+    def __len__(self) -> int:
+        return len(self._gammas) ** 2
+
+
+def check_parallel_coherent(g1: DirectTransformation,
+                            g2: DirectTransformation) -> tuple[AttrMorphism, AttrMorphism] | None:
+    """The witness morphisms embedding each rule's required part into the
+    other's context, or None."""
+    try:
+        matrix = WitnessMatrix([g1, g2])
+    except IncoherentSetError:
+        return None
+    return matrix[(0, 1)], matrix[(1, 0)]
+
+
+def check_parallel_independent(g1: DirectTransformation,
+                               g2: DirectTransformation) -> tuple[AttrMorphism, AttrMorphism] | None:
+    """The witness morphisms embedding each full left side into the other's
+    context, or None."""
+    if g1.host != g2.host:
+        raise ValueError("direct transformations live on different hosts")
+    pair = ((g1, g2), (g2, g1))
+    embeddings = [(ga.rule.L, ga.match.m.sigma.element_map(), ga.match.alpha, gb)
+                  for ga, gb in pair]
+    if any(obstruction(*embedding) is not None for embedding in embeddings):
+        return None
+    return tuple(_witness(left, image, alpha,
+                          pushout_complement(gb.rule.l, gb.match.m).complement)
+                 for left, image, alpha, gb in embeddings)
+
+
+def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:
+    """The plain span obtained by pushing the right side out along the
+    required-part inclusion; returns it with the comparison map R -> R'."""
+    po = pushout_along_neutral(rule.r, rule.i)
+    r_prime = po.leg_from_other_side       # K -> R', neutral
+    i_prime = po.leg_from_neutral_side     # R -> R'
+    span = WeakSpan(
+        name=f"{rule.name}~",
+        L=rule.L, K=rule.K, I=rule.K, R=po.apex,
+        l=rule.l, i=identity_attr(rule.K), r=r_prime)
+    return span, i_prime
+
+
+def apply_span_dpo(span_rule: WeakSpan, match: Match) -> DirectTransformation:
+    """Classical double-pushout application of a plain span (I equals K)."""
+    if not span_rule.is_plain_span():
+        raise ValueError("rule is not a plain span (its required part must equal K)")
+    rebased = match if match.rule is span_rule else Match(span_rule, match.host, match.m)
+    return apply_direct(rebased)
+
+
+def _rename_rule_variables(rule: WeakSpan, taken: set[str]) -> WeakSpan:
+    alg = rule.algebra
+    if not isinstance(alg, TermAlg):
+        return rule
+    renaming: dict[str, str] = {}
+    for v in sorted(alg.variables):
+        fresh = v
+        while fresh in taken:
+            fresh += "'"
+        renaming[v] = fresh
+        taken.add(fresh)
+    if all(k == v for k, v in renaming.items()):
+        return rule
+    new_alg = TermAlg(alg.signature, renaming.values())
+
+    def rename_term(t: Value) -> Value:
+        if isinstance(t, Var):
+            return Var(renaming[t.name])
+        if isinstance(t, OpApp):
+            return OpApp(t.op, tuple(rename_term(a) for a in t.args))
+        return t
+
+    def rename_obj(obj: AttributedGraph) -> AttributedGraph:
+        labeling = {x: LabelSet(rename_term(v) for v in labels)
+                    for x, labels in obj.labeling.items()}
+        return AttributedGraph(obj.graph, new_alg, labeling)
+
+    L, K, I, R = map(rename_obj, (rule.L, rule.K, rule.I, rule.R))
+    ident = AlgebraMorphism.identity(new_alg)
+    return WeakSpan(
+        name=rule.name, L=L, K=K, I=I, R=R,
+        l=AttrMorphism(K, L, rule.l.sigma, ident),
+        i=AttrMorphism(I, K, rule.i.sigma, ident),
+        r=AttrMorphism(I, R, rule.r.sigma, ident))
+
+
+def coproduct_rule(r1: WeakSpan, r2: WeakSpan) -> WeakSpan:
+    """Componentwise disjoint union of two rules over a merged algebra."""
+    alg1, alg2 = r1.algebra, r2.algebra
+    if isinstance(alg1, FiniteEnum) or isinstance(alg2, FiniteEnum):
+        if alg1 != alg2:
+            raise ValueError("enumerated rules must share their algebra")
+        combined: Algebra = alg1
+        rr1, rr2 = r1, r2
+    else:
+        if alg1.signature != alg2.signature:
+            raise ValueError("term rules must share their operation signature")
+        taken = set(alg1.variables)
+        rr2 = _rename_rule_variables(r2, taken)
+        combined = TermAlg(alg1.signature, alg1.variables | rr2.algebra.variables)
+        rr1 = r1
+
+    parts = {}
+    injections = {}
+    for tag in ("L", "K", "I", "R"):
+        a, b = getattr(rr1, tag), getattr(rr2, tag)
+        total, in_a, in_b = disjoint_union(a.graph, b.graph)
+        labeling = {in_a.apply(x): a.label(x) for x in a.element_ids()}
+        labeling.update({in_b.apply(x): b.label(x) for x in b.element_ids()})
+        parts[tag] = AttributedGraph(total, combined, labeling)
+        injections[tag] = (in_a, in_b)
+
+    ident = AlgebraMorphism.identity(combined)
+
+    def sum_map(tag_src: str, tag_tgt: str, m1: AttrMorphism, m2: AttrMorphism) -> AttrMorphism:
+        src, tgt = parts[tag_src], parts[tag_tgt]
+        in_src = injections[tag_src]
+        in_tgt = injections[tag_tgt]
+        node_map: dict[str, str] = {}
+        edge_map: dict[str, str] = {}
+        for side, m in ((0, m1), (1, m2)):
+            for n in m.source.graph.nodes:
+                node_map[in_src[side].apply(n)] = in_tgt[side].apply(m.apply(n))
+            for e in m.source.graph.edges:
+                edge_map[in_src[side].apply(e)] = in_tgt[side].apply(m.apply(e))
+        return AttrMorphism(src, tgt, GraphMorphism(src.graph, tgt.graph, node_map, edge_map), ident)
+
+    return WeakSpan(
+        name=f"{rr1.name}+{rr2.name}",
+        L=parts["L"], K=parts["K"], I=parts["I"], R=parts["R"],
+        l=sum_map("K", "L", rr1.l, rr2.l),
+        i=sum_map("I", "K", rr1.i, rr2.i),
+        r=sum_map("I", "R", rr1.r, rr2.r))
+
+
+def derive_span_from_pct(rules: Sequence[WeakSpan]) -> WeakSpan:
+    """Collapse rules sharing one left side into a single plain span.
+
+    Runs the parallel coherent transformation with the shared left side as
+    its own host (identity matches) and reads off L <- D' -> H'.
+    """
+    if not rules:
+        raise ValueError("need at least one rule")
+    shared_l = rules[0].L
+    for rule in rules[1:]:
+        if rule.L != shared_l:
+            raise ValueError("rules do not share an identical left side")
+    step = pct([apply_direct(Match(rule, shared_l, identity_attr(shared_l))) for rule in rules])
+    return WeakSpan(
+        name="+".join(r.name for r in rules),
+        L=shared_l, K=step.Dprime, I=step.Dprime, R=step.Hprime,
+        l=inclusion(step.Dprime, shared_l), i=identity_attr(step.Dprime),
+        r=inclusion(step.Dprime, step.Hprime))
 
 
 _SIZE_BOUND = 6

@@ -69,19 +69,6 @@ class Graph:
     def is_node(self, x: str) -> bool:
         return x in self.nodes
 
-    def is_edge(self, x: str) -> bool:
-        return x in self.edges
-
-    def has_element(self, x: str) -> bool:
-        return x in self.nodes or x in self.edges
-
-    def sort_of(self, x: str) -> str:
-        if x in self.nodes:
-            return self.nodes[x]
-        if x in self.edges:
-            return self.edges[x][0]
-        raise KeyError(x)
-
     @cached_property
     def index(self) -> "GraphIndex":
         """Lookup tables over this graph, built on first use and then shared

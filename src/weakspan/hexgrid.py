@@ -24,6 +24,10 @@ LIVE = "1"
 
 CELL_ALGEBRA = FiniteEnum((DEAD, LIVE))
 
+# the largest disk radius a grid accepts: 120,601 cells and 841,801 graph
+# elements; the work of encoding a disk grows with the square of its radius
+MAX_RADIUS = 200
+
 
 @dataclass(frozen=True)
 class HexGridSpec:
@@ -35,6 +39,8 @@ class HexGridSpec:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be at least 1")
+        if self.radius > MAX_RADIUS:
+            raise ValueError(f"radius {self.radius} exceeds the bound of {MAX_RADIUS}")
         for cell in self.seeds:
             if hex_distance(*cell) > self.radius:
                 raise ValueError(f"seed {cell} lies outside the radius-{self.radius} disk")

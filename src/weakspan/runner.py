@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
-from .constructions import GluingError
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
-from .rewriting import (DirectTransformation, IncoherentSetError, Match, apply_direct,
-                        find_matches, pct)
+from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
+                        apply_direct, find_matches, pct)
 
 
 @dataclass
@@ -156,12 +155,12 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
     index = 0
     for rule, matches in zip(system.rules, rule_matches(system, host), strict=True):
         report.matches_per_rule[rule.name] = len(matches)
-        for pos, match in enumerate(matches):
+        for match in matches:
             try:
                 gammas.append(apply_direct(match))
                 indices.append(index)
             except GluingError as err:
-                report.skipped_gluing.append(f"{rule.name}#{pos}: {err}")
+                report.skipped_gluing.append(f"{rule.name}@{index}: {err}")
             index += 1
     if not gammas:
         return host, report

@@ -103,7 +103,7 @@ def test_seed_generation_births_are_coherent_yet_dependent():
     matches = all_matches(system, system.host)
     assert len(matches) == 6
     gammas = [apply_direct(m) for m in matches]
-    assert coherent_set_check(gammas).ok
+    assert coherent_set_check(gammas) is None
 
     targets = [parse_cell_id(m.m.sigma.node_map["x"]) for m in matches]
 
@@ -202,10 +202,11 @@ def test_randomized_property_families():
         host = random_host(rng)
         g1 = apply_direct(random_instance(rng, host, var_names=("u", "v"), name="one"))
         g2 = apply_direct(random_instance(rng, host, var_names=("w", "z"), name="two"))
-        forward = pullback_of_neutrals(g1.f, g2.f)
-        swapped = pullback_of_neutrals(g2.f, g1.f)
+        f1, f2 = (pushout_complement(g.rule.l, g.match.m).complement_to_host for g in (g1, g2))
+        forward = pullback_of_neutrals(f1, f2)
+        swapped = pullback_of_neutrals(f2, f1)
         assert check_universal_property(
-            "pullback", (g1.f, g2.f, forward),
+            "pullback", (f1, f2, forward),
             (swapped.leg_to_second, swapped.leg_to_first))
 
     # Families over constructed non-overlapping pairs: independence holds and

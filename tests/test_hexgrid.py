@@ -16,6 +16,7 @@ from weakspan import (
 )
 from weakspan.hexgrid import (
     DIRECTIONS,
+    MAX_RADIUS,
     cell_id,
     disk,
     hex_distance,
@@ -74,6 +75,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="outside"):
             HexGridSpec(radius=1, seeds=((2, 0),))
         HexGridSpec(radius=2, seeds=((2, 0), (0, 0)))
+
+    def test_radius_is_bounded(self):
+        assert MAX_RADIUS == 200
+        HexGridSpec(radius=MAX_RADIUS)
+        with pytest.raises(ValueError, match="radius 201 exceeds the bound of 200"):
+            HexGridSpec(radius=MAX_RADIUS + 1)
 
 
 class TestEncoding:

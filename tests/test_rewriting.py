@@ -37,8 +37,10 @@ from weakspan import (
     is_attr_isomorphic,
     pct,
     pushout_along_neutral,
+    pushout_complement,
 )
 from weakspan import hexgrid, rewriting, validate_attr_morphism
+from weakspan.constructions import WitnessMatrix
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
 
@@ -216,8 +218,9 @@ class TestApplyDirect:
     def test_shift_copies_y_into_x(self, fib):
         shift = fib.rules[0]
         gamma = apply_direct(find_matches(shift, fib.host)[0])
-        assert gamma.D.label("x") == LabelSet()
-        assert gamma.D.label("y") == LabelSet([2])
+        context = pushout_complement(shift.l, gamma.match.m).complement
+        assert context.label("x") == LabelSet()
+        assert context.label("y") == LabelSet([2])
         result = pct([gamma]).Hprime
         assert result.label("x") == LabelSet([2])
         assert result.label("y") == LabelSet([2])
@@ -230,9 +233,10 @@ class TestApplyDirect:
 
     def test_context_and_result_keep_host_ids_for_survivors(self, fib):
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
-        assert gamma.D.element_ids() == ["x", "y", "e"]
+        context = pushout_complement(gamma.rule.l, gamma.match.m)
+        assert context.complement.element_ids() == ["x", "y", "e"]
         assert pct([gamma]).Hprime.element_ids() == ["x", "y", "e"]
-        assert gamma.f.is_neutral
+        assert context.complement_to_host.is_neutral
 
     def test_gluing_failure_surfaces_from_application(self):
         sig = SortSignature(["p"], {"a": ("p", "p")})
@@ -294,19 +298,20 @@ class TestCoherence:
         g_erase = apply_direct(match_on(eraser, host, {"u": 5}))
         g_read = apply_direct(match_on(reader, host, {"u": 5}))
         assert check_parallel_coherent(g_read, g_erase) is None
-        result = coherent_set_check([g_read, g_erase])
-        assert not result.ok
-        assert result.error.pair == (0, 1)
-        assert result.error.element == "x"
-        assert "not contained" in result.error.reason
+        with pytest.raises(IncoherentSetError) as refused:
+            coherent_set_check([g_read, g_erase])
+        assert refused.value.pair == (0, 1)
+        assert refused.value.element == "x"
+        assert "not contained" in refused.value.reason
 
     def test_matrix_covers_every_ordered_pair(self, fib):
         gammas = [apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules]
-        result = coherent_set_check(gammas)
-        assert result.ok
-        assert set(result.matrix) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for (a, b), witness in result.matrix.items():
-            assert witness.target is gammas[b].D
+        assert coherent_set_check(gammas) is None
+        matrix = WitnessMatrix(gammas)
+        assert set(matrix) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for (a, b), witness in matrix.items():
+            gb = gammas[b]
+            assert witness.target == pushout_complement(gb.rule.l, gb.match.m).complement
 
     def test_hosts_must_agree(self):
         rule = point_rule("noop", (), [], [], [], [])
@@ -326,14 +331,13 @@ class TestCoherence:
         reader = point_rule("keep", ("u",), [Var("u")], [Var("u")], [Var("u")], [Var("u")])
         host = point(NAT, [5])
         gammas = [apply_direct(match_on(rule, host, {"u": 5})) for rule in (reader, eraser)]
-        check = coherent_set_check(gammas)
-        assert check.matrix is None and not check
-        with pytest.raises(IncoherentSetError) as raised:
-            pct(gammas)
-        error = raised.value
-        assert (error.pair, error.rules, error.element, error.reason, str(error)) == (
-            check.error.pair, check.error.rules, check.error.element, check.error.reason,
-            str(check.error))
+        refusals = []
+        for refusing in (coherent_set_check, pct, WitnessMatrix):
+            with pytest.raises(IncoherentSetError) as raised:
+                refusing(gammas)
+            error = raised.value
+            refusals.append((error.pair, error.rules, error.element, error.reason, str(error)))
+        assert refusals[1] == refusals[0] and refusals[2] == refusals[0]
         assert error.rules == ("keep", "erase")
 
     def test_the_pair_checks_return_witness_morphisms(self):
@@ -347,9 +351,10 @@ class TestCoherence:
                 j1, j2 = check(g1, g2)
                 for j, ga, gb in ((j1, g1, g2), (j2, g2, g1)):
                     # j: (part of) a's left side -> b's context, over a's match
-                    assert j.target is gb.D
+                    context = pushout_complement(gb.rule.l, gb.match.m)
+                    assert j.target == context.complement
                     assert validate_attr_morphism(j).ok
-                    assert compose_attr(gb.f, j) == part(ga)
+                    assert compose_attr(context.complement_to_host, j) == part(ga)
 
 
 class TestParallelTransformation:
@@ -376,7 +381,8 @@ class TestParallelTransformation:
     def test_singleton_set_collapses_to_direct_application(self, fib):
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
         rule = gamma.rule
-        pushout = pushout_along_neutral(rule.r, compose_attr(gamma.k, rule.i))
+        k = pushout_complement(rule.l, gamma.match.m).k_to_complement
+        pushout = pushout_along_neutral(rule.r, compose_attr(k, rule.i))
         # the rule adds nothing, so the pushout keeps every id of the context
         assert pct([gamma]).Hprime == pushout.apex
 
@@ -409,13 +415,13 @@ class TestParallelTransformation:
         assert is_attr_isomorphic(step.Hprime, pct([after5]).Hprime) is not None
 
     def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
-        """Matching, coherence and the joint step never build a context
-        graph, and no run builds the intersected context D'."""
+        """No run builds the intersected context D'.  Matching, coherence
+        and the joint step cannot build a context graph: the engine does not
+        import ``pushout_complement`` (``test_imports``)."""
         want = {mode: cmd_run(fib, 6, mode) for mode in ("pct", "sequential")}
 
         def refuse(*_args):
             raise AssertionError("a context graph was built")
-        monkeypatch.setattr(rewriting, "pushout_complement", refuse)
         monkeypatch.setattr(rewriting, "_intersected_context", refuse)
         grid = HexGridSpec(radius=7, seeds=((0, 0), (2, -1)))
         assert cmd_hexca(grid, 3).live_sets == ca_oracle(grid, 3)
@@ -424,8 +430,6 @@ class TestParallelTransformation:
             assert run.final == want[mode].final
             assert run.report_text() == want[mode].report_text()
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
-        with pytest.raises(AssertionError, match="context graph"):
-            gamma.D
         with pytest.raises(AssertionError, match="context graph"):
             pct([gamma]).Dprime
 

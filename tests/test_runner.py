@@ -220,7 +220,7 @@ class TestRun:
         assert run.steps[0].fixpoint
         assert run.final is silent.host
 
-    @pytest.mark.parametrize("mode, tag", [("pct", "#"), ("sequential", "@")])
+    @pytest.mark.parametrize("mode, tag", [("pct", "@"), ("sequential", "@")])
     def test_a_step_that_applies_nothing_is_a_fixpoint(self, mode, tag):
         system = loads_system(json.dumps(DELETE_ON_AN_EDGE))
         run = cmd_run(system, steps=3, mode=mode)
@@ -231,6 +231,22 @@ class TestRun:
             f"step 0 [{mode}] matches {{delete: 1}} gluing-skipped [delete{tag}0: edge 'e' "
             "would dangle: an endpoint is deleted but the edge is not] "
             "applied 0: fixpoint reached")
+
+    @pytest.mark.parametrize("mode", ["pct", "sequential"])
+    def test_a_skipped_match_is_named_by_its_global_index(self, mode):
+        # `see` has global matches 0 and 1, so delete's only match is global 2
+        seen = {"nodes": [{"id": "y", "sort": "q"}]}
+        same = {"nodes": {"y": "y"}}
+        see = {"name": "see", "L": seen, "K": seen, "I": seen, "R": seen,
+               "l": same, "i": same, "r": same}
+        host = DELETE_ON_AN_EDGE["host"]
+        system = loads_system(json.dumps({
+            **DELETE_ON_AN_EDGE, "rules": [see, *DELETE_ON_AN_EDGE["rules"]],
+            "host": {**host, "nodes": [*host["nodes"], {"id": "n2", "sort": "q"}]}}))
+        [step] = cmd_run(system, steps=1, mode=mode).steps
+        assert step.matches_per_rule == {"see": 2, "delete": 1}
+        assert step.skipped_gluing == [
+            "delete@2: edge 'e' would dangle: an endpoint is deleted but the edge is not"]
 
     def test_argument_validation(self, fib):
         with pytest.raises(ValueError, match="unknown mode"):

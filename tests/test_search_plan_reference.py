@@ -202,9 +202,12 @@ def admitted_sets(pattern, host, admits):
     each pattern element that some host element of its sort fails."""
     admitted = {}
     for x in pattern.element_ids():
-        sort = pattern.sort_of(x)
-        same = host.nodes if pattern.is_node(x) else host.edges
-        of_sort = [h for h in same if host.sort_of(h) == sort]
+        if x in pattern.nodes:
+            sort = pattern.nodes[x]
+            of_sort = [h for h, node_sort in host.nodes.items() if node_sort == sort]
+        else:
+            sort = pattern.edges[x][0]
+            of_sort = [h for h, (edge_sort, _src, _tgt) in host.edges.items() if edge_sort == sort]
         passed = {h for h in of_sort if admits(x, h)}
         if len(passed) < len(of_sort):
             admitted[x] = passed
@@ -238,7 +241,7 @@ def test_random_multigraphs(injective_only, admitted):
         assert maps(got) == maps(reference_morphisms(pattern, host, injective_only,
                                                       admits, classes)), trial
         found += len(got)
-        narrowed_edges += bool(sets) and any(pattern.is_edge(x) for x in sets) and bool(got)
+        narrowed_edges += bool(sets) and any(x in pattern.edges for x in sets) and bool(got)
         parallel += len(set(pattern.edges.values())) < len(pattern.edges) and bool(got)
         plan = next(iter(pattern._search_plans.values()), None)
         components += plan is not None and sum(not anchors for _n, anchors, _c in plan.steps) > 1

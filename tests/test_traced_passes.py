@@ -1,12 +1,12 @@
 """Each benchmark workload runs one pass untraced and one under the tracer.
 
-The tracer's counters read the results of the functions it wraps (for
-example `coherent_set_check(...).matrix`), so a change to one of those
-results would crash a traced benchmark run.  Both passes must pass the
-workload's oracle gate and give the same fingerprint.  A refused coherence
-check and a refusing `pct` also run under the tracer: the check's counter
-reads 0 and the refusal comes through unchanged.  The benchmark's files are
-imported, not changed.
+The tracer's counters read the results of the functions it wraps (its
+`coherent_set_check` counter reads a `matrix` from any result that is not
+None), so a change to one of those results would crash a traced benchmark
+run.  Both passes must pass the workload's oracle gate and give the same
+fingerprint.  A refusing coherence check and a refusing `pct` also run
+under the tracer: the check's counter reads 0 and each refusal comes
+through unchanged.  The benchmark's files are imported, not changed.
 """
 
 import json
@@ -57,17 +57,19 @@ def _clash():
 
 def test_a_refusal_passes_the_tracer_unchanged():
     gammas = _clash()
-    want = rewriting.coherent_set_check(gammas).error
+    with pytest.raises(IncoherentSetError) as untraced:
+        rewriting.coherent_set_check(gammas)
+    want = untraced.value
     tracer = Tracer()
     tracer.install(1)
     try:
-        check = rewriting.coherent_set_check(gammas)
+        with pytest.raises(IncoherentSetError) as checked:
+            rewriting.coherent_set_check(gammas)
         with pytest.raises(IncoherentSetError) as raised:
             rewriting.pct(gammas)
     finally:
         tracer.uninstall()
-    assert check.matrix is None
-    for error in (check.error, raised.value):
+    for error in (checked.value, raised.value):
         assert type(error) is IncoherentSetError
         assert (error.pair, error.rules, error.element, error.reason, str(error)) == (
             want.pair, want.rules, want.element, want.reason, str(want))
