@@ -233,10 +233,6 @@ class AttrMorphism:
     def apply(self, x: str) -> str:
         return self.sigma.apply(x)
 
-    def is_mono(self) -> bool:
-        from .graphs import is_mono
-        return is_mono(self.sigma)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AttrMorphism)
                 and self.source == other.source

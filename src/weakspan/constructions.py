@@ -21,12 +21,11 @@ from typing import Sequence
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet,
                        OpApp, TermAlg, Value, Var, apply_to_labelset)
-from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, derive_graph,
-                         identity_attr, inclusion)
-from .graphs import Graph, GraphMorphism, disjoint_union, enumerate_morphisms
-from .rewriting import (DirectTransformation, IncoherentSetError, Match, WeakSpan,
-                        apply_direct, coherent_set_check, deletion_plan, deletion_record,
-                        obstruction, pct)
+from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, identity_attr,
+                         inclusion)
+from .graphs import Graph, GraphMorphism, disjoint_union, enumerate_morphisms, is_mono
+from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
+                        WeakSpan, apply_direct, coherent_set_check, obstruction, pct)
 
 
 @dataclass
@@ -266,19 +265,53 @@ def colimit_of_neutrals(legs: Sequence[AttrMorphism]) -> tuple[AttributedGraph, 
 def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementResult:
     """Remove a match's image (outside the preserved part) from the host.
 
-    The complement D is ``derive_graph(host, deletion_record(...))``.  Kept
-    elements keep their host ids; labels lose what the match placed there
-    and regain what the preserved part carries.  The recorded deletion sets
-    are maximal: each matched kept element loses everything the match placed
-    on it.
+    Every element of L and K is visited: the host elements L covers and K
+    does not are deleted, and each kept element's label loses what the match
+    placed there and regains what the preserved part carries; every other
+    host element keeps its host id and label.  The deletion sets are
+    maximal: each matched kept element loses everything the match placed on
+    it.  Raises ``GluingError`` when a deleted node would leave an edge
+    dangling (naming the smallest such edge id, found by a scan of every
+    host edge) or a deleted element carries labels the left side did not
+    place.
     """
-    kept = l_neutral.source
-    host = m.target
-    complement = derive_graph(host, deletion_record(deletion_plan(l_neutral), m))
+    if not l_neutral.is_neutral:
+        raise ValueError("rule leg must be neutral")
+    if not is_mono(l_neutral.sigma):
+        raise ValueError("rule leg must be injective")
+    if not is_mono(m.sigma):
+        raise ValueError("match must be injective")
+    if l_neutral.target != m.source:
+        raise ValueError("rule leg and match do not meet in the same object")
+    left, kept, host, alpha = m.source, l_neutral.source, m.target, m.alpha
+    placed = {m.apply(v): apply_to_labelset(alpha, left.label(v)) for v in left.element_ids()}
+    regained = {m.apply(l_neutral.apply(u)): apply_to_labelset(alpha, kept.label(u))
+                for u in kept.element_ids()}
+    deleted = placed.keys() - regained.keys()
+
+    dangling = [eid for eid, (_sort, src, tgt) in host.graph.edges.items()
+                if eid not in deleted and (src in deleted or tgt in deleted)]
+    if dangling:
+        eid = min(dangling)
+        raise GluingError(
+            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
+            dangling_edge=eid)
+    for x in sorted(deleted):
+        extra = host.label(x) - placed[x]
+        if extra:
+            raise GluingError(
+                f"element {x!r} is deleted but carries labels "
+                f"{LabelSet(extra).render()} beyond the matched left side")
+
+    graph = Graph(host.graph.signature,
+                  {n: s for n, s in host.graph.nodes.items() if n not in deleted},
+                  {e: d for e, d in host.graph.edges.items() if e not in deleted})
+    labeling = {x: label for x, label in host.labeling.items() if x not in deleted}
+    for w, back in regained.items():
+        labeling[w] = LabelSet((labeling[w] - placed[w]) | back)
+    complement = AttributedGraph(graph, host.algebra, labeling)
     deletion_sets = dict.fromkeys(complement.element_ids(), EMPTY_LABELS)
-    for u in kept.element_ids():
-        v = l_neutral.apply(u)
-        deletion_sets[m.apply(v)] = apply_to_labelset(m.alpha, m.source.label(v))
+    deletion_sets.update((w, placed[w]) for w in regained)
 
     k_sigma = GraphMorphism(
         kept.graph, complement.graph,

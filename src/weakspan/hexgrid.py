@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .algebras import FiniteEnum, LabelSet
-from .attrgraphs import AttributedGraph, ChangeSet, inclusion
+from .attrgraphs import AttributedGraph, ChangeSet, derive_graph, inclusion
 from .fileio import SystemSpec
 from .graphs import Graph, SortSignature
 from .rewriting import WeakSpan
@@ -85,12 +85,24 @@ def encode_grid(spec: HexGridSpec) -> AttributedGraph:
     """The bounded disk as a sorted graph; adjacent cells carry one directed
     edge each way, sorted by the direction index.
 
-    Each cell's id (``cell_id``) is formatted once and its edge ids are
-    built from it; every live cell shares one label set and every dead cell
-    the other.
+    The grid is the radius's all-dead disk (``_dead_disk``) with the seeds
+    made live by one change set, so every grid of one radius shares one
+    graph, and with it the graph's index tables, while each gets its own
+    labeling.  A caller must not change ``graph.nodes`` or
+    ``graph.edges`` in place.  Every live cell shares one label set and
+    every dead cell the other.
     """
-    signature = hex_signature()
-    ids = {cell: f"c:{cell[0]},{cell[1]}" for cell in disk(spec.radius)}
+    dead, live = LabelSet([DEAD]), LabelSet([LIVE])
+    return derive_graph(_dead_disk(spec.radius),
+                        ChangeSet(relabelled={cell_id(s): (dead, live) for s in spec.seeds}))
+
+
+@lru_cache(maxsize=1)
+def _dead_disk(radius: int) -> AttributedGraph:
+    """The radius-``radius`` disk with every cell dead; only the disk of the
+    last radius asked for is kept.  Each cell's id is formatted once and its
+    edge ids are built from it."""
+    ids = {cell: cell_id(cell) for cell in disk(radius)}
     sorts = [f"dir{k}" for k in range(6)]
     edges = {}
     for (q, r), x in ids.items():
@@ -99,11 +111,8 @@ def encode_grid(spec: HexGridSpec) -> AttributedGraph:
             y = ids.get((q + dq, r + dr))
             if y is not None:
                 edges[f"{prefix}{k}"] = (sorts[k], x, y)
-    seeds = set(spec.seeds)
-    dead, live = LabelSet([DEAD]), LabelSet([LIVE])
-    labeling = {x: live if cell in seeds else dead for cell, x in ids.items()}
-    graph = Graph(signature, dict.fromkeys(ids.values(), "cell"), edges)
-    return AttributedGraph(graph, CELL_ALGEBRA, labeling)
+    graph = Graph(hex_signature(), dict.fromkeys(ids.values(), "cell"), edges)
+    return AttributedGraph(graph, CELL_ALGEBRA, dict.fromkeys(ids.values(), LabelSet([DEAD])))
 
 
 def live_cells(graph: AttributedGraph) -> frozenset[tuple[int, int]]:

@@ -1,15 +1,18 @@
 import pytest
 
-from weakspan import fileio
+from weakspan import fileio, hexgrid
 
 _RESULTS: dict[str, tuple[str, bool]] = {}
 
 
 @pytest.fixture
 def cold_loads():
-    """Forget the rules text loaded last, for a test that counts the
-    parses or plan builds of a first load, as a fresh process makes them."""
+    """Forget what a process keeps between calls (the rules text loaded
+    last and the last hex disk built), for a test that counts the parses,
+    plan builds or index tables of a first load, as a fresh process makes
+    them."""
     fileio._LAST = None
+    hexgrid._dead_disk.cache_clear()
 
 
 def pytest_configure(config):

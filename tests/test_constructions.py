@@ -16,7 +16,6 @@ from weakspan import (
     PushoutResult,
     SortSignature,
     TermAlg,
-    apply_to_labelset,
     check_universal_property,
     cmd_run,
     colimit_of_neutrals,
@@ -158,37 +157,6 @@ def full_scan_refusal(l_neutral, m):
     return None
 
 
-def full_visit_record(l_neutral, m):
-    """The deletion record by a visit of every left-side and preserved
-    element, the construction a rule's deletion plan specialises: returns
-    (deleted, context label of every matched kept element) or raises the
-    same ``GluingError``."""
-    left, kept, host, alpha = m.source, l_neutral.source, m.target, m.alpha
-    placed = {}
-    for v in left.element_ids():
-        placed.setdefault(m.apply(v), set()).update(apply_to_labelset(alpha, left.label(v)))
-    regained = {}
-    for u in kept.element_ids():
-        regained.setdefault(m.apply(l_neutral.apply(u)), set()).update(
-            apply_to_labelset(alpha, kept.label(u)))
-    deleted = frozenset(placed.keys() - regained.keys())
-    incident = host.graph.index.incident
-    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
-    if dangling:
-        eid = min(dangling)
-        raise GluingError(
-            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
-            dangling_edge=eid)
-    for x in sorted(deleted):
-        extra = host.label(x) - placed[x]
-        if extra:
-            raise GluingError(
-                f"element {x!r} is deleted but carries labels "
-                f"{LabelSet(extra).render()} beyond the matched left side")
-    return deleted, {w: LabelSet((host.label(w) - placed[w]) | back)
-                     for w, back in regained.items()}
-
-
 def refusal_of(build, *args):
     """``build(*args)``, or the refusal it raises as (dangling edge, message)."""
     try:
@@ -198,28 +166,27 @@ def refusal_of(build, *args):
 
 
 def assert_planned_record_agrees(l_neutral, m, plan):
-    """The planned record deletes what the full visit deletes, gives every
-    host element the same context label, relabels only with a real change
-    from the host label, adds nothing, and refuses with the same error.
-    Returns what the record did: "refused", "deleted", "relabelled" or
-    "kept"."""
+    """The planned record agrees with the specification's context D, which
+    ``pushout_complement`` builds by a visit of every left-side and preserved
+    element: the record deletes what D drops, gives every host element its
+    label in D, relabels only with a real change from the host label, adds
+    nothing, and refuses with the same error.  Returns what the record did:
+    "refused", "deleted", "relabelled" or "kept"."""
     record, got_refusal = refusal_of(deletion_record, plan, m)
-    want, want_refusal = refusal_of(full_visit_record, l_neutral, m)
+    context, want_refusal = refusal_of(pushout_complement, l_neutral, m)
     assert got_refusal == want_refusal
-    if want is None:
+    if context is None:
         return "refused"
-    deleted, labels = want
-    assert record.deleted == deleted
+    host, labels = m.target, context.complement.labeling
+    assert record.deleted == host.labeling.keys() - labels.keys()
     assert not record.added
-    host = m.target
-    assert record.relabelled.keys() <= set(host.element_ids()) - deleted
+    assert record.relabelled.keys() <= labels.keys()
     for w, (old, new) in record.relabelled.items():
         assert old == host.label(w) and new != old, w
-    for w in host.element_ids():
-        if w not in deleted:
-            got = record.relabelled[w][1] if w in record.relabelled else host.label(w)
-            assert got == labels.get(w, host.label(w)), w
-    if deleted:
+    for w, label in labels.items():
+        got = record.relabelled[w][1] if w in record.relabelled else host.label(w)
+        assert got == label, w
+    if record.deleted:
         return "deleted"
     return "relabelled" if record.relabelled else "kept"
 

@@ -6,6 +6,7 @@ from weakspan import (
     apply_direct,
     ca_oracle,
     check_parallel_independent,
+    cmd_hexca,
     encode_grid,
     find_matches,
     hex_system,
@@ -14,6 +15,7 @@ from weakspan import (
     live_cells,
     pct,
 )
+from weakspan import graphs, hexgrid
 from weakspan.hexgrid import (
     DIRECTIONS,
     MAX_RADIUS,
@@ -128,6 +130,51 @@ class TestEncoding:
         for _sort, src, tgt in grid.graph.edges.values():
             assert hex_distance(*parse_cell_id(src)) <= 1
             assert hex_distance(*parse_cell_id(tgt)) <= 1
+
+    def test_grids_of_one_radius_share_the_graph_and_not_the_labeling(self):
+        spec = HexGridSpec(radius=3, seeds=((1, 0),))
+        a, b = encode_grid(spec), encode_grid(spec)
+        assert a.graph is b.graph
+        assert a.labeling is not b.labeling and a.labeling == b.labeling
+        a.labeling[cell_id((0, 0))] = LabelSet(["1"])
+        third = encode_grid(spec)
+        assert third == b and third != a
+        assert live_cells(third) == frozenset({(1, 0)})
+
+    def test_a_second_run_at_one_radius_builds_no_graph_and_no_index(self, monkeypatch):
+        cmd_hexca(HexGridSpec(radius=5), 3)
+        built = []
+        real_graph, real_index = graphs.Graph.__init__, graphs.GraphIndex.__init__
+        monkeypatch.setattr(graphs.Graph, "__init__",
+                            lambda self, *args: built.append("Graph") or real_graph(self, *args))
+        monkeypatch.setattr(graphs.GraphIndex, "__init__",
+                            lambda self, g: built.append("GraphIndex") or real_index(self, g))
+        result = cmd_hexca(HexGridSpec(radius=5), 3)
+        assert built == []
+        assert result.live_sets == ca_oracle(HexGridSpec(radius=5), 3)
+
+    def test_grids_from_the_shared_disk_equal_cold_builds(self):
+        """Each radius in turn replaces the one disk kept; every grid built
+        from it, after runs on earlier grids, equals a grid built from a
+        disk of its own."""
+        seed_sets = (((0, 0),), ((1, -1), (0, 0)), ((2, 1), (-1, -1), (0, 1)))
+
+        def contents(grid):
+            return (list(grid.graph.nodes.items()), list(grid.graph.edges.items()),
+                    list(grid.labeling.items()))
+
+        cold = {}
+        for radius in (5, 6):
+            for seeds in seed_sets:
+                hexgrid._dead_disk.cache_clear()
+                cold[radius, seeds] = contents(encode_grid(HexGridSpec(radius, seeds)))
+        for radius in (5, 6, 5):
+            for seeds in seed_sets:
+                spec = HexGridSpec(radius, seeds)
+                assert contents(encode_grid(spec)) == cold[radius, seeds]
+                reach = max((hex_distance(*cell) for cell in seeds), default=0)
+                generations = radius - reach - 1
+                assert cmd_hexca(spec, generations).live_sets == ca_oracle(spec, generations)
 
 
 class TestBirthRules:

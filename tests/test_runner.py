@@ -144,7 +144,7 @@ class TestParallelStep:
             deleting += bool(step.deleted)
         assert deleting >= 10
 
-    def test_a_relabelling_step_leaves_the_incidence_table_unbuilt(self):
+    def test_a_relabelling_step_leaves_the_incidence_table_unbuilt(self, cold_loads):
         hexes = hex_system(HexGridSpec(radius=5))
         _, report = apply_parallel_step(hexes, hexes.host, 0)
         assert report.applied == 6
