@@ -12,9 +12,8 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
                        TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, ValidationReport,
-                         Violation, compose_attr, identity_attr, inclusion,
-                         is_attr_isomorphic, rename_attributed,
-                         validate_attr_morphism)
+                         Violation, compose_attr, derive_graph, identity_attr, inclusion,
+                         is_attr_isomorphic, rename_attributed, validate_attr_morphism)
 from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             apply_span_dpo, associated_span, check_parallel_coherent,
                             check_parallel_independent, check_universal_property,
@@ -29,8 +28,8 @@ from .graphs import (Graph, GraphMorphism, SortSignature, compose,
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
 from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,
-                        Match, ParallelStep, RulePlan, WeakSpan, apply_direct,
-                        coherent_set_check, deletion_plan, deletion_record, find_matches, pct)
+                        Match, RulePlan, WeakSpan, apply_direct, coherent_set_check,
+                        deletion_plan, deletion_record, find_matches, pct)
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, apply_sequential_step, cmd_hexca,
                      cmd_run, rule_matches, transport_match)

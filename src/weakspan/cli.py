@@ -16,23 +16,17 @@ import sys
 from functools import cache
 
 from .algebras import render_value
-from .attrgraphs import AttributedGraph
+from .attrgraphs import AttributedGraph, derive_graph
 from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
                      load_system, save_graph, save_system)
-from .hexgrid import HexGridSpec, ca_oracle, hex_system, live_cells
+from .hexgrid import HexGridSpec, hex_system
 from .presets import fibonacci_system
 from .rewriting import GluingError, IncoherentSetError, Match, apply_direct, pct
-from .runner import (HexcaResult, RunResult, StepReport, added_names, apply_parallel_step,
-                     cmd_hexca, cmd_run, finish_parallel_step, rule_matches)
+from .runner import (StepReport, added_names, apply_parallel_step, cmd_hexca, cmd_run,
+                     finish_parallel_step, rule_matches)
 
-__all__ = [
-    "main", "entry", "UsageError",
-    "SystemSpec", "HexGridSpec", "HexcaResult", "RunResult", "StepReport",
-    "load_system", "save_graph", "save_system", "export_dot",
-    "cmd_run", "cmd_hexca", "ca_oracle", "live_cells", "hex_system",
-    "fibonacci_system",
-    "EXIT_OK", "EXIT_USAGE", "EXIT_INVALID", "EXIT_GLUING", "EXIT_INCOHERENT",
-]
+__all__ = ["main", "entry", "UsageError",
+           "EXIT_OK", "EXIT_USAGE", "EXIT_INVALID", "EXIT_GLUING", "EXIT_INCOHERENT"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,7 +198,7 @@ def _cmd_apply(args) -> int:
             f"rule {args.rule!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
     offset = sum(len(earlier) for earlier in found[:position])
-    result = pct([gamma], added_names(0, [offset + args.match])).Hprime
+    result = derive_graph(host, pct([gamma], added_names(0, [offset + args.match])))
     report = [
         f"applied {args.rule}#{args.match}",
         f"context: {host.element_count() - len(gamma.record.deleted)} elements",

@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet,
                        OpApp, TermAlg, Value, Var, apply_to_labelset)
-from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, identity_attr,
-                         inclusion)
+from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, derive_graph,
+                         identity_attr, inclusion, rename_attributed)
 from .graphs import Graph, GraphMorphism, disjoint_union, enumerate_morphisms, is_mono
 from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
                         WeakSpan, apply_direct, coherent_set_check, obstruction, pct)
@@ -511,7 +511,9 @@ def derive_span_from_pct(rules: Sequence[WeakSpan]) -> WeakSpan:
     """Collapse rules sharing one left side into a single plain span.
 
     Runs the parallel coherent transformation with the shared left side as
-    its own host (identity matches) and reads off L <- D' -> H'.
+    its own host (identity matches) and reads off L <- D' -> H'.  D' is the
+    limit of the rules' contexts, renamed to L's ids through its legs; H' is
+    L changed by the joint step.
     """
     if not rules:
         raise ValueError("need at least one rule")
@@ -519,12 +521,16 @@ def derive_span_from_pct(rules: Sequence[WeakSpan]) -> WeakSpan:
     for rule in rules[1:]:
         if rule.L != shared_l:
             raise ValueError("rules do not share an identical left side")
-    step = pct([apply_direct(Match(rule, shared_l, identity_attr(shared_l))) for rule in rules])
+    gammas = [apply_direct(Match(rule, shared_l, identity_attr(shared_l))) for rule in rules]
+    hprime = derive_graph(shared_l, pct(gammas))
+    into_l = [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas]
+    limit, legs = limit_of_neutrals(into_l)
+    kept = compose_attr(into_l[0], legs[0])
+    dprime = rename_attributed(limit, {z: kept.apply(z) for z in limit.element_ids()})
     return WeakSpan(
         name="+".join(r.name for r in rules),
-        L=shared_l, K=step.Dprime, I=step.Dprime, R=step.Hprime,
-        l=inclusion(step.Dprime, shared_l), i=identity_attr(step.Dprime),
-        r=inclusion(step.Dprime, step.Hprime))
+        L=shared_l, K=dprime, I=dprime, R=hprime,
+        l=inclusion(dprime, shared_l), i=identity_attr(dprime), r=inclusion(dprime, hprime))
 
 
 _SIZE_BOUND = 6

@@ -17,7 +17,7 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
-from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, Violation, derive_graph
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, Violation
 from .graphs import enumerate_morphisms, is_mono
 
 
@@ -192,6 +192,13 @@ def rule_plan(rule: WeakSpan) -> RulePlan:
                     labelled_edges=labelled_edges)
 
 
+# the most nodes, and the most label terms, a rule's left side may have: the
+# match search recurses once per left node and the label solver once per
+# (element, term) constraint, so a larger side would reach Python's
+# recursion limit (1000 frames) instead of being refused
+MAX_LEFT_SIZE = 500
+
+
 @dataclass(frozen=True)
 class WeakSpan:
     """A rewrite rule L <- K <- I -> R with neutral injective structure maps.
@@ -199,7 +206,8 @@ class WeakSpan:
     K is what survives deletion; I is the part whose presence the rule
     actively requires when extending; R is what gets added.  ``plan`` is
     built once from the legs when the rule is made, and each refusal of the
-    legs starts ``rule '<name>':``.  Its fields cannot be reassigned, but
+    legs, or of a left side with more than ``MAX_LEFT_SIZE`` nodes or label
+    terms, starts ``rule '<name>':``.  Its fields cannot be reassigned, but
     its graphs and maps can be changed in place, and that must not happen:
     loads of one text share the rule and its plan.
     ``dataclasses.replace`` with new graphs makes a changed copy.
@@ -217,6 +225,11 @@ class WeakSpan:
 
     def __post_init__(self):
         where = f"rule {self.name!r}"
+        for size, what in ((len(self.L.graph.nodes), "nodes"),
+                           (sum(map(len, self.L.labeling.values())), "label terms")):
+            if size > MAX_LEFT_SIZE:
+                raise ValueError(f"{where}: left side has {size} {what}, "
+                                 f"more than the bound of {MAX_LEFT_SIZE}")
         if not isinstance(self.L.algebra, (TermAlg, FiniteEnum)):
             raise ValueError(
                 f"{where}: rule algebra must be a term algebra or a finite enumeration")
@@ -278,8 +291,8 @@ class DirectTransformation:
     against the host: D is ``derive_graph(host, record)``.  Coherence and
     the joint step read only the record; the context as a graph with its
     legs k: K -> D and f: D -> host is the specification's
-    ``pushout_complement(rule.l, match.m)``.  The application's result is
-    ``pct([gamma]).Hprime``.
+    ``pushout_complement(rule.l, match.m)``.  The one-element joint step
+    ``pct([gamma])`` is the application's result as a change set.
     """
 
     match: Match
@@ -298,35 +311,6 @@ class DirectTransformation:
         """The host id of each element of the rule's required part I."""
         place = self.match.m.sigma.apply
         return {y: place(v) for y, v, _ry in self.rule.plan.required}
-
-
-@dataclass
-class ParallelStep:
-    """A parallel coherent transformation: contexts intersected, additions glued.
-
-    D' and H' use host ids: D' is the part of the host that every context
-    keeps, and H' is D' plus each application's additions under the names
-    ``pct`` gave them.  ``changes`` is H' as a change set against the host;
-    its ``deleted`` are the host ids outside D'.  D' and H' are derived from
-    the host when first read.  ``born[c]`` maps each right-side element of
-    application c to its id in H'.
-    """
-
-    gammas: list
-    changes: ChangeSet
-    born: list
-
-    @property
-    def deleted(self) -> frozenset:
-        return self.changes.deleted
-
-    @cached_property
-    def Dprime(self) -> AttributedGraph:
-        return _intersected_context(self.gammas, self.changes.deleted)
-
-    @cached_property
-    def Hprime(self) -> AttributedGraph:
-        return derive_graph(self.gammas[0].host, self.changes)
 
 
 def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterable[dict]:
@@ -488,7 +472,7 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
 
 def apply_direct(match: Match) -> DirectTransformation:
     """A weak double-pushout application, kept as its deletion record;
-    ``pct([gamma])`` glues the right side on."""
+    ``pct([gamma])`` glues the right side on, as a change set."""
     return DirectTransformation(match=match,
                                 record=deletion_record(match.rule.plan.deletion, match.m))
 
@@ -566,68 +550,44 @@ def _fresh_id(candidate: str, host: Container[str], deleted: Container[str],
     return candidate
 
 
-def _context_labels(gammas: Sequence[DirectTransformation],
-                    deleted: frozenset) -> dict[str, LabelSet]:
-    """The labels of D' that differ from the host's: for each element outside
-    ``deleted`` that some record relabels, its host label intersected with
-    every context label the records give for it."""
+def pct(gammas: Sequence[DirectTransformation],
+        names: Optional[Sequence[str]] = None) -> ChangeSet:
+    """Parallel coherent transformation of a host by a coherent set, as one
+    ``ChangeSet`` against the host: H' is ``derive_graph(host, pct(...))``.
+
+    ``coherent_set_check`` runs first, so an incoherent set raises its
+    ``IncoherentSetError``.
+
+    Every context keeps host ids, so the limit D' of the contexts is the part
+    of the host that no deletion record removes, labelled by the
+    intersection of its context labels; the change set's ``deleted`` are
+    the host ids outside D'.  The colimit H' glues each right side onto D':
+    images of the required part land on their host ids with labels unioned,
+    and every other right-side element x of application c is added as
+    ``names[c] + x`` (default ``<c>:<x>``), primed past the surviving host
+    ids and earlier additions.  The change set's ``relabelled`` holds each
+    surviving id whose H' label differs from its host label.  The cost grows
+    with the matched region, not the host.  ``limit_of_neutrals`` and
+    ``colimit_of_neutrals`` are the general constructions this computes.
+    """
+    gammas = list(gammas)
+    coherent_set_check(gammas)
+
     host_labels = gammas[0].host.labeling
+    deleted = frozenset().union(*(g.record.deleted for g in gammas))
+    # the labels of D' that differ from the host's; a context label is a
+    # subset of the host label, so intersecting with the host label stands
+    # in for every context that leaves the element untouched
     labels: dict[str, LabelSet] = {}
-    # a context label is a subset of the host label, so intersecting with the
-    # host label stands in for every context that leaves the element untouched
     for gamma in gammas:
         for x, (_old, label) in gamma.record.relabelled.items():
             if x not in deleted:
                 have = labels.get(x, host_labels[x])
                 if not have <= label:
                     labels[x] = LabelSet(have & label)
-    return labels
-
-
-def _intersected_context(gammas: Sequence[DirectTransformation],
-                         deleted: frozenset) -> AttributedGraph:
-    """D', the limit of the contexts, in host ids."""
-    host = gammas[0].host
-    host_labels = host.labeling
-    relabelled = {x: (host_labels[x], label)
-                  for x, label in _context_labels(gammas, deleted).items()}
-    return derive_graph(host, ChangeSet(deleted, relabelled))
-
-
-def pct(gammas: Sequence[DirectTransformation],
-        names: Optional[Sequence[str]] = None) -> ParallelStep:
-    """Parallel coherent transformation of a host by a coherent set.
-
-    ``coherent_set_check`` runs first, so an incoherent set raises its
-    ``IncoherentSetError``.
-
-    Every context keeps host ids, so the limit D' of the contexts is the set
-    of host elements that no deletion record removes, labelled by the
-    intersection of their context labels.  The colimit H' glues each right
-    side onto D': images of the required part land on their host ids with
-    labels unioned, and every other right-side element x of application c
-    is added as ``names[c] + x`` (default ``<c>:<x>``), primed past the
-    surviving host ids and earlier additions.  ``limit_of_neutrals`` and
-    ``colimit_of_neutrals`` are the general constructions this computes.
-
-    The step is computed as one ``ChangeSet`` against the host: the deleted
-    ids, each surviving id whose H' label differs from its host label, and
-    the additions.  Its cost grows with the matched region, not the host.
-    H' and D' are derived from the host (``derive_graph``) when first read;
-    each costs one copy of the host labeling, and shares the host's graph
-    when nothing is deleted or added.
-    """
-    gammas = list(gammas)
-    coherent_set_check(gammas)
-
-    host = gammas[0].host
-    host_labels = host.labeling
-    deleted = frozenset().union(*(g.record.deleted for g in gammas))
-    labels = _context_labels(gammas, deleted)
     if names is None:
         names = [f"{c}:" for c in range(len(gammas))]
     added: dict[str, tuple[str, Optional[tuple[str, str]], LabelSet]] = {}
-    born = []
     for gc, name in zip(gammas, names, strict=True):
         plan, image, alpha = gc.rule.plan, gc.required_image, gc.match.alpha
         # the required part lands on the host ids its images kept in the context
@@ -645,7 +605,6 @@ def pct(gammas: Sequence[DirectTransformation],
                 have = labels.get(z, host_labels[z])
                 if not written <= have:
                     labels[z] = LabelSet(have | written)
-        born.append(ids)
     relabelled = {x: (host_labels[x], label) for x, label in labels.items()
                   if label != host_labels[x]}
-    return ParallelStep(gammas=gammas, changes=ChangeSet(deleted, relabelled, added), born=born)
+    return ChangeSet(deleted, relabelled, added)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph
 from .graphs import GraphMorphism
 from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
@@ -39,6 +39,8 @@ class StepReport:
     applied match, each against the graph the one before it produced.
     Applying them in order to the step's host (``derive_graph``) gives its
     result.  A fixpoint step has none.  ``describe`` does not read them.
+    A joint step reports D' and H' by their element counts: D' is the part
+    of the host no context deletes, and H' is D' plus the additions.
     """
 
     index: int
@@ -176,14 +178,15 @@ def finish_parallel_step(gammas: list[DirectTransformation], report: StepReport,
     IncoherentSetError names its pair by these.
     """
     try:
-        step = pct(gammas, added_names(report.index, indices))
+        changes = pct(gammas, added_names(report.index, indices))
     except IncoherentSetError as err:
         raise err.renumbered(indices) from None
+    host = gammas[0].host
     report.applied = len(gammas)
-    report.dprime_elements = gammas[0].host.element_count() - len(step.deleted)
-    report.hprime_elements = report.dprime_elements + len(step.changes.added)
-    report.changes.append(step.changes)
-    return step.Hprime, report
+    report.dprime_elements = host.element_count() - len(changes.deleted)
+    report.hprime_elements = report.dprime_elements + len(changes.added)
+    report.changes.append(changes)
+    return derive_graph(host, changes), report
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,
@@ -215,9 +218,9 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
         except GluingError as err:
             report.skipped_gluing.append(f"{match.rule.name}@{pos}: {err}")
             continue
-        step = pct([gamma], added_names(step_index, [pos]))
-        report.changes.append(step.changes)
-        current = step.Hprime
+        changes = pct([gamma], added_names(step_index, [pos]))
+        report.changes.append(changes)
+        current = derive_graph(current, changes)
         report.applied += 1
     return current, report
 
@@ -251,9 +254,12 @@ def cmd_run(system: SystemSpec, steps: int, mode: str = "pct") -> RunResult:
 @dataclass
 class HexcaResult:
     graphs: list[AttributedGraph]
-    live_counts: list[int]
     live_sets: list[frozenset[tuple[int, int]]]
     steps: list[StepReport]
+
+    @property
+    def live_counts(self) -> list[int]:
+        return [len(s) for s in self.live_sets]
 
 
 def cmd_hexca(grid: HexGridSpec, generations: int) -> HexcaResult:
@@ -286,5 +292,4 @@ def cmd_hexca(grid: HexGridSpec, generations: int) -> HexcaResult:
             [changes] = report.changes
             cells = changed_live_cells(cells, before, changes)
         live.append(cells)
-    return HexcaResult(graphs=run.history, live_counts=[len(s) for s in live],
-                       live_sets=live, steps=run.steps)
+    return HexcaResult(graphs=run.history, live_sets=live, steps=run.steps)

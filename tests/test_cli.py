@@ -11,6 +11,7 @@ import pytest
 from weakspan import LabelSet, cmd_run, live_cells, load_system, save_system
 from weakspan.cli import main
 from weakspan.hexgrid import MAX_RADIUS
+from weakspan.rewriting import MAX_LEFT_SIZE
 
 from randgen import random_system
 
@@ -597,6 +598,41 @@ def test_a_radius_past_the_bound_is_refused_before_any_cell_is_built(command, ra
     assert capsys.readouterr() == (
         "", f"invalid input: radius {radius} exceeds the bound of {MAX_RADIUS}\n")
     assert not out.exists()
+
+
+def _big_left_side(nodes, terms):
+    """One rule whose left side is a chain of ``nodes`` nodes, its first
+    node labelled by ``terms`` variables; the host is the same chain with
+    its first node labelled 1."""
+    left = {"nodes": [{"id": f"c{k}", "sort": "p"} for k in range(nodes)],
+            "edges": [{"id": f"e{k}", "sort": "a", "src": f"c{k}", "tgt": f"c{k + 1}"}
+                      for k in range(nodes - 1)]}
+    host = json.loads(json.dumps(left))
+    host["nodes"][0]["label"] = [1]
+    left["nodes"][0]["label"] = [f"v{k}" for k in range(terms)]
+    same = {part: {x["id"]: x["id"] for x in left[part]} for part in ("nodes", "edges")}
+    rule = {"name": "big", "variables": [f"v{k}" for k in range(terms)],
+            "L": left, "K": left, "I": left, "R": left, "l": same, "i": same, "r": same}
+    return {"sorts": P_SIG, "algebra": "nat", "rules": [rule], "host": host}
+
+
+@pytest.mark.parametrize("nodes, terms, what", [
+    (MAX_LEFT_SIZE + 1, 0, "nodes"), (1, MAX_LEFT_SIZE + 1, "label terms")])
+def test_a_left_side_past_the_bound_is_refused(nodes, terms, what, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_big_left_side(nodes, terms)))
+    assert main(["match", "--rules", str(path), "--host", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"invalid input: {path}: rule 'big': left side has {MAX_LEFT_SIZE + 1} {what}, "
+        f"more than the bound of {MAX_LEFT_SIZE}\n"))
+
+
+@pytest.mark.parametrize("nodes, terms", [(MAX_LEFT_SIZE, 0), (1, MAX_LEFT_SIZE)])
+def test_a_left_side_at_the_bound_matches(nodes, terms, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_big_left_side(nodes, terms)))
+    assert main(["match", "--rules", str(path), "--host", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("1 matches\n[0] big#0: c0->c0")
 
 
 class TestExportAndPreset:

@@ -1,13 +1,15 @@
 """Graphs derived from their parent by a change set, against the old route.
 
-`pct` records a step as one `ChangeSet` against its host and derives D' and
-H' from the host (`derive_graph`), trusting the host and checking only the
-label sets the change introduces.  `old_route` is how the joint step built
-both graphs before: copy the host labeling, intersect the context labels,
-glue the additions, and pass everything through the public constructors.
-Every step of the runs below must give the same graphs both ways, ids,
-labels and insertion order included, and folding a step's recorded change
-sets onto its host through the public constructors must give its result.
+`pct` returns a step as one `ChangeSet` against its host, and the runner
+derives H' from the host (`derive_graph`), trusting the host and checking
+only the label sets the change introduces.  `old_route` is how the joint
+step built D' and H' before: copy the host labeling, intersect the context
+labels, glue the additions, and pass everything through the public
+constructors.  Every step of the runs below must give the same H' both
+ways, ids, labels and insertion order included, must delete exactly the
+host ids outside D' and count D' in its report, and folding a step's
+recorded change sets onto its host through the public constructors must
+give its result.
 """
 
 import pytest
@@ -116,18 +118,23 @@ def test_every_step_derives_what_the_old_route_builds(name, make, steps, mode, m
     joint = runner.pct
 
     def recording(gammas, names):
-        step = joint(gammas, names)
-        recorded.append((step, names))
-        return step
+        changes = joint(gammas, names)
+        recorded.append((list(gammas), changes, names))
+        return changes
     monkeypatch.setattr(runner, "pct", recording)
     run = cmd_run(make(), steps, mode)
     assert recorded
-    for step, names in recorded:
-        dprime, hprime = old_route(step.gammas, names)
-        assert_same_graph(step.Hprime, hprime)
-        assert_same_graph(step.Dprime, dprime)
-        assert step.deleted == step.changes.deleted
-        assert_same_graph(fold(step.gammas[0].host, step.changes), hprime)
+    dprime_counts = []
+    for gammas, changes, names in recorded:
+        host = gammas[0].host
+        dprime, hprime = old_route(gammas, names)
+        assert_same_graph(derive_graph(host, changes), hprime)
+        assert changes.deleted == host.labeling.keys() - dprime.labeling.keys()
+        assert_same_graph(fold(host, changes), hprime)
+        dprime_counts.append(dprime.element_count())
+    if mode == "pct":
+        assert [report.dprime_elements for report in run.steps
+                if not report.fixpoint] == dprime_counts
     applied = 0
     for before, after, report in zip(run.history, run.history[1:], run.steps):
         assert len(report.changes) == (0 if report.fixpoint else

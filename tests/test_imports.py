@@ -1,7 +1,9 @@
 """The package's import rules.
 
 No module imports a private name of another one: a name with a leading
-underscore belongs to the module that defines it.
+underscore belongs to the module that defines it.  No module but
+``__init__`` imports a name it does not use: listing a name in ``__all__``
+is not a use, so a module re-exports only what it owns.
 
 The package has two layers.  ``constructions`` is the specification; every
 other module is the engine.  The specification may import the engine, and
@@ -19,9 +21,14 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakspan"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
+def nodes(path):
+    """Every syntax node of the file at ``path``."""
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
 def private_imports(path):
     """``file:line name`` for each underscore name ``path`` imports from the package."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in nodes(path):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "weakspan"):
             yield from (f"{path.name}:{node.lineno} {alias.name}"
@@ -53,9 +60,41 @@ def package_imports(source):
     return names
 
 
+def unused_imports(path):
+    """``file:line name`` for each name ``path`` binds by an import and never
+    reads; a string in ``__all__`` does not read it."""
+    bound, read = {}, set()
+    for node in nodes(path):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
 def test_no_module_imports_a_private_name_of_another():
     assert len(MODULES) > 10
     assert [hit for path in MODULES for hit in private_imports(path)] == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert [hit for path in MODULES if path.stem != "__init__"
+            for hit in unused_imports(path)] == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("from .cli import main\n__all__ = ['main']\n", ["m.py:1 main"]),
+    ("import os.path\nfrom . import graphs as g\n", ["m.py:1 os", "m.py:2 g"]),
+    ("import os.path\nfrom . import graphs as g\nos.path.join(g.x)\n", []),
+    ("from __future__ import annotations\nfrom .graphs import Graph\n"
+     "def f(x: Graph) -> None:\n    pass\n", []),
+])
+def test_an_import_is_used_only_where_it_is_read(source, unused, tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unused_imports(path) == unused
 
 
 @pytest.mark.parametrize("source", [

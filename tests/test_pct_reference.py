@@ -4,8 +4,8 @@
 iterated pullbacks, a mediator from each required part into that limit, a
 pushout of each right side along its mediator, and the colimit of those
 pushouts.  It then maps the limit and the glued result to host ids through
-their legs.  `pct` must give exactly the same graphs, ids and labels
-included.
+their legs.  The joint step must give exactly the same H', ids and labels
+included, and its change set must delete exactly the host ids outside D'.
 
 `reference_direct` is the same check for one application: the pushout of the
 right side along the context, renamed through its legs.  A sequential step
@@ -42,6 +42,7 @@ from weakspan import (
     coherent_set_check,
     colimit_of_neutrals,
     compose_attr,
+    derive_graph,
     fibonacci_system,
     find_matches,
     hex_system,
@@ -54,7 +55,7 @@ from weakspan import (
     validate_attr_morphism,
 )
 from weakspan.constructions import WitnessMatrix
-from weakspan.runner import added_names
+from weakspan.runner import StepReport, added_names, finish_parallel_step
 
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 
@@ -140,8 +141,14 @@ def assert_composites_are_lax(gammas, witnesses):
 
 
 def assert_agrees_with_reference(gammas, step_index=0):
-    """Run both routes on one coherent set and return the renamed result."""
-    step = pct(gammas, added_names(step_index, range(len(gammas))))
+    """Run both routes on one coherent set and return the renamed result.
+
+    The engine's step is the runner's: its change set deletes exactly the
+    host ids outside the reference D', and its report counts D' and H'."""
+    numbers = range(len(gammas))
+    result, report = finish_parallel_step(gammas, StepReport(step_index, "pct"), numbers)
+    [changes] = report.changes
+    assert changes == pct(gammas, added_names(step_index, numbers))
     witnesses = WitnessMatrix(gammas)
     assert_composites_are_lax(gammas, witnesses)
     into_host = [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas]
@@ -149,17 +156,19 @@ def assert_agrees_with_reference(gammas, step_index=0):
         via = compose_attr(into_host[a], witnesses[(a, a)])
         assert compose_attr(into_host[b], witness) == via
     dprime, hprime = reference_step(gammas, witnesses, step_index)
-    assert_same_graph(step.Dprime, dprime)
-    assert_same_graph(step.Hprime, hprime)
-    return step.Hprime
+    assert changes.deleted == set(gammas[0].host.element_ids()) - set(dprime.element_ids())
+    assert (report.dprime_elements, report.hprime_elements) == (
+        dprime.element_count(), hprime.element_count())
+    assert_same_graph(result, hprime)
+    return result
 
 
 def assert_direct_agrees(gamma, step_index, number):
     """One application through `pct` equals the pushout route; returns it."""
-    step = pct([gamma], added_names(step_index, [number]))
+    result = derive_graph(gamma.host, pct([gamma], added_names(step_index, [number])))
     assert_composites_are_lax([gamma], WitnessMatrix([gamma]))
-    assert_same_graph(step.Hprime, reference_direct(gamma, step_index, number))
-    return step.Hprime
+    assert_same_graph(result, reference_direct(gamma, step_index, number))
+    return result
 
 
 def replay_sequential_step(system, host, step_index):
@@ -255,8 +264,7 @@ def test_fresh_ids_step_around_host_ids():
     m = AttrMorphism(kept, host, GraphMorphism(kept.graph, host.graph, {"x": "x"}, {}),
                      AlgebraMorphism(alg, NatPlus(), {"u": 4}))
     gamma = apply_direct(Match(rule, host, m))
-    step = pct([gamma])
-    assert step.born == [{"x": "x", "n": "0:n'"}]
+    assert list(pct([gamma]).added) == ["0:n'"]
     result = assert_agrees_with_reference([gamma])
     assert result.label("s0:0:n''") == LabelSet([1])
 

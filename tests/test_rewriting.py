@@ -39,7 +39,8 @@ from weakspan import (
     pushout_along_neutral,
     pushout_complement,
 )
-from weakspan import hexgrid, rewriting, validate_attr_morphism
+from weakspan import (ChangeSet, apply_parallel_step, derive_graph, hexgrid, limit_of_neutrals,
+                      rewriting, runner, validate_attr_morphism)
 from weakspan.constructions import WitnessMatrix
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
@@ -54,6 +55,11 @@ REG_SIG = SortSignature(["reg"], {"next": ("reg", "reg")})
 @pytest.fixture
 def fib():
     return fibonacci_system()
+
+
+def hprime(gammas):
+    """H', the result of the joint step: the host changed by ``pct``."""
+    return derive_graph(gammas[0].host, pct(gammas))
 
 
 def point(algebra, labels):
@@ -221,13 +227,13 @@ class TestApplyDirect:
         context = pushout_complement(shift.l, gamma.match.m).complement
         assert context.label("x") == LabelSet()
         assert context.label("y") == LabelSet([2])
-        result = pct([gamma]).Hprime
+        result = hprime([gamma])
         assert result.label("x") == LabelSet([2])
         assert result.label("y") == LabelSet([2])
 
     def test_sum_replaces_y_with_the_total(self, fib):
         total = fib.rules[1]
-        result = pct([apply_direct(find_matches(total, fib.host)[0])]).Hprime
+        result = hprime([apply_direct(find_matches(total, fib.host)[0])])
         assert result.label("x") == LabelSet([1])
         assert result.label("y") == LabelSet([3])
 
@@ -235,7 +241,7 @@ class TestApplyDirect:
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
         context = pushout_complement(gamma.rule.l, gamma.match.m)
         assert context.complement.element_ids() == ["x", "y", "e"]
-        assert pct([gamma]).Hprime.element_ids() == ["x", "y", "e"]
+        assert hprime([gamma]).element_ids() == ["x", "y", "e"]
         assert context.complement_to_host.is_neutral
 
     def test_gluing_failure_surfaces_from_application(self):
@@ -276,7 +282,7 @@ class TestAssociatedSpan:
             direct = apply_direct(find_matches(rule, fib.host)[0])
             match = find_matches(span, fib.host)[0]
             via_span = apply_span_dpo(span, match)
-            assert is_attr_isomorphic(pct([direct]).Hprime, pct([via_span]).Hprime) is not None
+            assert is_attr_isomorphic(hprime([direct]), hprime([via_span])) is not None
 
     def test_plain_span_application_rejects_weak_rules(self, fib):
         shift = fib.rules[0]
@@ -360,23 +366,25 @@ class TestCoherence:
 class TestParallelTransformation:
     def test_fibonacci_joint_step(self, fib):
         gammas = [apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules]
-        step = pct(gammas)
-        assert step.Dprime.element_count() == 3
-        labels = {z: step.Dprime.label(z) for z in step.Dprime.element_ids()}
-        assert labels == {"x": LabelSet(), "y": LabelSet(), "e": LabelSet()}
+        assert pct(gammas).deleted == frozenset()
+        dprime, _legs = limit_of_neutrals(
+            [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas])
+        assert dprime.element_count() == 3
+        assert [dprime.label(z) for z in dprime.element_ids()] == [LabelSet()] * 3
+        assert apply_parallel_step(fib, fib.host, 0)[1].dprime_elements == 3
         expected = fib.host.with_labels({"x": [2], "y": [3]})
-        assert is_attr_isomorphic(step.Hprime, expected) is not None
+        assert is_attr_isomorphic(hprime(gammas), expected) is not None
 
     def test_joint_step_differs_from_both_sequences(self, fib):
         shift, total = fib.rules
         def after(rule, host):
-            return pct([apply_direct(find_matches(rule, host)[0])]).Hprime
+            return hprime([apply_direct(find_matches(rule, host)[0])])
 
         assert after(total, after(shift, fib.host)).label("y") == LabelSet([4])  # 2 + 2, not 3
         then = after(shift, after(total, fib.host))
         assert then.label("x") == LabelSet([3])        # the sum got copied
-        joint = pct([apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules])
-        assert is_attr_isomorphic(joint.Hprime, then) is None
+        joint = hprime([apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules])
+        assert is_attr_isomorphic(joint, then) is None
 
     def test_singleton_set_collapses_to_direct_application(self, fib):
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
@@ -384,7 +392,7 @@ class TestParallelTransformation:
         k = pushout_complement(rule.l, gamma.match.m).k_to_complement
         pushout = pushout_along_neutral(rule.r, compose_attr(k, rule.i))
         # the rule adds nothing, so the pushout keeps every id of the context
-        assert pct([gamma]).Hprime == pushout.apex
+        assert hprime([gamma]) == pushout.apex
 
     def test_incoherent_set_is_refused_with_the_obstruction(self):
         eraser = point_rule("erase", ("u",), [Var("u")], [], [], [])
@@ -408,30 +416,34 @@ class TestParallelTransformation:
         g5 = apply_direct(match_on(erase5, host, {"u": 5}))
         g7 = apply_direct(match_on(erase7, host, {"w": 7}))
         assert check_parallel_independent(g5, g7) is not None
-        step = pct([g5, g7])
-        only = step.Hprime.element_ids()[0]
-        assert step.Hprime.label(only) == LabelSet()
-        after5 = apply_direct(match_on(erase7, pct([g5]).Hprime, {"w": 7}))
-        assert is_attr_isomorphic(step.Hprime, pct([after5]).Hprime) is not None
+        joint = hprime([g5, g7])
+        only = joint.element_ids()[0]
+        assert joint.label(only) == LabelSet()
+        after5 = apply_direct(match_on(erase7, hprime([g5]), {"w": 7}))
+        assert is_attr_isomorphic(joint, hprime([after5])) is not None
 
     def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
-        """No run builds the intersected context D'.  Matching, coherence
-        and the joint step cannot build a context graph: the engine does not
-        import ``pushout_complement`` (``test_imports``)."""
-        want = {mode: cmd_run(fib, 6, mode) for mode in ("pct", "sequential")}
+        """No run builds a context or the intersected context D': a step
+        derives one graph per change set it reports, its result.  Matching,
+        coherence and the joint step cannot build a context graph: the
+        engine does not import ``pushout_complement`` (``test_imports``)."""
+        derived = []
 
-        def refuse(*_args):
-            raise AssertionError("a context graph was built")
-        monkeypatch.setattr(rewriting, "_intersected_context", refuse)
+        def counting(parent, changes):
+            derived.append(changes)
+            return derive_graph(parent, changes)
+        monkeypatch.setattr(runner, "derive_graph", counting)
         grid = HexGridSpec(radius=7, seeds=((0, 0), (2, -1)))
-        assert cmd_hexca(grid, 3).live_sets == ca_oracle(grid, 3)
-        for mode in ("pct", "sequential"):
+        hexca = cmd_hexca(grid, 3)
+        assert hexca.live_sets == ca_oracle(grid, 3)
+        assert derived == [c for report in hexca.steps for c in report.changes]
+        for mode, graphs in (("pct", 6), ("sequential", 9)):
+            derived.clear()
             run = cmd_run(fib, 6, mode)
-            assert run.final == want[mode].final
-            assert run.report_text() == want[mode].report_text()
+            assert len(derived) == graphs
+            assert derived == [c for report in run.steps for c in report.changes]
         gamma = apply_direct(find_matches(fib.rules[0], fib.host)[0])
-        with pytest.raises(AssertionError, match="context graph"):
-            pct([gamma]).Dprime
+        assert isinstance(pct([gamma]), ChangeSet)
 
     def test_each_rule_is_planned_once(self, monkeypatch):
         planned = []
@@ -498,7 +510,7 @@ class TestDerivedSpan:
         second = point_rule("b", (), [], [], [], [Lit(2)])
         derived = derive_span_from_pct([first, second])
         host = point(NAT, [9])
-        result = pct([apply_span_dpo(derived, find_matches(derived, host)[0])]).Hprime
+        result = hprime([apply_span_dpo(derived, find_matches(derived, host)[0])])
         assert result.label("x") == LabelSet([1, 2, 9])
 
     def test_left_sides_must_coincide(self):

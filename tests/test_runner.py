@@ -26,7 +26,7 @@ from weakspan import (
     save_system,
     transport_match,
 )
-from weakspan import runner
+from weakspan import derive_graph, limit_of_neutrals, pushout_complement, runner
 from weakspan.runner import StepReport, added_names, finish_parallel_step
 from weakspan.rewriting import pct
 
@@ -59,7 +59,7 @@ DELETE_ON_AN_EDGE = {
 class TestRelabeling:
     def test_parallel_result_lands_back_on_host_ids(self, fib):
         gammas = [apply_direct(m) for m in all_matches(fib, fib.host)]
-        renamed = pct(gammas, added_names(0, range(len(gammas)))).Hprime
+        renamed = derive_graph(fib.host, pct(gammas, added_names(0, range(len(gammas)))))
         assert renamed.element_ids() == ["x", "y", "e"]
         assert renamed.label("x") == LabelSet([2])
         assert renamed.label("y") == LabelSet([3])
@@ -68,10 +68,10 @@ class TestRelabeling:
         rng = random.Random(4)
         host = random_host(rng)
         grow = left_side_twin(random_instance(rng, host).rule, "grow")
-        step = pct([apply_direct(find_matches(grow, host)[0])], added_names(4, [1]))
-        assert step.born[0]["grow.new"] == "s4:1:grow.new"
-        assert list(step.changes.added) == ["s4:1:grow.new"]
-        assert set(step.Hprime.element_ids()) == {*host.element_ids(), "s4:1:grow.new"}
+        changes = pct([apply_direct(find_matches(grow, host)[0])], added_names(4, [1]))
+        assert changes.added == {"s4:1:grow.new": ("q", None, LabelSet())}
+        result = derive_graph(host, changes)
+        assert set(result.element_ids()) == {*host.element_ids(), "s4:1:grow.new"}
 
 
 class TestTransport:
@@ -101,7 +101,7 @@ class TestTransport:
         shift, total = fib.rules
         match = find_matches(total, fib.host)[0]     # binds u=1, v=2
         gamma = apply_direct(find_matches(shift, fib.host)[0])
-        after_shift = pct([gamma]).Hprime   # x now holds 2
+        after_shift = derive_graph(fib.host, pct([gamma]))   # x now holds 2
         with pytest.raises(ValueError, match="label condition"):
             transport_match(match, after_shift)
 
@@ -135,13 +135,15 @@ class TestParallelStep:
     def test_the_context_count_is_the_host_less_the_deletions(self):
         deleting = 0
         for trial in range(40):
-            _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+            host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
             gammas = [apply_direct(m1), apply_direct(m2)]
             _, report = finish_parallel_step(gammas, StepReport(index=0, mode="pct"), [0, 1])
-            step = pct(gammas)
-            assert report.dprime_elements == step.Dprime.element_count()
-            assert report.hprime_elements == step.Hprime.element_count()
-            deleting += bool(step.deleted)
+            changes = pct(gammas)
+            dprime, _legs = limit_of_neutrals(
+                [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas])
+            assert report.dprime_elements == dprime.element_count()
+            assert report.hprime_elements == derive_graph(host, changes).element_count()
+            deleting += bool(changes.deleted)
         assert deleting >= 10
 
     def test_a_relabelling_step_leaves_the_incidence_table_unbuilt(self, cold_loads):
