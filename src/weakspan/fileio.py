@@ -252,8 +252,15 @@ def _loads(text: str) -> SystemSpec:
 
 
 def load_system(path) -> SystemSpec:
+    """Read a system file as UTF-8, JSON's interchange encoding, whatever the
+    locale; bytes that are not UTF-8 are a ParseError that starts with the
+    path, as every other refusal of the file does."""
     path = Path(path)
-    return loads_system(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return loads_system(text, source=str(path))
 
 
 def _signature_json(signature: SortSignature):
@@ -364,7 +371,7 @@ def save_graph(graph: AttributedGraph, path) -> None:
     members = ['"sorts": ' + _text(_signature_json(graph.graph.signature), 1),
                '"algebra": ' + _text(_algebra_json(graph.algebra), 1),
                *_graph_members(graph, 1)]
-    Path(path).write_text(_bracketed(members, 0, "{}") + "\n")
+    Path(path).write_text(_bracketed(members, 0, "{}") + "\n", encoding="utf-8")
 
 
 def save_system(system: SystemSpec, path) -> None:
@@ -373,7 +380,7 @@ def save_system(system: SystemSpec, path) -> None:
             "rules": [_rule_fields(rule) for rule in system.rules]}
     if system.host is not None:
         data["host"] = system.host
-    Path(path).write_text(_text(data, 0) + "\n")
+    Path(path).write_text(_text(data, 0) + "\n", encoding="utf-8")
 
 
 def _dot_quote(text: str) -> str:
@@ -381,7 +388,8 @@ def _dot_quote(text: str) -> str:
 
 
 def export_dot(graph: AttributedGraph, path) -> None:
-    """Write a deterministic DOT rendering: labels as node text, sorts on edges."""
+    """Write a deterministic DOT rendering, in UTF-8: labels as node text,
+    sorts on edges."""
     lines = ["digraph weakspan {"]
     for n in sorted(graph.graph.nodes):
         text = f"{n} {graph.label(n).render()}"
@@ -394,4 +402,4 @@ def export_dot(graph: AttributedGraph, path) -> None:
         text = sort if not graph.label(e) else f"{sort} {graph.label(e).render()}"
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(tgt)} [label={_dot_quote(text)}];")
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -277,14 +277,19 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     element without an entry may take any host element of its sort.  The
     sets are read and never changed, so a caller may pass sets it shares.
     A node whose placed neighbours give candidates takes those candidates
-    that its set also holds; a node that starts a search walks its set.
+    that its set also holds; a node that starts a search walks its set, and
+    its image is not checked again, so that a node's set holds host nodes
+    of its sort is what makes a start node's image one of its sort.
 
     The search walks the pattern's `SearchPlan`, built once per ranking of
     the pattern nodes and kept on the pattern graph.  Placing a node binds
     every pattern edge it closes to its bucket of host edges, narrowed to
     the edge's set when it has one, and rejects the node when a bucket is
     empty; a complete node map gives one morphism per choice across the
-    buckets.  Candidates are tried in set order, so the results are sorted
+    buckets.  A placed node has its sort, and a bound edge its sort and its
+    ends, by construction, so each morphism is built from the images and
+    buckets it took without the constructor's checks, and owns its maps.
+    Candidates are tried in set order, so the results are sorted
     at the end: lexicographically on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
     """
@@ -314,12 +319,14 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
 
     def place(pos: int) -> None:
         if pos == len(steps):
-            node_map = dict(zip(order, images))
             for choice in itertools.product(*buckets):
                 if distinct and len(set(choice)) < len(choice):
                     continue
-                results.append(GraphMorphism(pattern, host, node_map,
-                                             dict(zip(edge_order, choice))))
+                morphism = object.__new__(GraphMorphism)
+                morphism.source, morphism.target = pattern, host
+                morphism.node_map = dict(zip(order, images))
+                morphism.edge_map = dict(zip(edge_order, choice))
+                results.append(morphism)
             return
         pn, anchors, closes = steps[pos]
         if anchors:

@@ -429,10 +429,12 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
     set of host edges of its sort that pass; an unlabelled element admits
     every host element of its sort and gets no set.  No match is checked
     for labels again: for an enumerated rule admission is the label check
-    and the algebra part is the identity, and for a term rule each
-    assignment ``_solve_label_constraints`` returns puts every (element,
-    term) constraint of L into its host label, which is the lax label
-    condition.
+    and the algebra part is the identity, one per search, and for a term
+    rule each assignment ``_solve_label_constraints`` returns puts every
+    (element, term) constraint of L into its host label, which is the lax
+    label condition.  The search's morphisms are injective, run from L's
+    graph to the host's, and meet the admitted sets, so each match and its
+    ``AttrMorphism`` are built from them without the constructors' checks.
     """
     rule_alg = rule.algebra
     enumerated = isinstance(rule_alg, FiniteEnum)
@@ -452,21 +454,23 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
         admitted[x] = {h for h, (edge_sort, _src, _tgt) in host.graph.edges.items()
                        if edge_sort == sort and (label <= have[h] if enumerated else have[h])}
     plan_constraints = rule.plan.constraints
+    alphas = [AlgebraMorphism(rule_alg, host.algebra)] if enumerated else []
     matches: list[Match] = []
     for sigma in enumerate_morphisms(rule.L.graph, host.graph, injective_only=True,
                                      admitted=admitted):
-        if enumerated:
-            assignments = [{}]
-        else:
+        if not enumerated:
             constraints = [(t, have[sigma.apply(x)]) for x, t in plan_constraints]
             assignments = _solve_label_constraints(constraints, host.algebra)
             if len(assignments) > 1:
                 assignments.sort(
                     key=lambda a: tuple(sorted((v, render_value(x)) for v, x in a.items())))
-        for assignment in assignments:
-            alpha = AlgebraMorphism(rule_alg, host.algebra, assignment)
-            m = AttrMorphism(rule.L, host, sigma, alpha, check=False)
-            matches.append(Match(rule, host, m))
+            alphas = [AlgebraMorphism(rule_alg, host.algebra, a) for a in assignments]
+        for alpha in alphas:
+            m = object.__new__(AttrMorphism)
+            m.source, m.target, m.sigma, m.alpha = rule.L, host, sigma, alpha
+            match = object.__new__(Match)
+            match.rule, match.host, match.m = rule, host, m
+            matches.append(match)
     return matches
 
 

@@ -121,8 +121,9 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     The host's label groups are built once, and each distinct left side is
     searched once: a rule whose L equals an earlier rule's takes that rule's
     morphisms, in the same canonical order, since ``find_matches`` reads the
-    rule only through L.  Raises ValueError when two rules share a name,
-    since step reports and listings are keyed by rule name.
+    rule only through L.  Those morphisms passed as matches of an equal L,
+    so they are not checked again.  Raises ValueError when two rules share
+    a name, since step reports and listings are keyed by rule name.
     """
     names = set()
     for rule in system.rules:
@@ -135,7 +136,12 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     for rule in system.rules:
         for left, matches in searched:
             if left == rule.L:
-                found.append([Match(rule, host, match.m) for match in matches])
+                shared = []
+                for match in matches:
+                    twin = object.__new__(Match)
+                    twin.rule, twin.host, twin.m = rule, host, match.m
+                    shared.append(twin)
+                found.append(shared)
                 break
         else:
             matches = find_matches(rule, host, groups)

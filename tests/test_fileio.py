@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -384,3 +388,62 @@ class TestDotExport:
         text = path.read_text()
         assert '"no\\"de"' in text
         assert '[label="a {7}"]' in text
+
+
+# one enumerated rule that keeps a node labelled "a", on a host whose one
+# such node has a raw (unescaped) non-ASCII id
+_KEEP = {"nodes": [{"id": "x", "sort": "p", "label": ["a"]}]}
+NON_ASCII = json.dumps({
+    "sorts": {"nodes": ["p"], "edges": {"e": ["p", "p"]}},
+    "algebra": {"enum": ["a"]},
+    "rules": [{"name": "keep", "L": _KEEP, "K": _KEEP, "I": _KEEP, "R": _KEEP,
+               "l": {"nodes": {"x": "x"}}, "i": {"nodes": {"x": "x"}},
+               "r": {"nodes": {"x": "x"}}}],
+    "host": {"nodes": [{"id": "\u00e9", "sort": "p", "label": ["a"]}],
+             "edges": [{"id": "loop", "sort": "e", "src": "\u00e9", "tgt": "\u00e9"}]},
+}, ensure_ascii=False)
+
+
+def run_in_locale(argv, utf8, cwd):
+    """``python -m weakspan`` with ``argv`` in ``cwd``, in a UTF-8 mode
+    process or in one whose locale encoding is ASCII."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update({"PYTHONUTF8": "1"} if utf8 else
+               {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    return subprocess.run([sys.executable, "-m", "weakspan", *argv], env=env, cwd=cwd,
+                          capture_output=True, timeout=60)
+
+
+class TestEncoding:
+    """Files are read and written as UTF-8 whatever the locale."""
+
+    def test_bytes_that_are_not_utf8_are_refused_with_the_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps(with_host()).encode())
+        assert main(["match", "--rules", str(bad), "--host", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"invalid input: {bad}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+        with pytest.raises(ParseError):
+            load_system(bad)
+
+    @pytest.mark.parametrize("argv, written", [
+        (["match", "--rules", "in.json", "--host", "in.json", "--report", "report.txt"],
+         ["report.txt"]),
+        (["export", "--host", "in.json", "--dot", "out.dot", "--out", "out.json"],
+         ["out.dot", "out.json"]),
+    ], ids=["match", "export"])
+    def test_an_ascii_locale_reads_and_writes_what_utf8_does(self, argv, written, tmp_path):
+        files = {}
+        for utf8 in (True, False):
+            cwd = tmp_path / ("utf8" if utf8 else "ascii")
+            cwd.mkdir()
+            (cwd / "in.json").write_bytes(NON_ASCII.encode("utf-8"))
+            done = run_in_locale(argv, utf8, cwd)
+            assert (done.returncode, done.stderr) == (0, b""), utf8
+            files[utf8] = [(cwd / name).read_bytes() for name in written]
+        assert files[False] == files[True]
+        assert "\u00e9".encode("utf-8") in files[True][0]

@@ -26,8 +26,10 @@ from weakspan import (
     HexGridSpec,
     LabelSet,
     Lit,
+    Match,
     OpApp,
     SortSignature,
+    SystemSpec,
     TermAlg,
     Var,
     WeakSpan,
@@ -38,15 +40,18 @@ from weakspan import (
     evaluate_term,
     fibonacci_system,
     find_matches,
+    hex_system,
     huw_rules,
     load_system,
+    rule_matches,
     validate_attr_morphism,
 )
 from weakspan.algebras import render_value, term_variables
 from weakspan.cli import main
 from weakspan.rewriting import _solve_label_constraints
 
-from randgen import NAT, SIG as TERM_SIG, random_host, random_independent_pair, random_instance
+from randgen import (NAT, SIG as TERM_SIG, left_side_twin, random_host, random_independent_pair,
+                     random_instance, random_system)
 
 
 def filtered_matches(rule, host):
@@ -130,6 +135,58 @@ def test_random_families():
         assert_same_matches([random_instance(rng, host, var_names=("u", "v"), name="one").rule,
                              random_instance(rng, host, var_names=("w", "z"), name="two").rule],
                             host)
+
+
+def assert_constructors_accept(system, host):
+    """Every match a step lists, for ``find_matches`` and for the rules that
+    share its search, is built by the search without the constructors'
+    checks; each must pass them all, label check included, and equal what
+    they build."""
+    for rule, matches in zip(system.rules, rule_matches(system, host), strict=True):
+        for match in matches:
+            sigma, alpha = match.m.sigma, match.alpha
+            rebuilt = Match(rule, host, AttrMorphism(
+                rule.L, host,
+                GraphMorphism(rule.L.graph, host.graph, sigma.node_map, sigma.edge_map),
+                AlgebraMorphism(rule.algebra, host.algebra, alpha.assignment)))
+            assert rebuilt == match, rule.name
+            assert (match.rule, match.host) == (rule, host)
+
+
+def test_search_results_hold_against_the_constructors():
+    fib = fibonacci_system()
+    for mode in ("pct", "sequential"):
+        for host in cmd_run(fib, 12, mode).history:
+            assert_constructors_accept(fib, host)
+    grid = HexGridSpec(radius=6, seeds=((0, 0), (2, -1)))
+    hexes = hex_system(grid)
+    for host in cmd_hexca(grid, generations=2).graphs:
+        assert_constructors_accept(hexes, host)
+    matched = 0
+    for seed in range(60):
+        system = random_system(seed)
+        # a second rule with an equal left side takes the first one's search
+        rules = [*system.rules, left_side_twin(system.rules[0], "twin")]
+        twinned = SystemSpec(system.signature, system.algebra, rules, system.host)
+        for host in cmd_run(system, 3, "sequential").history:
+            assert_constructors_accept(twinned, host)
+            matched += len(find_matches(rules[0], host))
+    assert matched >= 60
+
+
+def test_a_warm_hex_run_constructs_no_morphism_and_no_match(monkeypatch):
+    """The search builds its morphisms and matches from what it placed, so
+    a run whose rules and disk are built calls none of their constructors."""
+    cmd_hexca(HexGridSpec(radius=5), 3)
+    built = []
+    for cls in (GraphMorphism, AttrMorphism, Match):
+        def counting(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+            built.append(name)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    result = cmd_hexca(HexGridSpec(radius=5), 3)
+    assert [step.applied for step in result.steps] == [6, 6, 18]
+    assert built == []
 
 
 SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q"), "c": ("p", "p")})

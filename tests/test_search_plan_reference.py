@@ -228,7 +228,9 @@ def admission_of(host, admitted):
 @pytest.mark.parametrize("admitted", [False, True], ids=["all", "admits"])
 def test_random_multigraphs(injective_only, admitted):
     """Loops, parallel edges of one sort, several components, isolated nodes
-    and the empty pattern, each against the recursive search."""
+    and the empty pattern, each against the recursive search.  The search
+    builds each morphism without the constructor's checks, so the
+    constructor must accept its maps and build an equal morphism."""
     found = parallel = components = empty = narrowed_edges = 0
     for trial in range(300):
         rng = random.Random(12000 + trial)
@@ -240,6 +242,8 @@ def test_random_multigraphs(injective_only, admitted):
         got = enumerate_morphisms(pattern, host, injective_only, sets)
         assert maps(got) == maps(reference_morphisms(pattern, host, injective_only,
                                                       admits, classes)), trial
+        for m in got:
+            assert GraphMorphism(pattern, host, m.node_map, m.edge_map) == m, trial
         found += len(got)
         narrowed_edges += bool(sets) and any(x in pattern.edges for x in sets) and bool(got)
         parallel += len(set(pattern.edges.values())) < len(pattern.edges) and bool(got)
