@@ -11,8 +11,8 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
                        Lit, NatPlus, OpApp, OpSignature, PLUS_SIGNATURE,
                        TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
-from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, ValidationReport,
-                         Violation, compose_attr, derive_graph, identity_attr, inclusion,
+from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation,
+                         compose_attr, derive_graph, identity_attr, inclusion,
                          is_attr_isomorphic, rename_attributed, validate_attr_morphism)
 from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             apply_span_dpo, associated_span, check_parallel_coherent,
@@ -20,16 +20,16 @@ from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             colimit_of_neutrals, coproduct_rule, derive_span_from_pct,
                             limit_of_neutrals, pullback_of_neutrals, pushout_along_neutral,
                             pushout_complement)
-from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
-                     load_system, loads_system, save_graph, save_system)
+from .fileio import (ParseError, ValidationError, export_dot, load_system, loads_system,
+                     save_graph, save_system)
 from .graphs import (Graph, GraphMorphism, SortSignature, compose,
                      disjoint_union, enumerate_morphisms, is_isomorphic,
                      is_mono)
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
 from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,
-                        Match, RulePlan, WeakSpan, apply_direct, coherent_set_check,
-                        deletion_plan, deletion_record, find_matches, pct)
+                        Match, RulePlan, SystemSpec, WeakSpan, apply_direct,
+                        coherent_set_check, deletion_plan, deletion_record, find_matches, pct)
 from .runner import (HexcaResult, RunResult, StepReport, all_matches,
                      apply_parallel_step, apply_sequential_step, cmd_hexca,
                      cmd_run, rule_matches, transport_match)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -189,30 +189,18 @@ class Violation:
                 f"not contained in {self.target_labels.render()} at {self.image!r}")
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid"
-        return "; ".join(v.describe() for v in self.violations)
-
-
 class AttrMorphism:
     """A pair of a graph morphism and an algebra morphism, lax on labels.
 
     Lax means the image of each source label set is contained in the label
     set of the image element; a morphism is neutral when its algebra part is
-    an identity.
+    an identity.  The constructor checks both parts' ends and the label
+    condition on every element, and has no unchecked mode: a map that is not
+    lax raises ValueError naming each violation in element id order.
     """
 
     def __init__(self, source: AttributedGraph, target: AttributedGraph,
-                 sigma: GraphMorphism, alpha: AlgebraMorphism, check: bool = True):
+                 sigma: GraphMorphism, alpha: AlgebraMorphism):
         self.source = source
         self.target = target
         self.sigma = sigma
@@ -221,10 +209,10 @@ class AttrMorphism:
             raise ValueError("graph part does not run between the underlying graphs")
         if alpha.source != source.algebra or alpha.target != target.algebra:
             raise ValueError("algebra part does not run between the algebras")
-        if check:
-            report = validate_attr_morphism(self)
-            if not report.ok:
-                raise ValueError(f"label condition fails: {report.describe()}")
+        violations = validate_attr_morphism(self)
+        if violations:
+            raise ValueError("label condition fails: "
+                             + "; ".join(v.describe() for v in violations))
 
     @property
     def is_neutral(self) -> bool:
@@ -244,12 +232,13 @@ class AttrMorphism:
         return f"AttrMorphism({self.sigma.node_map}, {self.alpha!r})"
 
 
-def validate_attr_morphism(m: AttrMorphism) -> ValidationReport:
-    """Check the label condition on every element; list each violation.
+def validate_attr_morphism(m: AttrMorphism) -> list[Violation]:
+    """The elements of ``m``'s source whose mapped labels are not contained
+    in their image's label, in element id order; empty when ``m`` is lax.
 
-    Every element is tested in one pass; the violations, in element id
-    order, are gathered only when one fails.  An empty label holds
-    anywhere, and under an identity algebra part a label is its own image.
+    Every element is tested in one pass; the violations are gathered only
+    when one fails.  An empty label holds anywhere, and under an identity
+    algebra part a label is its own image.
     """
     source, target = m.source.labeling, m.target.labeling
     alpha, sigma = m.alpha, m.sigma
@@ -259,7 +248,7 @@ def validate_attr_morphism(m: AttrMorphism) -> ValidationReport:
         if label and not (label if identity else apply_to_labelset(alpha, label)) <= target[y]:
             break
     else:
-        return ValidationReport(True, [])
+        return []
     violations = []
     for x in m.source.element_ids():
         image = sigma.apply(x)
@@ -267,19 +256,18 @@ def validate_attr_morphism(m: AttrMorphism) -> ValidationReport:
         have = target[image]
         if not mapped <= have:
             violations.append(Violation(x, image, LabelSet(mapped), have))
-    return ValidationReport(False, violations)
+    return violations
 
 
 def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:
-    """Componentwise composite g after f.
-
-    A composite of lax morphisms is lax, so its labels are not checked again.
-    """
+    """Componentwise composite g after f, through the checked constructor:
+    a composite of lax morphisms is lax, and its labels are checked, not
+    assumed."""
     if f.target != g.source:
         raise ValueError("attributed morphisms do not compose")
     return AttrMorphism(f.source, g.target,
                         compose(g.sigma, f.sigma),
-                        g.alpha.compose(f.alpha), check=False)
+                        g.alpha.compose(f.alpha))
 
 
 def inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:

@@ -11,17 +11,17 @@ failure, 4 incoherent match set.
 from __future__ import annotations
 
 import argparse
+import codecs
 import re
 import sys
 from functools import cache
 
 from .algebras import render_value
 from .attrgraphs import AttributedGraph, derive_graph
-from .fileio import (ParseError, SystemSpec, ValidationError, export_dot,
-                     load_system, save_graph, save_system)
+from .fileio import ParseError, ValidationError, export_dot, load_system, save_graph, save_system
 from .hexgrid import HexGridSpec, hex_system
 from .presets import fibonacci_system
-from .rewriting import GluingError, IncoherentSetError, Match, apply_direct, pct
+from .rewriting import GluingError, IncoherentSetError, Match, SystemSpec, apply_direct, pct
 from .runner import (StepReport, added_names, apply_parallel_step, cmd_hexca, cmd_run,
                      finish_parallel_step, rule_matches)
 
@@ -126,12 +126,26 @@ def _join_seed_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _print(text: str) -> None:
+    """Write ``text`` and a newline to stdout in UTF-8, as files are written,
+    whatever the locale: a stream with another encoding is written to
+    through its byte buffer, under its own error handler."""
+    stream = sys.stdout
+    encoding = getattr(stream, "encoding", None)
+    if encoding is None or codecs.lookup(encoding).name == "utf-8":
+        stream.write(text + "\n")
+    else:
+        stream.flush()
+        stream.buffer.write((text + "\n").encode("utf-8", stream.errors))
+        stream.buffer.flush()
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     elif text:
-        print(text)
+        _print(text)
 
 
 def _load_inputs(args) -> tuple[SystemSpec, AttributedGraph]:
@@ -247,7 +261,7 @@ def _cmd_run(args) -> int:
     _emit(run.report_text(), args.report)
     if args.out:
         save_graph(run.final, args.out)
-    print(f"{len(run.steps)} steps; final graph has {run.final.graph.element_count()} elements")
+    _print(f"{len(run.steps)} steps; final graph has {run.final.graph.element_count()} elements")
     return EXIT_OK
 
 
@@ -260,7 +274,7 @@ def _cmd_hexca(args) -> int:
     _emit("\n".join(lines), args.report)
     if args.out:
         save_graph(result.graphs[-1], args.out)
-    print(f"live counts: {result.live_counts}")
+    _print(f"live counts: {result.live_counts}")
     return EXIT_OK
 
 

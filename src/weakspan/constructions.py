@@ -326,12 +326,13 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
 def _witness(required: AttributedGraph, image: Mapping[str, str], alpha: AlgebraMorphism,
              context: AttributedGraph) -> AttrMorphism:
     """The morphism j from ``required`` into ``context`` that sends each
-    element x to its host id ``image[x]``; its labels were checked on the
-    deletion record."""
+    element x to its host id ``image[x]``, through the checked constructor:
+    the engine's verdict that the image embeds is checked again here, on
+    the context the specification builds."""
     graph = required.graph
     sigma = GraphMorphism(graph, context.graph, {x: image[x] for x in graph.nodes},
                           {x: image[x] for x in graph.edges})
-    return AttrMorphism(required, context, sigma, alpha, check=False)
+    return AttrMorphism(required, context, sigma, alpha)
 
 
 class WitnessMatrix(Mapping):
@@ -342,7 +343,7 @@ class WitnessMatrix(Mapping):
     through the rule's own context.  Making the matrix runs
     ``coherent_set_check``, so an incoherent set raises its
     ``IncoherentSetError``.  Each witness is built when it is first read,
-    and each context D_b once.
+    with its labels checked, and each context D_b once.
     """
 
     def __init__(self, gammas: Sequence[DirectTransformation]):

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Optional
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
                        NatPlus, PLUS_SIGNATURE, TermAlg, TermSyntaxError,
                        Value, parse_term, render_value, value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph
 from .graphs import Graph, GraphMorphism, SortSignature
-from .rewriting import WeakSpan
+from .rewriting import SystemSpec, WeakSpan
 
 
 class ParseError(ValueError):
@@ -22,16 +20,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """The file parses but violates a structural invariant."""
-
-
-@dataclass
-class SystemSpec:
-    """A sort signature, an algebra, a rule list, and an optional host graph."""
-
-    signature: SortSignature
-    algebra: Algebra
-    rules: list[WeakSpan] = field(default_factory=list)
-    host: Optional[AttributedGraph] = None
 
 
 def _require(cond: bool, message: str) -> None:

@@ -13,9 +13,8 @@ from functools import cache, lru_cache
 
 from .algebras import FiniteEnum, LabelSet
 from .attrgraphs import AttributedGraph, ChangeSet, derive_graph, inclusion
-from .fileio import SystemSpec
 from .graphs import Graph, SortSignature
-from .rewriting import WeakSpan
+from .rewriting import SystemSpec, WeakSpan
 
 DIRECTIONS: tuple[tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 

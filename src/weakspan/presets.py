@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from .algebras import LabelSet, NatPlus, OpApp, PLUS_SIGNATURE, TermAlg, Var
 from .attrgraphs import AttributedGraph, inclusion
-from .fileio import SystemSpec
 from .graphs import Graph, SortSignature
-from .rewriting import WeakSpan
+from .rewriting import SystemSpec, WeakSpan
 
 
 def fibonacci_system() -> SystemSpec:

@@ -1,5 +1,5 @@
-"""Weak rewrite rules, matching, deletion records, the coherence check, and
-the parallel coherent transformation.
+"""Weak rewrite rules and rule systems, matching, deletion records, the
+coherence check, and the parallel coherent transformation.
 
 This module is engine.  It never imports ``constructions``, the
 specification, which builds the general contexts, limits, colimits and
@@ -18,7 +18,7 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, Violation
-from .graphs import enumerate_morphisms, is_mono
+from .graphs import SortSignature, enumerate_morphisms, is_mono
 
 
 class GluingError(Exception):
@@ -265,6 +265,16 @@ class WeakSpan:
 
 
 @dataclass
+class SystemSpec:
+    """A sort signature, an algebra, a rule list, and an optional host graph."""
+
+    signature: SortSignature
+    algebra: Algebra
+    rules: list[WeakSpan] = field(default_factory=list)
+    host: Optional[AttributedGraph] = None
+
+
+@dataclass
 class Match:
     """An injective occurrence of a rule's left side in a host graph."""
 
@@ -380,7 +390,10 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
     """All variable assignments under which every term lands in its allowed set.
 
     Constraints are tried in the given order, repeats dropped; ``RulePlan``
-    puts the smallest terms first.
+    puts the smallest terms first.  No assignment is found twice: each
+    extension sends a term to one host value, and a sum's split is fixed by
+    its left summand's value, so a path's choices are fixed by the
+    assignment it ends in.
     """
     ordered = list(dict.fromkeys(constraints))
     solutions: list[dict] = []
@@ -396,14 +409,7 @@ def _solve_label_constraints(constraints: list[tuple[Value, LabelSet]],
 
     walk(0, {})
     del walk   # it calls itself through its closure; emptying the cell frees it now
-    unique = []
-    seen = set()
-    for sol in solutions:
-        key = tuple(sorted((v, render_value(x)) for v, x in sol.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(sol)
-    return unique
+    return solutions
 
 
 def find_matches(rule: WeakSpan, host: AttributedGraph,

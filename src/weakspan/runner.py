@@ -24,10 +24,9 @@ from typing import Iterable, Sequence
 
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph
 from .graphs import GraphMorphism
-from .fileio import SystemSpec
 from .hexgrid import HexGridSpec, changed_live_cells, hex_distance, hex_system, live_cells
 from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
-                        apply_direct, find_matches, pct)
+                        SystemSpec, apply_direct, find_matches, pct)
 
 
 @dataclass
@@ -121,9 +120,9 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     The host's label groups are built once, and each distinct left side is
     searched once: a rule whose L equals an earlier rule's takes that rule's
     morphisms, in the same canonical order, since ``find_matches`` reads the
-    rule only through L.  Those morphisms passed as matches of an equal L,
-    so they are not checked again.  Raises ValueError when two rules share
-    a name, since step reports and listings are keyed by rule name.
+    rule only through L; each becomes that rule's ``Match`` through the
+    checked constructor.  Raises ValueError when two rules share a name,
+    since step reports and listings are keyed by rule name.
     """
     names = set()
     for rule in system.rules:
@@ -136,12 +135,7 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     for rule in system.rules:
         for left, matches in searched:
             if left == rule.L:
-                shared = []
-                for match in matches:
-                    twin = object.__new__(Match)
-                    twin.rule, twin.host, twin.m = rule, host, match.m
-                    shared.append(twin)
-                found.append(shared)
+                found.append([Match(rule, host, match.m) for match in matches])
                 break
         else:
             matches = find_matches(rule, host, groups)

@@ -123,10 +123,15 @@ class TestAttrMorphism:
         small = chain(labels_x=(1, 3), labels_y=(9,))
         big = chain(labels_x=(1,))
         sigma = GraphMorphism.identity(small.graph)
-        report = validate_attr_morphism(
-            AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT), check=False))
-        assert not report.ok
-        assert {v.element for v in report.violations} == {"x", "y"}
+        with pytest.raises(ValueError) as raised:
+            AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT))
+        assert str(raised.value) == (
+            "label condition fails: "
+            "element 'x': mapped labels {1, 3} not contained in {1} at 'x'; "
+            "element 'y': mapped labels {9} not contained in {} at 'y'")
+        lax = AttrMorphism(small, chain(labels_x=(1, 3), labels_y=(9,)), sigma,
+                           AlgebraMorphism.identity(NAT))
+        assert validate_attr_morphism(lax) == []
 
     def test_violations_follow_element_id_order(self):
         g = Graph(SIG, {"z": "p", "x": "p", "y": "p"},
@@ -134,10 +139,10 @@ class TestAttrMorphism:
         small = AttributedGraph(g, NAT, {"z": [1], "x": [2], "y": [3], "f": [4], "e": [5]})
         big = AttributedGraph(g, NAT, {"y": [3]})
         sigma = GraphMorphism(g, g, {"y": "y", "z": "z", "x": "x"}, {"f": "f", "e": "e"})
-        report = validate_attr_morphism(
-            AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT), check=False))
-        assert [v.element for v in report.violations] == ["x", "z", "e", "f"]
-        assert report.describe() == (
+        with pytest.raises(ValueError) as raised:
+            AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT))
+        assert str(raised.value) == (
+            "label condition fails: "
             "element 'x': mapped labels {2} not contained in {} at 'x'; "
             "element 'z': mapped labels {1} not contained in {} at 'z'; "
             "element 'e': mapped labels {5} not contained in {} at 'e'; "
@@ -152,13 +157,14 @@ class TestAttrMorphism:
         host = AttributedGraph(g, NAT, {"z": [7], "x": [7], "y": [8], "f": [7, 4]})
         sigma = GraphMorphism(g, g, {"z": "z", "x": "x", "y": "y"}, {"f": "f", "e": "e"})
         alpha = AlgebraMorphism(terms, NAT, {"u": 7})
-        report = validate_attr_morphism(AttrMorphism(pattern, host, sigma, alpha, check=False))
-        assert report.describe() == (
+        with pytest.raises(ValueError) as raised:
+            AttrMorphism(pattern, host, sigma, alpha)
+        assert str(raised.value) == (
+            "label condition fails: "
             "element 'x': mapped labels {2} not contained in {7} at 'x'; "
             "element 'y': mapped labels {7} not contained in {8} at 'y'")
-        assert validate_attr_morphism(
-            AttrMorphism(pattern, host.with_labels({"x": [2], "y": [7]}), sigma, alpha,
-                         check=False)).ok
+        fixed = AttrMorphism(pattern, host.with_labels({"x": [2], "y": [7]}), sigma, alpha)
+        assert validate_attr_morphism(fixed) == []
 
     def test_variable_assignment_is_applied_before_comparing(self):
         terms = TermAlg(PLUS_SIGNATURE, ("u",))

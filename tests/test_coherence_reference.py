@@ -70,7 +70,7 @@ def assert_same_verdict(gammas):
         assert witness is matrix[(a, b)]
         assert witness.target == contexts[b]
         assert witness.source is gammas[a].rule.I
-        assert validate_attr_morphism(witness).ok
+        assert validate_attr_morphism(witness) == []
     return True
 
 

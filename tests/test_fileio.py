@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -390,13 +391,13 @@ class TestDotExport:
         assert '[label="a {7}"]' in text
 
 
-# one enumerated rule that keeps a node labelled "a", on a host whose one
-# such node has a raw (unescaped) non-ASCII id
+# one enumerated rule with a non-ASCII name that keeps a node labelled "a",
+# on a host whose one such node has a raw (unescaped) non-ASCII id
 _KEEP = {"nodes": [{"id": "x", "sort": "p", "label": ["a"]}]}
 NON_ASCII = json.dumps({
     "sorts": {"nodes": ["p"], "edges": {"e": ["p", "p"]}},
     "algebra": {"enum": ["a"]},
-    "rules": [{"name": "keep", "L": _KEEP, "K": _KEEP, "I": _KEEP, "R": _KEEP,
+    "rules": [{"name": "cl\u00e9", "L": _KEEP, "K": _KEEP, "I": _KEEP, "R": _KEEP,
                "l": {"nodes": {"x": "x"}}, "i": {"nodes": {"x": "x"}},
                "r": {"nodes": {"x": "x"}}}],
     "host": {"nodes": [{"id": "\u00e9", "sort": "p", "label": ["a"]}],
@@ -433,17 +434,37 @@ class TestEncoding:
     @pytest.mark.parametrize("argv, written", [
         (["match", "--rules", "in.json", "--host", "in.json", "--report", "report.txt"],
          ["report.txt"]),
+        (["match", "--rules", "in.json", "--host", "in.json"], []),
+        (["run", "--rules", "in.json", "--host", "in.json", "--steps", "1"], []),
         (["export", "--host", "in.json", "--dot", "out.dot", "--out", "out.json"],
          ["out.dot", "out.json"]),
-    ], ids=["match", "export"])
+    ], ids=["match", "match-stdout", "run-stdout", "export"])
     def test_an_ascii_locale_reads_and_writes_what_utf8_does(self, argv, written, tmp_path):
-        files = {}
+        # what the command prints and every file it writes, as bytes
+        outputs = {}
         for utf8 in (True, False):
             cwd = tmp_path / ("utf8" if utf8 else "ascii")
             cwd.mkdir()
             (cwd / "in.json").write_bytes(NON_ASCII.encode("utf-8"))
             done = run_in_locale(argv, utf8, cwd)
             assert (done.returncode, done.stderr) == (0, b""), utf8
-            files[utf8] = [(cwd / name).read_bytes() for name in written]
-        assert files[False] == files[True]
-        assert "\u00e9".encode("utf-8") in files[True][0]
+            outputs[utf8] = [done.stdout] + [(cwd / name).read_bytes() for name in written]
+        assert outputs[False] == outputs[True]
+        assert "\u00e9".encode("utf-8") in b"".join(outputs[True])
+
+    def test_main_writes_utf8_to_whatever_stdout_it_is_given(self, tmp_path, monkeypatch):
+        """In process, as a library caller or the benchmark calls it: a
+        UTF-8 stream, an ASCII one and a text-only one all get one text."""
+        path = tmp_path / "in.json"
+        path.write_bytes(NON_ASCII.encode("utf-8"))
+        argv = ["run", "--rules", str(path), "--host", str(path), "--steps", "1"]
+        printed = []
+        for stream in (io.TextIOWrapper(io.BytesIO(), encoding="utf-8"),
+                       io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()):
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(argv) == 0
+            stream.flush()
+            printed.append(stream.buffer.getvalue().decode("utf-8")
+                           if hasattr(stream, "buffer") else stream.getvalue())
+        assert printed[1] == printed[0] == printed[2]
+        assert "matches {cl\u00e9: 1}" in printed[0]

@@ -121,3 +121,55 @@ def test_the_engine_never_imports_the_specification():
     imported_below = set().union(*(imported for name, imported in imports.items()
                                    if name != "__init__"))
     assert stems - {"__init__", "__main__"} - imported_below == {"constructions"}
+
+
+def unchecked_builds(source, module):
+    """(module, function, class) for each ``object.__new__(X)`` call in
+    ``source``: an object made without its constructor's checks.  The
+    function is the top-level function or ``Class.method`` the call sits
+    in, nested functions included, or ``<module>``."""
+    found = set()
+
+    def visit(node, where, in_class=False):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                    where == "<module>" or in_class):
+                name = child.name if where == "<module>" else f"{where}.{child.name}"
+                visit(child, name, isinstance(child, ast.ClassDef))
+                continue
+            call = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(call, ast.Attribute) and call.attr == "__new__"
+                    and isinstance(call.value, ast.Name) and call.value.id == "object"):
+                found.add((module, where, ast.unparse(child.args[0])))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    def g():\n        return object.__new__(A)\n    return g\n",
+     {("m", "f", "A")}),
+    ("class C:\n    def make(self):\n        return object.__new__(C)\n",
+     {("m", "C.make", "C")}),
+    ("x = object.__new__(A)\n", {("m", "<module>", "A")}),
+    ("def f():\n    return A.__new__(A), object.__init__(A)\n", set()),
+])
+def test_every_unchecked_build_is_seen(source, found):
+    assert unchecked_builds(source, "m") == found
+
+
+def test_only_the_search_and_derive_graph_build_unchecked():
+    # each of these is held against its public constructor by the tests;
+    # every other object goes through a constructor that checks it
+    found = set().union(*(unchecked_builds(path.read_text(encoding="utf-8"), path.stem)
+                          for path in MODULES))
+    assert found == {("graphs", "enumerate_morphisms", "GraphMorphism"),
+                     ("attrgraphs", "derive_graph", "AttributedGraph"),
+                     ("rewriting", "find_matches", "AttrMorphism"),
+                     ("rewriting", "find_matches", "Match")}
+
+
+def test_only_the_command_line_reads_the_file_format():
+    assert [path.stem for path in MODULES if path.stem not in ("cli", "__init__")
+            and "fileio" in package_imports(path.read_text(encoding="utf-8"))] == []

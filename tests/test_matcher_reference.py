@@ -42,6 +42,7 @@ from weakspan import (
     find_matches,
     hex_system,
     huw_rules,
+    inclusion,
     load_system,
     rule_matches,
     validate_attr_morphism,
@@ -92,7 +93,7 @@ def assert_same_matches(rules, host):
         found = find_matches(rule, host)
         got = [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment) for m in found]
         assert got == filtered_matches(rule, host), rule.name
-        assert all(validate_attr_morphism(m.m).ok for m in found), rule.name
+        assert all(validate_attr_morphism(m.m) == [] for m in found), rule.name
 
 
 def test_every_hex_growth_step():
@@ -138,10 +139,10 @@ def test_random_families():
 
 
 def assert_constructors_accept(system, host):
-    """Every match a step lists, for ``find_matches`` and for the rules that
-    share its search, is built by the search without the constructors'
-    checks; each must pass them all, label check included, and equal what
-    they build."""
+    """Every match a step lists: ``find_matches`` builds each without the
+    constructors' checks, and a rule that shares its search makes its own
+    through ``Match``; each must pass them all, label check included, and
+    equal what they build."""
     for rule, matches in zip(system.rules, rule_matches(system, host), strict=True):
         for match in matches:
             sigma, alpha = match.m.sigma, match.alpha
@@ -342,6 +343,50 @@ def test_label_groups_admit_what_enumerate_then_filter_admits():
         assert_same_matches(rules, host)
         matched += sum(len(find_matches(rule, host)) for rule in rules)
     assert matched >= 1000
+
+
+def listed_once(rules, host):
+    """How many matches ``find_matches`` lists for ``rules``, asserting that
+    no (node map, edge map, assignment) comes twice."""
+    listed = 0
+    for rule in rules:
+        keys = [(tuple(sorted(m.m.sigma.node_map.items())),
+                 tuple(sorted(m.m.sigma.edge_map.items())),
+                 frozenset(m.alpha.assignment.items())) for m in find_matches(rule, host)]
+        assert len(keys) == len(set(keys)), rule.name
+        listed += len(keys)
+    return listed
+
+
+def test_each_match_is_listed_once():
+    """A match extends an assignment by sending a term to one host value,
+    and a sum's split is fixed by its left summand's value, so two search
+    paths never end in one match: the label solver keeps no filter of
+    repeats, and none may appear."""
+    listed = 0
+    for seed in range(60):
+        system = random_system(seed)
+        for host in cmd_run(system, 3, "sequential").history:
+            listed += listed_once(system.rules, host)
+    for trial in range(50):
+        rng = random.Random(4100 + trial)
+        host = wide_term_host(rng)
+        listed += listed_once([random_instance(rng, host, var_names=("u", "v"), name="one").rule,
+                               random_instance(rng, host, var_names=("w", "z"), name="two").rule],
+                              host)
+    fib = fibonacci_system()
+    for host in cmd_run(fib, 30, "pct").history:
+        listed += listed_once(fib.rules, host)
+    assert listed >= 1000
+    # u+v+z = 30 has C(32, 2) = 496 solutions over the naturals
+    terms = TermAlg(PLUS_SIGNATURE, ("u", "v", "z"))
+    point = Graph(TERM_SIG, {"x": "p"}, {})
+    left = AttributedGraph(point, terms, {"x": [OpApp("+", (OpApp("+", (Var("u"), Var("v"))),
+                                                             Var("z")))]})
+    kept = AttributedGraph(point, terms)
+    split = WeakSpan(name="split", L=left, K=kept, I=kept, R=kept,
+                     l=inclusion(kept, left), i=inclusion(kept, kept), r=inclusion(kept, kept))
+    assert listed_once([split], AttributedGraph(point, NAT, {"x": [30]})) == 496
 
 
 def _random_sum(rng, depth):

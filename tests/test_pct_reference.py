@@ -136,8 +136,8 @@ def assert_composites_are_lax(gammas, witnesses):
         context = pushout_complement(gamma.rule.l, gamma.match.m)
         ki = witnesses[(a, a)]
         assert ki == compose_attr(context.k_to_complement, gamma.rule.i)
-        assert validate_attr_morphism(ki).ok
-        assert validate_attr_morphism(compose_attr(context.complement_to_host, ki)).ok
+        assert validate_attr_morphism(ki) == []
+        assert validate_attr_morphism(compose_attr(context.complement_to_host, ki)) == []
 
 
 def assert_agrees_with_reference(gammas, step_index=0):

@@ -1,0 +1,56 @@
+"""Run the tier-1 suite four ways, then the benchmark's self-tests, and
+print one summary line per run.
+
+    python tools/verify.py
+
+Tier-1 (``python -m pytest -q --continue-on-collection-errors`` with
+``src`` on ``PYTHONPATH``) runs as it stands, with its test files in
+reverse order, and under ``PYTHONHASHSEED`` 0 and 1: a process keeps the
+last rules text it loaded and the last hex disk it built, so neither the
+order of the tests nor the order of hashing may change a result.  Then
+``python -m pytest perfbench`` runs; its result is printed but does not
+set the exit status, since its known failures belong to the benchmark
+(ROADMAP item 1).  Exits 1 when a tier-1 run fails, else 0.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-q"]
+TIER1 = [*PYTEST, "--continue-on-collection-errors"]
+
+
+def run(name: str, args: list[str], **env: str) -> bool:
+    """Run ``args`` in the repository root with ``env`` added; print its
+    last output line, and each FAILED or ERROR line when it fails."""
+    merged = {**os.environ, **env}
+    merged["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(args, cwd=ROOT, env=merged, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines() or ["(no output)"]
+    print(f"{name}: {lines[-1]} (exit {done.returncode})", flush=True)
+    if done.returncode:
+        for line in lines:
+            if line.startswith(("FAILED", "ERROR")):
+                print(f"    {line}", flush=True)
+    return done.returncode == 0
+
+
+def main() -> int:
+    reverse = [str(path.relative_to(ROOT))
+               for path in sorted(ROOT.glob("tests/test_*.py"), reverse=True)]
+    passed = [run("tier-1", TIER1),
+              run("tier-1, files in reverse order", [*TIER1, *reverse]),
+              run("tier-1, PYTHONHASHSEED=0", TIER1, PYTHONHASHSEED="0"),
+              run("tier-1, PYTHONHASHSEED=1", TIER1, PYTHONHASHSEED="1")]
+    run("perfbench (reported, not gating)", [*PYTEST, "perfbench"])
+    return 0 if all(passed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
