@@ -12,19 +12,18 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
                        TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation,
-                         compose_attr, derive_graph, identity_attr, inclusion,
-                         is_attr_isomorphic, rename_attributed, validate_attr_morphism)
+                         derive_graph, inclusion, validate_attr_morphism)
 from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             apply_span_dpo, associated_span, check_parallel_coherent,
                             check_parallel_independent, check_universal_property,
-                            colimit_of_neutrals, coproduct_rule, derive_span_from_pct,
-                            limit_of_neutrals, pullback_of_neutrals, pushout_along_neutral,
-                            pushout_complement)
+                            colimit_of_neutrals, compose, compose_attr, coproduct_rule,
+                            derive_span_from_pct, disjoint_union, identity_attr,
+                            is_attr_isomorphic, is_isomorphic, limit_of_neutrals,
+                            pullback_of_neutrals, pushout_along_neutral, pushout_complement,
+                            rename_attributed)
 from .fileio import (ParseError, ValidationError, export_dot, load_system, loads_system,
                      save_graph, save_system)
-from .graphs import (Graph, GraphMorphism, SortSignature, compose,
-                     disjoint_union, enumerate_morphisms, is_isomorphic,
-                     is_mono)
+from .graphs import Graph, GraphMorphism, SortSignature, enumerate_morphisms, is_mono
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
 from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,

@@ -311,17 +311,6 @@ class AlgebraMorphism:
     def identity(algebra: Algebra) -> "AlgebraMorphism":
         return AlgebraMorphism(algebra, algebra, {})
 
-    def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
-        """self after inner (inner.target must equal self.source)."""
-        if inner.target != self.source:
-            raise ValueError("algebra morphisms do not compose")
-        if inner.is_identity:
-            return AlgebraMorphism(inner.source, self.target, self.assignment)
-        if self.is_identity:
-            return AlgebraMorphism(inner.source, self.target, inner.assignment)
-        combined = {v: evaluate_term(val, self) for v, val in inner.assignment.items()}
-        return AlgebraMorphism(inner.source, self.target, combined)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraMorphism)
                 and self.source == other.source

@@ -8,8 +8,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .algebras import (Algebra, AlgebraMorphism, LabelSet, EMPTY_LABELS,
-                       apply_to_labelset, render_value, value_sort_key)
-from .graphs import Graph, GraphMorphism, compose, find_isomorphism, rename_graph
+                       apply_to_labelset, render_value)
+from .graphs import Graph, GraphMorphism
 
 
 class AttributedGraph:
@@ -259,17 +259,6 @@ def validate_attr_morphism(m: AttrMorphism) -> list[Violation]:
     return violations
 
 
-def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:
-    """Componentwise composite g after f, through the checked constructor:
-    a composite of lax morphisms is lax, and its labels are checked, not
-    assumed."""
-    if f.target != g.source:
-        raise ValueError("attributed morphisms do not compose")
-    return AttrMorphism(f.source, g.target,
-                        compose(g.sigma, f.sigma),
-                        g.alpha.compose(f.alpha))
-
-
 def inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:
     """The neutral map sending each element of ``small`` to the element of
     ``big`` with its id; its labels are checked."""
@@ -277,33 +266,3 @@ def inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:
     sigma = GraphMorphism(graph, big.graph, {n: n for n in graph.nodes},
                           {e: e for e in graph.edges})
     return AttrMorphism(small, big, sigma, AlgebraMorphism.identity(small.algebra))
-
-
-def identity_attr(a: AttributedGraph) -> AttrMorphism:
-    return inclusion(a, a)
-
-
-def is_attr_isomorphic(a: AttributedGraph, b: AttributedGraph) -> Optional[AttrMorphism]:
-    """A label-preserving isomorphism a -> b (label sets equal, not merely included)."""
-    if a.algebra != b.algebra:
-        return None
-    if a.graph == b.graph and a.labeling == b.labeling:
-        return identity_attr(a)
-
-    def key_a(x: str):
-        return tuple(sorted(a.labeling[x], key=value_sort_key))
-
-    def key_b(x: str):
-        return tuple(sorted(b.labeling[x], key=value_sort_key))
-
-    iso = find_isomorphism(a.graph, b.graph, key=key_a, key_b=key_b)
-    if iso is None:
-        return None
-    return AttrMorphism(a, b, iso, AlgebraMorphism.identity(a.algebra))
-
-
-def rename_attributed(a: AttributedGraph, mapping: Mapping[str, str]) -> AttributedGraph:
-    """Rename element ids throughout the graph and its labeling."""
-    graph = rename_graph(a.graph, mapping)
-    labeling = {mapping.get(x, x): labels for x, labels in a.labeling.items()}
-    return AttributedGraph(graph, a.algebra, labeling)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import os
 import re
 import sys
 from functools import cache
@@ -201,20 +202,29 @@ def _cmd_match(args) -> int:
 
 def _cmd_apply(args) -> int:
     system, host = _load_inputs(args)
+    # argv is decoded by the locale and the file as UTF-8, so the name is
+    # read as UTF-8 from its OS bytes; a name passed to `main` in process
+    # that no bytes gave is already text
+    try:
+        name = os.fsencode(args.rule).decode("utf-8")
+    except UnicodeEncodeError:
+        name = args.rule
+    except UnicodeDecodeError:
+        raise ValidationError(f"--rule {args.rule!r} is not UTF-8") from None
     names = [rule.name for rule in system.rules]
-    if args.rule not in names:
-        raise ValidationError(f"no rule named {args.rule!r}")
+    if name not in names:
+        raise ValidationError(f"no rule named {name!r}")
     found = rule_matches(system, host)
-    position = names.index(args.rule)
+    position = names.index(name)
     matches = found[position]
     if not 0 <= args.match < len(matches):
         raise ValidationError(
-            f"rule {args.rule!r} has {len(matches)} matches; index {args.match} is out of range")
+            f"rule {name!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
     offset = sum(len(earlier) for earlier in found[:position])
     result = derive_graph(host, pct([gamma], added_names(0, [offset + args.match])))
     report = [
-        f"applied {args.rule}#{args.match}",
+        f"applied {name}#{args.match}",
         f"context: {host.element_count() - len(gamma.record.deleted)} elements",
         f"result: {result.graph.element_count()} elements",
     ]

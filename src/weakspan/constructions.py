@@ -1,11 +1,12 @@
 """The specification: the categorical constructions the engine computes.
 
-Pushouts along neutral morphisms, pullbacks of neutral morphisms, their
-iterated limit/colimit forms, pushout complements (the contexts D with
-their legs k and f), the witness matrix of a coherent set, the pairwise
-coherence and independence checks, the span combinators (associated span,
-plain-span application, coproduct and derived rules), and a brute-force
-universal-property checker.
+Identities, composites, renamings, disjoint unions and isomorphism tests of
+graphs and their morphisms, pushouts along neutral morphisms, pullbacks of
+neutral morphisms, their iterated limit/colimit forms, pushout complements
+(the contexts D with their legs k and f), the witness matrix of a coherent
+set, the pairwise coherence and independence checks, the span combinators
+(associated span, plain-span application, coproduct and derived rules), and
+a brute-force universal-property checker.
 
 The package has two layers.  This module is the only specification module;
 every other module is the engine.  This module may import the engine, and
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet,
-                       OpApp, TermAlg, Value, Var, apply_to_labelset)
-from .attrgraphs import (AttrMorphism, AttributedGraph, compose_attr, derive_graph,
-                         identity_attr, inclusion, rename_attributed)
-from .graphs import Graph, GraphMorphism, disjoint_union, enumerate_morphisms, is_mono
+                       OpApp, TermAlg, Value, Var, apply_to_labelset, evaluate_term)
+from .attrgraphs import AttrMorphism, AttributedGraph, derive_graph, inclusion
+from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
                         WeakSpan, apply_direct, coherent_set_check, obstruction, pct)
 
@@ -67,6 +68,119 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+
+def identity_morphism(g: Graph) -> GraphMorphism:
+    return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
+
+
+def identity_attr(a: AttributedGraph) -> AttrMorphism:
+    return inclusion(a, a)
+
+
+def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
+    """The composite mapping x to g(f(x)); requires f.target == g.source."""
+    if f.target != g.source:
+        raise ValueError("composition mismatch: f.target differs from g.source")
+    return GraphMorphism(
+        f.source, g.target,
+        {n: g.node_map[v] for n, v in f.node_map.items()},
+        {e: g.edge_map[v] for e, v in f.edge_map.items()})
+
+
+def compose_algebra(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
+    """``outer`` after ``inner`` (inner.target must equal outer.source)."""
+    if inner.target != outer.source:
+        raise ValueError("algebra morphisms do not compose")
+    if inner.is_identity:
+        return AlgebraMorphism(inner.source, outer.target, outer.assignment)
+    if outer.is_identity:
+        return AlgebraMorphism(inner.source, outer.target, inner.assignment)
+    combined = {v: evaluate_term(val, outer) for v, val in inner.assignment.items()}
+    return AlgebraMorphism(inner.source, outer.target, combined)
+
+
+def compose_attr(g: AttrMorphism, f: AttrMorphism) -> AttrMorphism:
+    """Componentwise composite g after f, through the checked constructor:
+    a composite of lax morphisms is lax, and its labels are checked, not
+    assumed."""
+    if f.target != g.source:
+        raise ValueError("attributed morphisms do not compose")
+    return AttrMorphism(f.source, g.target, compose(g.sigma, f.sigma),
+                        compose_algebra(g.alpha, f.alpha))
+
+
+def rename_graph(g: Graph, mapping: Mapping[str, str]) -> Graph:
+    """Rebuild a graph with element ids replaced per mapping (must stay unique)."""
+    new_ids = [mapping.get(x, x) for x in g.element_ids()]
+    if len(set(new_ids)) != len(new_ids):
+        raise ValueError("renaming collapses element ids")
+    nodes = {mapping.get(n, n): s for n, s in g.nodes.items()}
+    edges = {mapping.get(e, e): (sort, mapping.get(src, src), mapping.get(tgt, tgt))
+             for e, (sort, src, tgt) in g.edges.items()}
+    return Graph(g.signature, nodes, edges)
+
+
+def rename_attributed(a: AttributedGraph, mapping: Mapping[str, str]) -> AttributedGraph:
+    """Rename element ids throughout the graph and its labeling."""
+    graph = rename_graph(a.graph, mapping)
+    labeling = {mapping.get(x, x): labels for x, labels in a.labeling.items()}
+    return AttributedGraph(graph, a.algebra, labeling)
+
+
+def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:
+    """Fresh-renamed sum of two graphs with its two injections."""
+    if a.signature != b.signature:
+        raise ValueError("graphs use different sort signatures")
+    ren_a = {x: f"du1:{x}" for x in chain(a.nodes, a.edges)}
+    ren_b = {x: f"du2:{x}" for x in chain(b.nodes, b.edges)}
+    nodes = {ren_a[n]: s for n, s in a.nodes.items()}
+    nodes.update({ren_b[n]: s for n, s in b.nodes.items()})
+    edges = {ren_a[e]: (sort, ren_a[src], ren_a[tgt]) for e, (sort, src, tgt) in a.edges.items()}
+    edges.update({ren_b[e]: (sort, ren_b[src], ren_b[tgt]) for e, (sort, src, tgt) in b.edges.items()})
+    total = Graph(a.signature, nodes, edges)
+    inj_a = GraphMorphism(a, total, {n: ren_a[n] for n in a.nodes}, {e: ren_a[e] for e in a.edges})
+    inj_b = GraphMorphism(b, total, {n: ren_b[n] for n in b.nodes}, {e: ren_b[e] for e in b.edges})
+    return total, inj_a, inj_b
+
+
+def _isomorphism(a: Graph, b: Graph,
+                 admitted: Mapping[str, set[str]]) -> Optional[GraphMorphism]:
+    """`is_isomorphic`, with each element of ``a`` that ``admitted`` names
+    admitted only the elements of ``b`` it gives."""
+    if a.signature != b.signature:
+        raise ValueError("graphs use different sort signatures")
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
+        return None
+    for iso in enumerate_morphisms(a, b, injective_only=True, admitted=admitted):
+        return GraphMorphism(a, b, iso.node_map, iso.edge_map)
+    return None
+
+
+def is_isomorphic(a: Graph, b: Graph) -> Optional[GraphMorphism]:
+    """A bijective sort- and incidence-preserving morphism a -> b, if one
+    exists: between graphs of equal node and edge counts, the first
+    injective morphism the matcher's search lists, through the checked
+    constructor.  The search lists every isomorphism, so this suits only
+    the small graphs that specifications and tests compare."""
+    return _isomorphism(a, b, {})
+
+
+def is_attr_isomorphic(a: AttributedGraph, b: AttributedGraph) -> Optional[AttrMorphism]:
+    """A label-preserving isomorphism a -> b (label sets equal, not merely
+    included), if one exists, found as `is_isomorphic` finds one with each
+    element of ``a`` admitted only the elements of ``b`` with its sort and
+    exact label set; it too suits only small graphs."""
+    if a.algebra != b.algebra:
+        return None
+    sorts = [{**g.graph.nodes, **{e: ends[0] for e, ends in g.graph.edges.items()}}
+             for g in (a, b)]
+    alike: dict[tuple[str, LabelSet], set[str]] = {}
+    for y, sort in sorts[1].items():
+        alike.setdefault((sort, b.labeling[y]), set()).add(y)
+    admitted = {x: alike.get((sort, a.labeling[x]), set()) for x, sort in sorts[0].items()}
+    sigma = _isomorphism(a.graph, b.graph, admitted)
+    return None if sigma is None else AttrMorphism(a, b, sigma, AlgebraMorphism.identity(a.algebra))
 
 
 def pushout_along_neutral(neutral: AttrMorphism, other: AttrMorphism) -> PushoutResult:
@@ -415,9 +529,14 @@ def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:
     return span, i_prime
 
 
+def is_plain_span(rule: WeakSpan) -> bool:
+    """Whether the rule's required part is K itself, through the identity."""
+    return rule.I == rule.K and rule.i.sigma == identity_morphism(rule.K.graph)
+
+
 def apply_span_dpo(span_rule: WeakSpan, match: Match) -> DirectTransformation:
     """Classical double-pushout application of a plain span (I equals K)."""
-    if not span_rule.is_plain_span():
+    if not is_plain_span(span_rule):
         raise ValueError("rule is not a plain span (its required part must equal K)")
     rebased = match if match.rule is span_rule else Match(span_rule, match.host, match.m)
     return apply_direct(rebased)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 
 class SortSignature:
@@ -169,10 +168,6 @@ class GraphMorphism:
                     raise ValueError(f"edge {e!r} changes sort under the map")
                 raise ValueError(f"edge {e!r} breaks incidence under the map")
 
-    @staticmethod
-    def identity(g: Graph) -> "GraphMorphism":
-        return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
-
     def apply(self, x: str) -> str:
         if x in self.node_map:
             return self.node_map[x]
@@ -185,11 +180,6 @@ class GraphMorphism:
         merged.update(self.edge_map)
         return merged
 
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and all(k == v for k, v in self.node_map.items())
-                and all(k == v for k, v in self.edge_map.items()))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GraphMorphism)
                 and self.source == other.source
@@ -199,16 +189,6 @@ class GraphMorphism:
 
     def __repr__(self) -> str:
         return f"GraphMorphism({self.node_map}, {self.edge_map})"
-
-
-def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
-    """The composite mapping x to g(f(x)); requires f.target == g.source."""
-    if f.target != g.source:
-        raise ValueError("composition mismatch: f.target differs from g.source")
-    return GraphMorphism(
-        f.source, g.target,
-        {n: g.node_map[v] for n, v in f.node_map.items()},
-        {e: g.edge_map[v] for e, v in f.edge_map.items()})
 
 
 def is_mono(f: GraphMorphism) -> bool:
@@ -371,137 +351,3 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
         results.sort(key=lambda m: (tuple(m.node_map[n] for n in node_key_ids),
                                     tuple(m.edge_map[e] for e in edge_key_ids)))
     return results
-
-
-def find_isomorphism(a: Graph, b: Graph,
-                     key: Optional[Callable[[str], object]] = None,
-                     key_b: Optional[Callable[[str], object]] = None) -> Optional[GraphMorphism]:
-    """Find one bijective morphism a -> b compatible with the given element keys.
-
-    Keys act as invariants: an element of ``a`` may only map to an element
-    of ``b`` with an equal key.  ``key`` keys the nodes and edges of ``a``,
-    and ``key_b`` (``key`` if not given) those of ``b``.  Used with label
-    keys this gives attributed isomorphism search.
-    """
-    if a.signature != b.signature:
-        raise ValueError("graphs use different sort signatures")
-    key_a = key or (lambda x: None)
-    key_b = key_b or key_a
-
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return None
-
-    def degree_profile(g: Graph, key_of) -> dict[str, tuple]:
-        outs: dict[str, Counter] = {n: Counter() for n in g.nodes}
-        ins: dict[str, Counter] = {n: Counter() for n in g.nodes}
-        for eid, (sort, src, tgt) in g.edges.items():
-            outs[src][(sort, key_of(eid))] += 1
-            ins[tgt][(sort, key_of(eid))] += 1
-        return {n: (tuple(sorted(outs[n].items())), tuple(sorted(ins[n].items())))
-                for n in g.nodes}
-
-    prof_a = degree_profile(a, key_a)
-    prof_b = degree_profile(b, key_b)
-
-    def node_class(g, n, prof, key_of):
-        return (g.nodes[n], key_of(n), prof[n])
-
-    classes_a = Counter(node_class(a, n, prof_a, key_a) for n in a.nodes)
-    classes_b = Counter(node_class(b, n, prof_b, key_b) for n in b.nodes)
-    if classes_a != classes_b:
-        return None
-
-    # pairwise edge fingerprints between ordered node pairs (and loops)
-    def pair_counts(g: Graph, key_of) -> dict[tuple[str, str], Counter]:
-        pc: dict[tuple[str, str], Counter] = {}
-        for eid, (sort, src, tgt) in g.edges.items():
-            pc.setdefault((src, tgt), Counter())[(sort, key_of(eid))] += 1
-        return pc
-
-    pc_a = pair_counts(a, key_a)
-    pc_b = pair_counts(b, key_b)
-
-    b_by_class: dict[tuple, list[str]] = {}
-    for n in sorted(b.nodes):
-        b_by_class.setdefault(node_class(b, n, prof_b, key_b), []).append(n)
-
-    a_order = sorted(a.nodes, key=lambda n: (len(b_by_class[node_class(a, n, prof_a, key_a)]), n))
-
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def ok(n: str, c: str) -> bool:
-        for m, d in assignment.items():
-            if pc_a.get((n, m), Counter()) != pc_b.get((c, d), Counter()):
-                return False
-            if pc_a.get((m, n), Counter()) != pc_b.get((d, c), Counter()):
-                return False
-        if pc_a.get((n, n), Counter()) != pc_b.get((c, c), Counter()):
-            return False
-        return True
-
-    def search(pos: int) -> bool:
-        if pos == len(a_order):
-            return True
-        n = a_order[pos]
-        for c in b_by_class[node_class(a, n, prof_a, key_a)]:
-            if c in used or not ok(n, c):
-                continue
-            assignment[n] = c
-            used.add(c)
-            if search(pos + 1):
-                return True
-            used.discard(c)
-            del assignment[n]
-        return False
-
-    if not search(0):
-        return None
-
-    # pair edges between matched endpoints, grouped by (sort, key)
-    edge_map: dict[str, str] = {}
-    groups_a: dict[tuple, list[str]] = {}
-    for eid, (sort, src, tgt) in a.edges.items():
-        groups_a.setdefault((assignment[src], assignment[tgt], sort, key_a(eid)), []).append(eid)
-    groups_b: dict[tuple, list[str]] = {}
-    for eid, (sort, src, tgt) in b.edges.items():
-        groups_b.setdefault((src, tgt, sort, key_b(eid)), []).append(eid)
-    for group, ids_a in groups_a.items():
-        ids_b = groups_b.get(group, [])
-        if len(ids_a) != len(ids_b):
-            return None
-        for ea, eb in zip(sorted(ids_a), sorted(ids_b)):
-            edge_map[ea] = eb
-    return GraphMorphism(a, b, assignment, edge_map)
-
-
-def is_isomorphic(a: Graph, b: Graph) -> Optional[GraphMorphism]:
-    """A bijective sort- and incidence-preserving morphism a -> b, if one exists."""
-    return find_isomorphism(a, b)
-
-
-def disjoint_union(a: Graph, b: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:
-    """Fresh-renamed sum of two graphs with its two injections."""
-    if a.signature != b.signature:
-        raise ValueError("graphs use different sort signatures")
-    ren_a = {x: f"du1:{x}" for x in itertools.chain(a.nodes, a.edges)}
-    ren_b = {x: f"du2:{x}" for x in itertools.chain(b.nodes, b.edges)}
-    nodes = {ren_a[n]: s for n, s in a.nodes.items()}
-    nodes.update({ren_b[n]: s for n, s in b.nodes.items()})
-    edges = {ren_a[e]: (sort, ren_a[src], ren_a[tgt]) for e, (sort, src, tgt) in a.edges.items()}
-    edges.update({ren_b[e]: (sort, ren_b[src], ren_b[tgt]) for e, (sort, src, tgt) in b.edges.items()})
-    total = Graph(a.signature, nodes, edges)
-    inj_a = GraphMorphism(a, total, {n: ren_a[n] for n in a.nodes}, {e: ren_a[e] for e in a.edges})
-    inj_b = GraphMorphism(b, total, {n: ren_b[n] for n in b.nodes}, {e: ren_b[e] for e in b.edges})
-    return total, inj_a, inj_b
-
-
-def rename_graph(g: Graph, mapping: Mapping[str, str]) -> Graph:
-    """Rebuild a graph with element ids replaced per mapping (must stay unique)."""
-    new_ids = [mapping.get(x, x) for x in g.element_ids()]
-    if len(set(new_ids)) != len(new_ids):
-        raise ValueError("renaming collapses element ids")
-    nodes = {mapping.get(n, n): s for n, s in g.nodes.items()}
-    edges = {mapping.get(e, e): (sort, mapping.get(src, src), mapping.get(tgt, tgt))
-             for e, (sort, src, tgt) in g.edges.items()}
-    return Graph(g.signature, nodes, edges)

@@ -51,11 +51,6 @@ def hex_distance(q: int, r: int) -> int:
     return abs(q) + abs(r)
 
 
-def neighbors(cell: tuple[int, int]) -> list[tuple[int, int]]:
-    q, r = cell
-    return [(q + dq, r + dr) for dq, dr in DIRECTIONS]
-
-
 def disk(radius: int) -> list[tuple[int, int]]:
     cells = [(q, r)
              for q in range(-radius, radius + 1)

@@ -260,9 +260,6 @@ class WeakSpan:
     def algebra(self) -> Algebra:
         return self.L.algebra
 
-    def is_plain_span(self) -> bool:
-        return self.I == self.K and self.i.sigma.is_identity()
-
 
 @dataclass
 class SystemSpec:

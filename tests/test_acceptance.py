@@ -40,6 +40,7 @@ from weakspan import (
     pushout_complement,
     transport_match,
 )
+from weakspan.constructions import is_plain_span
 from weakspan.hexgrid import DIRECTIONS, parse_cell_id
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 from test_pct_reference import reference_direct
@@ -83,7 +84,7 @@ def test_derived_span_of_the_register_rules():
     system = fibonacci_system()
     span = derive_span_from_pct(system.rules)
     left = system.rules[0].L
-    assert span.is_plain_span()
+    assert is_plain_span(span)
     assert span.L == left
     assert is_attr_isomorphic(span.K, left.with_labels({"x": [], "y": []}))
     assert is_attr_isomorphic(

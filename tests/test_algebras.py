@@ -18,6 +18,7 @@ from weakspan import (
     render_term,
 )
 from weakspan.algebras import MAX_TERM_DEPTH
+from weakspan.constructions import compose_algebra
 
 
 class TestParseTerm:
@@ -134,7 +135,7 @@ class TestAlgebraMorphism:
         outer_alg = TermAlg(PLUS_SIGNATURE, ("u", "v"))
         inner = AlgebraMorphism(inner_alg, outer_alg, {"x": OpApp("+", (Var("u"), Var("v")))})
         outer = AlgebraMorphism(outer_alg, NatPlus(), {"u": 10, "v": 5})
-        composed = outer.compose(inner)
+        composed = compose_algebra(outer, inner)
         assert composed.source == inner_alg
         assert composed.target == NatPlus()
         assert evaluate_term(Var("x"), composed) == 15
@@ -143,8 +144,8 @@ class TestAlgebraMorphism:
         terms = TermAlg(PLUS_SIGNATURE, ("u",))
         h = AlgebraMorphism(terms, NatPlus(), {"u": 4})
         ident = AlgebraMorphism.identity(NatPlus())
-        assert ident.compose(h) == h
-        assert h.compose(AlgebraMorphism.identity(terms)) == h
+        assert compose_algebra(ident, h) == h
+        assert compose_algebra(h, AlgebraMorphism.identity(terms)) == h
 
 
 def test_apply_to_labelset_collapses_equal_images():

@@ -19,6 +19,7 @@ from weakspan import (
     rename_attributed,
     validate_attr_morphism,
 )
+from weakspan.constructions import identity_morphism
 
 SIG = SortSignature(["p"], {"a": ("p", "p")})
 NAT = NatPlus()
@@ -108,21 +109,21 @@ class TestAttrMorphism:
     def test_labels_may_grow_along_the_map(self):
         small = chain(labels_x=(1,))
         big = chain(labels_x=(1, 2), labels_e=(7,))
-        sigma = GraphMorphism.identity(small.graph)
+        sigma = identity_morphism(small.graph)
         m = AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT))
         assert m.is_neutral
 
     def test_labels_must_not_shrink(self):
         small = chain(labels_x=(1, 3))
         big = chain(labels_x=(1,))
-        sigma = GraphMorphism.identity(small.graph)
+        sigma = identity_morphism(small.graph)
         with pytest.raises(ValueError, match="label condition"):
             AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT))
 
     def test_validation_report_lists_offenders(self):
         small = chain(labels_x=(1, 3), labels_y=(9,))
         big = chain(labels_x=(1,))
-        sigma = GraphMorphism.identity(small.graph)
+        sigma = identity_morphism(small.graph)
         with pytest.raises(ValueError) as raised:
             AttrMorphism(small, big, sigma, AlgebraMorphism.identity(NAT))
         assert str(raised.value) == (
@@ -172,11 +173,11 @@ class TestAttrMorphism:
         pattern = AttributedGraph(g, terms, {"x": [Var("u"), Lit(3)]})
         host = AttributedGraph(g, NAT, {"x": [3, 8]})
         alpha = AlgebraMorphism(terms, NAT, {"u": 8})
-        m = AttrMorphism(pattern, host, GraphMorphism.identity(g), alpha)
+        m = AttrMorphism(pattern, host, identity_morphism(g), alpha)
         assert not m.is_neutral
         wrong = AlgebraMorphism(terms, NAT, {"u": 5})
         with pytest.raises(ValueError, match="label condition"):
-            AttrMorphism(pattern, host, GraphMorphism.identity(g), wrong)
+            AttrMorphism(pattern, host, identity_morphism(g), wrong)
 
     def test_composition_chains_both_parts(self):
         terms = TermAlg(PLUS_SIGNATURE, ("u",))
@@ -184,9 +185,9 @@ class TestAttrMorphism:
         pattern = AttributedGraph(g, terms, {"x": [Var("u")]})
         mid = AttributedGraph(g, NAT, {"x": [4]})
         top = AttributedGraph(g, NAT, {"x": [4, 9]})
-        first = AttrMorphism(pattern, mid, GraphMorphism.identity(g),
+        first = AttrMorphism(pattern, mid, identity_morphism(g),
                              AlgebraMorphism(terms, NAT, {"u": 4}))
-        second = AttrMorphism(mid, top, GraphMorphism.identity(g),
+        second = AttrMorphism(mid, top, identity_morphism(g),
                               AlgebraMorphism.identity(NAT))
         both = compose_attr(second, first)
         assert both.source is pattern and both.target is top

@@ -438,7 +438,10 @@ class TestEncoding:
         (["run", "--rules", "in.json", "--host", "in.json", "--steps", "1"], []),
         (["export", "--host", "in.json", "--dot", "out.dot", "--out", "out.json"],
          ["out.dot", "out.json"]),
-    ], ids=["match", "match-stdout", "run-stdout", "export"])
+        # argv is decoded by the locale, and the rule is named in the file's UTF-8
+        (["apply", "--rules", "in.json", "--host", "in.json", "--rule", "cl\u00e9",
+          "--match", "0", "--out", "out.json"], ["out.json"]),
+    ], ids=["match", "match-stdout", "run-stdout", "export", "apply-rule"])
     def test_an_ascii_locale_reads_and_writes_what_utf8_does(self, argv, written, tmp_path):
         # what the command prints and every file it writes, as bytes
         outputs = {}
@@ -451,6 +454,14 @@ class TestEncoding:
             outputs[utf8] = [done.stdout] + [(cwd / name).read_bytes() for name in written]
         assert outputs[False] == outputs[True]
         assert "\u00e9".encode("utf-8") in b"".join(outputs[True])
+
+    def test_a_rule_argument_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(NON_ASCII.encode("utf-8"))
+        # the byte 0xff of an argument, as Python keeps it when it decodes argv
+        assert main(["apply", "--rules", str(path), "--host", str(path),
+                     "--rule", "cl\udcff", "--match", "0"]) == 2
+        assert capsys.readouterr().err == "invalid input: --rule 'cl\\udcff' is not UTF-8\n"
 
     def test_main_writes_utf8_to_whatever_stdout_it_is_given(self, tmp_path, monkeypatch):
         """In process, as a library caller or the benchmark calls it: a

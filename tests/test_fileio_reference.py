@@ -23,7 +23,6 @@ from weakspan import (
     AttributedGraph,
     FiniteEnum,
     Graph,
-    GraphMorphism,
     HexGridSpec,
     LabelSet,
     Lit,
@@ -41,6 +40,7 @@ from weakspan import (
 )
 from weakspan import fileio
 from weakspan.algebras import Algebra, TermSyntaxError, parse_term, render_value, value_sort_key
+from weakspan.constructions import identity_morphism
 from weakspan.fileio import ParseError, ValidationError, loads_system
 
 from randgen import random_host, random_instance
@@ -154,7 +154,7 @@ def term_rule_system():
     kept = AttributedGraph(shape, terms, {"x": [u], "y": [v]})
     total = OpApp("+", (u, OpApp("+", (v, Lit(2)))))
     right = AttributedGraph(shape, terms, {"x": [u], "y": [v, total]})
-    arrow = GraphMorphism.identity(shape)
+    arrow = identity_morphism(shape)
     ident = AlgebraMorphism.identity(terms)
     rule = WeakSpan(name='r"üle', L=left, K=kept, I=kept, R=right,
                     l=AttrMorphism(kept, left, arrow, ident),

@@ -12,7 +12,7 @@ from weakspan import (
     is_isomorphic,
     is_mono,
 )
-from weakspan.graphs import rename_graph
+from weakspan.constructions import identity_morphism, rename_graph
 
 SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q")})
 
@@ -108,8 +108,8 @@ class TestGraphMorphism:
 
     def test_identity_and_composition(self):
         g = triangle()
-        ident = GraphMorphism.identity(g)
-        assert ident.is_identity()
+        ident = identity_morphism(g)
+        assert ident.element_map() == {x: x for x in g.element_ids()}
         assert compose(ident, ident) == ident
 
     def test_composition_tracks_images(self):
@@ -124,7 +124,7 @@ class TestGraphMorphism:
         single = Graph(SIG, {"x": "p"}, {})
         collapse = GraphMorphism(pair, single, {"y0": "x", "y1": "x"}, {})
         assert not is_mono(collapse)
-        assert is_mono(GraphMorphism.identity(pair))
+        assert is_mono(identity_morphism(pair))
 
 
 def brute_force_morphisms(pattern, host):

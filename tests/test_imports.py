@@ -13,9 +13,12 @@ touch.  ``__init__`` re-exports both layers.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import weakspan
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakspan"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -173,3 +176,38 @@ def test_only_the_search_and_derive_graph_build_unchecked():
 def test_only_the_command_line_reads_the_file_format():
     assert [path.stem for path in MODULES if path.stem not in ("cli", "__init__")
             and "fileio" in package_imports(path.read_text(encoding="utf-8"))] == []
+
+
+# every public name of ``weakspan`` but its submodules: a change that moves
+# a function between modules keeps each of them
+EXPORTS = (
+    "AlgebraMorphism", "AttrMorphism", "AttributedGraph", "ChangeSet",
+    "ComplementResult", "DeletionPlan", "DirectTransformation", "EvaluationError",
+    "FiniteEnum", "GluingError", "Graph", "GraphMorphism", "HexGridSpec", "HexcaResult",
+    "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "OpSignature",
+    "PLUS_SIGNATURE", "ParseError", "PullbackResult", "PushoutResult", "RulePlan",
+    "RunResult", "SortSignature", "StepReport", "SystemSpec", "TermAlg",
+    "TermSyntaxError", "ValidationError", "Var", "Violation", "WeakSpan", "all_matches",
+    "apply_direct", "apply_parallel_step", "apply_sequential_step", "apply_span_dpo",
+    "apply_to_labelset", "associated_span", "ca_oracle", "check_parallel_coherent",
+    "check_parallel_independent", "check_universal_property", "cmd_hexca", "cmd_run",
+    "coherent_set_check", "colimit_of_neutrals", "compose", "compose_attr",
+    "coproduct_rule", "deletion_plan", "deletion_record", "derive_graph",
+    "derive_span_from_pct", "disjoint_union", "encode_grid", "enumerate_morphisms",
+    "evaluate_term", "export_dot", "fibonacci_system", "find_matches", "hex_system",
+    "huw_rules", "identity_attr", "inclusion", "is_attr_isomorphic", "is_isomorphic",
+    "is_mono", "limit_of_neutrals", "live_cells", "load_system", "loads_system",
+    "parse_term", "pct", "pullback_of_neutrals", "pushout_along_neutral",
+    "pushout_complement", "rename_attributed", "render_term", "render_value",
+    "rule_matches", "save_graph", "save_system", "transport_match",
+    "validate_attr_morphism",
+)
+
+
+def test_the_package_keeps_every_public_name():
+    public = sorted(name for name, value in vars(weakspan).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == sorted(EXPORTS)
+    namespace = {}
+    exec(f"from weakspan import {', '.join(EXPORTS)}", namespace)
+    assert all(namespace[name] is getattr(weakspan, name) for name in EXPORTS)

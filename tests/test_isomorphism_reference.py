@@ -1,10 +1,11 @@
-"""`find_isomorphism` and `is_attr_isomorphic` against networkx.
+"""`is_isomorphic` and `is_attr_isomorphic` against networkx.
 
 networkx's `MultiDiGraphMatcher` decides isomorphism of directed multigraphs
-with node and edge attributes, independently of this package.  On small
-random graphs with sorts, labels, parallel edges and self-loops, the two
-functions must find an isomorphism exactly when networkx says one exists,
-and what they return must be one.  Skipped without networkx.
+with node and edge attributes, independently of this package.  Both functions here
+are the matcher's injective search (`enumerate_morphisms`) between graphs
+of equal size.  On small random graphs with sorts, labels, parallel edges
+and self-loops, they must find an isomorphism exactly when networkx says
+one exists, and what they return must be one.  Skipped without networkx.
 """
 
 import random
@@ -21,7 +22,7 @@ from weakspan import (
     is_attr_isomorphic,
     is_isomorphic,
 )
-from weakspan.graphs import rename_graph
+from weakspan.constructions import rename_graph
 
 nx = pytest.importorskip("networkx")
 

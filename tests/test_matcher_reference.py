@@ -49,6 +49,7 @@ from weakspan import (
 )
 from weakspan.algebras import render_value, term_variables
 from weakspan.cli import main
+from weakspan.constructions import identity_morphism
 from weakspan.rewriting import _solve_label_constraints
 
 from randgen import (NAT, SIG as TERM_SIG, left_side_twin, random_host, random_independent_pair,
@@ -216,7 +217,7 @@ def random_enum_graph(rng, n_nodes, n_edges, simple, prefix, label_sizes=(0, 1, 
 
 def identity_rule(pattern):
     """A rule that keeps and requires its whole left side."""
-    ident = AttrMorphism(pattern, pattern, GraphMorphism.identity(pattern.graph),
+    ident = AttrMorphism(pattern, pattern, identity_morphism(pattern.graph),
                          AlgebraMorphism.identity(pattern.algebra))
     return WeakSpan(name="keep", L=pattern, K=pattern, I=pattern, R=pattern,
                     l=ident, i=ident, r=ident)

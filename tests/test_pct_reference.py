@@ -54,7 +54,7 @@ from weakspan import (
     transport_match,
     validate_attr_morphism,
 )
-from weakspan.constructions import WitnessMatrix
+from weakspan.constructions import WitnessMatrix, identity_morphism
 from weakspan.runner import StepReport, added_names, finish_parallel_step
 
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance
@@ -256,7 +256,7 @@ def test_fresh_ids_step_around_host_ids():
     ident = AlgebraMorphism.identity(alg)
     inclusion = AttrMorphism(kept, grown, GraphMorphism(kept.graph, grown.graph, {"x": "x"}, {}),
                              ident)
-    same = AttrMorphism(kept, kept, GraphMorphism.identity(kept.graph), ident)
+    same = AttrMorphism(kept, kept, identity_morphism(kept.graph), ident)
     rule = WeakSpan(name="grow", L=kept, K=kept, I=kept, R=grown, l=same, i=same, r=inclusion)
     host = AttributedGraph(
         Graph(sig, {"x": "p", "0:n": "p", "s0:0:n": "p", "s0:0:n'": "p"}, {}), NatPlus(),

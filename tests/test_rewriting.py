@@ -41,7 +41,7 @@ from weakspan import (
 )
 from weakspan import (ChangeSet, apply_parallel_step, derive_graph, hexgrid, limit_of_neutrals,
                       rewriting, runner, validate_attr_morphism)
-from weakspan.constructions import WitnessMatrix
+from weakspan.constructions import WitnessMatrix, identity_morphism, is_plain_span
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
 
@@ -71,7 +71,7 @@ def point_rule(name, variables, l_labels, k_labels, i_labels, r_labels):
     """A single-node rule; the node is never deleted, only relabeled."""
     alg = TermAlg(PLUS_SIGNATURE, variables)
     L, K, I, R = (point(alg, ls) for ls in (l_labels, k_labels, i_labels, r_labels))
-    arrow = GraphMorphism.identity(L.graph)
+    arrow = identity_morphism(L.graph)
     ident = AlgebraMorphism.identity(alg)
     return WeakSpan(name=name, L=L, K=K, I=I, R=R,
                     l=AttrMorphism(K, L, arrow, ident),
@@ -105,7 +105,7 @@ class TestWeakSpanValidation:
         squash = AttrMorphism(K, L, GraphMorphism(two, one, {"x": "x", "y": "x"}, {}),
                               AlgebraMorphism.identity(alg))
         ident_piece = AttributedGraph(one, alg)
-        arrow = GraphMorphism.identity(one)
+        arrow = identity_morphism(one)
         with pytest.raises(ValueError, match="injective"):
             WeakSpan(name="bad", L=L, K=K, I=ident_piece, R=ident_piece,
                      l=squash,
@@ -119,7 +119,7 @@ class TestWeakSpanValidation:
         L = point(alg, [Var("u")])
         K = point(alg, [])
         relabel = AlgebraMorphism(alg, alg, {"u": Lit(3)})
-        skew = AttrMorphism(K, L, GraphMorphism.identity(K.graph), relabel)
+        skew = AttrMorphism(K, L, identity_morphism(K.graph), relabel)
         with pytest.raises(ValueError, match="neutral"):
             WeakSpan(name="bad", L=L, K=K, I=K, R=K,
                      l=skew, i=identity_attr(K), r=identity_attr(K))
@@ -270,7 +270,7 @@ class TestAssociatedSpan:
     def test_right_side_absorbs_what_the_context_keeps(self, fib):
         shift = fib.rules[0]
         span, comparison = associated_span(shift)
-        assert span.is_plain_span()
+        assert is_plain_span(span)
         assert span.name == "shift~"
         assert span.R.label("x") == LabelSet([Var("v")])
         assert span.R.label("y") == LabelSet([Var("v")])
@@ -500,7 +500,7 @@ class TestDerivedSpan:
         second = point_rule("b", (), [], [], [], [Lit(2)])
         derived = derive_span_from_pct([first, second])
         assert derived.name == "a+b"
-        assert derived.is_plain_span()
+        assert is_plain_span(derived)
         assert derived.L == first.L
         only = derived.R.element_ids()[0]
         assert derived.R.label(only) == LabelSet([Lit(1), Lit(2)])

@@ -10,8 +10,10 @@ last rules text it loaded and the last hex disk it built, so neither the
 order of the tests nor the order of hashing may change a result.  Then
 ``python -m pytest perfbench`` runs; its result is printed but does not
 set the exit status, since its known failures belong to the benchmark
-(ROADMAP item 1).  Exits 1 when a tier-1 run fails, else 0.  Standard
-library only.
+(ROADMAP item 1).  Last, it prints the line counts of the engine modules
+(every ``src/weakspan`` module but ``constructions``, ``__init__`` and
+``__main__``), of ``constructions`` and of the whole package.  Exits 1 when
+a tier-1 run fails, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def run(name: str, args: list[str], **env: str) -> bool:
     return done.returncode == 0
 
 
+def line_counts() -> str:
+    """The summary line of the package's line counts."""
+    counts = {path.stem: len(path.read_text(encoding="utf-8").splitlines())
+              for path in (ROOT / "src" / "weakspan").glob("*.py")}
+    engine = sum(n for stem, n in counts.items()
+                 if stem not in ("constructions", "__init__", "__main__"))
+    return (f"lines: engine modules {engine}, constructions {counts['constructions']}, "
+            f"src/weakspan {sum(counts.values())}")
+
+
 def main() -> int:
     reverse = [str(path.relative_to(ROOT))
                for path in sorted(ROOT.glob("tests/test_*.py"), reverse=True)]
@@ -49,6 +61,7 @@ def main() -> int:
               run("tier-1, PYTHONHASHSEED=0", TIER1, PYTHONHASHSEED="0"),
               run("tier-1, PYTHONHASHSEED=1", TIER1, PYTHONHASHSEED="1")]
     run("perfbench (reported, not gating)", [*PYTEST, "perfbench"])
+    print(line_counts(), flush=True)
     return 0 if all(passed) else 1
 
 
