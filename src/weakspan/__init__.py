@@ -7,9 +7,8 @@ contexts can be applied in a single step even when no order of one-at-a-time
 applications reproduces it.
 """
 
-from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet,
-                       Lit, NatPlus, OpApp, OpSignature, PLUS_SIGNATURE,
-                       TermAlg, TermSyntaxError, Var, apply_to_labelset,
+from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet, Lit,
+                       NatPlus, OpApp, TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation,
                          derive_graph, inclusion, validate_attr_morphism)

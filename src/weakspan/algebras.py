@@ -47,14 +47,12 @@ def render_term(t: Term) -> str:
         return t.name
     if isinstance(t, Lit):
         return str(t.value)
-    if isinstance(t, OpApp) and t.op == "+" and len(t.args) == 2:
+    if isinstance(t, OpApp):
         left, right = t.args
         rs = render_term(right)
         if isinstance(right, OpApp):
             rs = f"({rs})"
         return f"{render_term(left)}+{rs}"
-    if isinstance(t, OpApp):
-        return f"{t.op}({', '.join(render_term(a) for a in t.args)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -158,25 +156,6 @@ def _parse_atom(tokens: list[str], pos: int, depth: int) -> tuple[Term, int, int
     raise TermSyntaxError(f"unexpected token {tok!r}")
 
 
-class OpSignature:
-    """Finite set of operation symbols with arities."""
-
-    def __init__(self, operations: Mapping[str, int]):
-        self.operations = dict(operations)
-        for sym, arity in self.operations.items():
-            if arity < 0:
-                raise ValueError(f"operation {sym!r} has negative arity")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OpSignature) and self.operations == other.operations
-
-    def __repr__(self) -> str:
-        return f"OpSignature({self.operations})"
-
-
-PLUS_SIGNATURE = OpSignature({"+": 2})
-
-
 class Algebra:
     """Base class; the three kinds below cover every use in this package."""
 
@@ -186,17 +165,14 @@ class Algebra:
     def contains(self, value: Value) -> bool:
         raise NotImplementedError
 
-    def interprets(self, op: str) -> bool:
-        return False
-
 
 class TermAlg(Algebra):
-    """Terms over an operation signature and a finite variable set."""
+    """Terms over a finite variable set: variables, non-negative literals
+    and binary ``+``, the one operation of every term in this package."""
 
     kind = "term"
 
-    def __init__(self, signature: OpSignature, variables: Iterable[str]):
-        self.signature = signature
+    def __init__(self, variables: Iterable[str]):
         self.variables = frozenset(variables)
 
     def contains(self, value: Value) -> bool:
@@ -205,20 +181,15 @@ class TermAlg(Algebra):
         if isinstance(value, Lit):
             return value.value >= 0
         if isinstance(value, OpApp):
-            arity = self.signature.operations.get(value.op)
-            return arity == len(value.args) and all(self.contains(a) for a in value.args)
+            return (value.op == "+" and len(value.args) == 2
+                    and all(self.contains(a) for a in value.args))
         return False
 
-    def interprets(self, op: str) -> bool:
-        return op in self.signature.operations
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TermAlg)
-                and self.signature == other.signature
-                and self.variables == other.variables)
+        return isinstance(other, TermAlg) and self.variables == other.variables
 
     def __repr__(self) -> str:
-        return f"TermAlg({self.signature}, vars={sorted(self.variables)})"
+        return f"TermAlg(vars={sorted(self.variables)})"
 
 
 class NatPlus(Algebra):
@@ -228,9 +199,6 @@ class NatPlus(Algebra):
 
     def contains(self, value: Value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    def interprets(self, op: str) -> bool:
-        return op == "+"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NatPlus)
@@ -341,12 +309,12 @@ def evaluate_term(t: Value, h: AlgebraMorphism) -> Value:
             return t
         raise EvaluationError(f"literal {t.value} has no image in a {h.target.kind} algebra")
     if isinstance(t, OpApp):
-        if not h.target.interprets(t.op):
-            raise EvaluationError(f"operation {t.op!r} is not interpreted in the target algebra")
-        args = [evaluate_term(a, h) for a in t.args]
-        if isinstance(h.target, NatPlus) and t.op == "+":
-            return args[0] + args[1]
-        return OpApp(t.op, tuple(args))
+        if not isinstance(h.target, (NatPlus, TermAlg)):
+            raise EvaluationError("operation '+' is not interpreted in the target algebra")
+        left, right = (evaluate_term(a, h) for a in t.args)
+        if isinstance(h.target, NatPlus):
+            return left + right
+        return OpApp("+", (left, right))
     raise EvaluationError(f"cannot evaluate {t!r}")
 
 

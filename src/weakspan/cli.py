@@ -19,7 +19,7 @@ from functools import cache
 
 from .algebras import render_value
 from .attrgraphs import AttributedGraph, derive_graph
-from .fileio import ParseError, ValidationError, export_dot, load_system, save_graph, save_system
+from .fileio import ValidationError, export_dot, load_system, save_graph, save_system
 from .hexgrid import HexGridSpec, hex_system
 from .presets import fibonacci_system
 from .rewriting import GluingError, IncoherentSetError, Match, SystemSpec, apply_direct, pct
@@ -344,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot open file: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except (ParseError, ValidationError, ValueError) as err:
+    except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -555,7 +555,7 @@ def _rename_rule_variables(rule: WeakSpan, taken: set[str]) -> WeakSpan:
         taken.add(fresh)
     if all(k == v for k, v in renaming.items()):
         return rule
-    new_alg = TermAlg(alg.signature, renaming.values())
+    new_alg = TermAlg(renaming.values())
 
     def rename_term(t: Value) -> Value:
         if isinstance(t, Var):
@@ -587,11 +587,9 @@ def coproduct_rule(r1: WeakSpan, r2: WeakSpan) -> WeakSpan:
         combined: Algebra = alg1
         rr1, rr2 = r1, r2
     else:
-        if alg1.signature != alg2.signature:
-            raise ValueError("term rules must share their operation signature")
         taken = set(alg1.variables)
         rr2 = _rename_rule_variables(r2, taken)
-        combined = TermAlg(alg1.signature, alg1.variables | rr2.algebra.variables)
+        combined = TermAlg(alg1.variables | rr2.algebra.variables)
         rr1 = r1
 
     parts = {}

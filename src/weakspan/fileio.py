@@ -7,8 +7,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
-                       NatPlus, PLUS_SIGNATURE, TermAlg, TermSyntaxError,
-                       Value, parse_term, render_value, value_sort_key)
+                       NatPlus, TermAlg, TermSyntaxError, Value, parse_term, render_value,
+                       value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph
 from .graphs import Graph, GraphMorphism, SortSignature
 from .rewriting import SystemSpec, WeakSpan
@@ -60,7 +60,7 @@ def _parse_algebra(data) -> Algebra:
         return FiniteEnum(str(v) for v in _list_field(data, "enum", "algebra"))
     if isinstance(data, dict) and "terms" in data:
         _require(_is_names(data["terms"]), "algebra: 'terms' must be a list of names")
-        return TermAlg(PLUS_SIGNATURE, data["terms"])
+        return TermAlg(data["terms"])
     raise ValidationError(f"unknown algebra declaration {data!r}")
 
 
@@ -169,7 +169,7 @@ def _parse_rule(data, signature: SortSignature, host_algebra: Algebra) -> WeakSp
                  f"{where}: enumerated systems use variable-free rules")
         rule_alg: Algebra = host_algebra
     else:
-        rule_alg = TermAlg(PLUS_SIGNATURE, [str(v) for v in _list_field(data, "variables", where)])
+        rule_alg = TermAlg(str(v) for v in _list_field(data, "variables", where))
     graphs = {}
     for tag in ("L", "K", "I", "R"):
         _require(tag in data, f"{where} needs graph {tag!r}")

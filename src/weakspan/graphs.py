@@ -98,7 +98,10 @@ class Graph:
 
 class GraphIndex:
     """Sort buckets, edges by (sort, src, tgt), adjacency by edge sort, and
-    the edges at each node, of one graph.  Id lists are sorted.
+    the edges at each node, of one graph.  Id lists keep the graph's
+    insertion order: every reader is order-free, since the matcher sorts
+    its results, ``label_groups`` builds sets and a dangling-edge check
+    reports the least id.
 
     As a search host, ``out_by`` and ``in_by`` give the candidates of a
     pattern node from its placed neighbours, and ``edges_by_ends`` gives the
@@ -117,9 +120,6 @@ class GraphIndex:
             self.edges_by_ends.setdefault((sort, src, tgt), []).append(eid)
             self.out_by.setdefault((sort, src), set()).add(tgt)
             self.in_by.setdefault((sort, tgt), set()).add(src)
-        for lists in (self.nodes_by_sort, self.edges_by_ends):
-            for ids in lists.values():
-                ids.sort()
         # the edge table, not the graph: the graph keeps this index, and a
         # reference back would make a cycle
         self._edges = g.edges
@@ -132,8 +132,6 @@ class GraphIndex:
             incident.setdefault(src, []).append(eid)
             if tgt != src:
                 incident.setdefault(tgt, []).append(eid)
-        for ids in incident.values():
-            ids.sort()
         return incident
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebras import LabelSet, NatPlus, OpApp, PLUS_SIGNATURE, TermAlg, Var
+from .algebras import LabelSet, NatPlus, OpApp, TermAlg, Var
 from .attrgraphs import AttributedGraph, inclusion
 from .graphs import Graph, SortSignature
 from .rewriting import SystemSpec, WeakSpan
@@ -19,7 +19,7 @@ def fibonacci_system() -> SystemSpec:
     """
     signature = SortSignature(["reg"], {"next": ("reg", "reg")})
     shape = Graph(signature, {"x": "reg", "y": "reg"}, {"e": ("next", "x", "y")})
-    terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+    terms = TermAlg(("u", "v"))
     u, v = Var("u"), Var("v")
 
     def obj(x_labels, y_labels):

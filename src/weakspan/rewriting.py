@@ -337,7 +337,7 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
         elif t == w:
             yield partial
     elif isinstance(t, OpApp):
-        if isinstance(host_alg, NatPlus) and t.op == "+":
+        if isinstance(host_alg, NatPlus):
             if isinstance(w, int):
                 left, right = t.args
                 # a summand whose value is already fixed fixes the split
@@ -351,7 +351,7 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
                     for mid in _match_value(left, part, partial, host_alg):
                         yield from _match_value(right, w - part, mid, host_alg)
         elif isinstance(host_alg, TermAlg):
-            if isinstance(w, OpApp) and w.op == t.op and len(w.args) == len(t.args):
+            if isinstance(w, OpApp):
                 states = [partial]
                 for ta, wa in zip(t.args, w.args):
                     states = [ext for st in states for ext in _match_value(ta, wa, st, host_alg)]
@@ -364,12 +364,12 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
 
 def _bound_sum(t: Value, partial: dict) -> Optional[int]:
     """The natural-number value of a sum of literals and bound variables, or
-    None when t has a free variable or another operation."""
+    None when t has a free variable."""
     if isinstance(t, Var):
         return partial.get(t.name)
     if isinstance(t, Lit):
         return t.value
-    if isinstance(t, OpApp) and t.op == "+":
+    if isinstance(t, OpApp):
         left, right = (_bound_sum(a, partial) for a in t.args)
         if left is not None and right is not None:
             return left + right

@@ -10,7 +10,6 @@ derived from the host values the left side was traced from.
 import random
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -119,7 +118,7 @@ def random_instance(rng, host, ids=None, var_names=("u", "v"), name="rnd"):
                 terms.append(OpApp("+", (Var(w1), Var(w2))))
         l_labels[x] = LabelSet(terms)
 
-    algebra = TermAlg(PLUS_SIGNATURE, values)
+    algebra = TermAlg(values)
 
     kept_nodes = [n for n in image_nodes if n not in drop_nodes]
     kept_edges = [e for e in image_edges if e not in drop_edges]

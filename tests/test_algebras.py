@@ -1,7 +1,6 @@
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     EvaluationError,
     FiniteEnum,
@@ -83,31 +82,32 @@ class TestCarriers:
         assert not alg.contains(0)
 
     def test_terms_respect_declared_variables(self):
-        alg = TermAlg(PLUS_SIGNATURE, ("u",))
+        alg = TermAlg(("u",))
         assert alg.contains(Var("u"))
         assert not alg.contains(Var("v"))
         assert alg.contains(OpApp("+", (Var("u"), Lit(2))))
         assert not alg.contains(OpApp("+", (Var("u"),)))
+        assert not alg.contains(OpApp("*", (Var("u"), Lit(1))))
 
 
 class TestAlgebraMorphism:
     def test_assignment_must_cover_all_variables(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        terms = TermAlg(("u", "v"))
         with pytest.raises(ValueError, match="misses"):
             AlgebraMorphism(terms, NatPlus(), {"u": 1})
 
     def test_assignment_must_not_name_strangers(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         with pytest.raises(ValueError, match="unknown"):
             AlgebraMorphism(terms, NatPlus(), {"u": 1, "w": 2})
 
     def test_values_must_lie_in_target_carrier(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         with pytest.raises(ValueError, match="outside"):
             AlgebraMorphism(terms, NatPlus(), {"u": -3})
 
     def test_self_assignment_normalizes_to_identity(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        terms = TermAlg(("u", "v"))
         h = AlgebraMorphism(terms, terms, {"u": Var("u"), "v": Var("v")})
         assert h.is_identity
 
@@ -117,7 +117,7 @@ class TestAlgebraMorphism:
         assert AlgebraMorphism.identity(NatPlus()).is_identity
 
     def test_evaluation(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        terms = TermAlg(("u", "v"))
         h = AlgebraMorphism(terms, NatPlus(), {"u": 1, "v": 2})
         assert evaluate_term(Var("u"), h) == 1
         assert evaluate_term(Lit(9), h) == 9
@@ -125,14 +125,15 @@ class TestAlgebraMorphism:
         assert evaluate_term(OpApp("+", (OpApp("+", (Var("u"), Var("v"))), Lit(4))), h) == 7
 
     def test_evaluation_needs_interpreted_operations(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         h = AlgebraMorphism(terms, FiniteEnum(("a", "b")), {"u": "a"})
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError,
+                           match=r"^operation '\+' is not interpreted in the target algebra$"):
             evaluate_term(OpApp("+", (Var("u"), Var("u"))), h)
 
     def test_composition_substitutes_then_evaluates(self):
-        inner_alg = TermAlg(PLUS_SIGNATURE, ("x",))
-        outer_alg = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        inner_alg = TermAlg(("x",))
+        outer_alg = TermAlg(("u", "v"))
         inner = AlgebraMorphism(inner_alg, outer_alg, {"x": OpApp("+", (Var("u"), Var("v")))})
         outer = AlgebraMorphism(outer_alg, NatPlus(), {"u": 10, "v": 5})
         composed = compose_algebra(outer, inner)
@@ -141,7 +142,7 @@ class TestAlgebraMorphism:
         assert evaluate_term(Var("x"), composed) == 15
 
     def test_composition_with_identity_is_neutral(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         h = AlgebraMorphism(terms, NatPlus(), {"u": 4})
         ident = AlgebraMorphism.identity(NatPlus())
         assert compose_algebra(ident, h) == h
@@ -149,7 +150,7 @@ class TestAlgebraMorphism:
 
 
 def test_apply_to_labelset_collapses_equal_images():
-    terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+    terms = TermAlg(("u", "v"))
     h = AlgebraMorphism(terms, NatPlus(), {"u": 2, "v": 1})
     labels = LabelSet([Var("u"), OpApp("+", (Var("v"), Lit(1))), Lit(5)])
     assert apply_to_labelset(h, labels) == LabelSet([2, 5])

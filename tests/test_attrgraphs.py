@@ -1,7 +1,6 @@
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -46,7 +45,7 @@ class TestAttributedGraph:
         g = Graph(SIG, {"x": "p"}, {})
         with pytest.raises(ValueError, match="carrier"):
             AttributedGraph(g, NAT, {"x": [-1]})
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         with pytest.raises(ValueError, match="carrier"):
             AttributedGraph(g, terms, {"x": [Var("w")]})
 
@@ -150,7 +149,7 @@ class TestAttrMorphism:
             "element 'f': mapped labels {4} not contained in {} at 'f'")
 
     def test_violations_under_an_assignment_follow_element_id_order(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         g = Graph(SIG, {"z": "p", "x": "p", "y": "p"},
                   {"f": ("a", "z", "x"), "e": ("a", "x", "y")})
         pattern = AttributedGraph(g, terms, {"z": [Var("u")], "x": [Lit(2)], "y": [Var("u")],
@@ -168,7 +167,7 @@ class TestAttrMorphism:
         assert validate_attr_morphism(fixed) == []
 
     def test_variable_assignment_is_applied_before_comparing(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         g = Graph(SIG, {"x": "p"}, {})
         pattern = AttributedGraph(g, terms, {"x": [Var("u"), Lit(3)]})
         host = AttributedGraph(g, NAT, {"x": [3, 8]})
@@ -180,7 +179,7 @@ class TestAttrMorphism:
             AttrMorphism(pattern, host, identity_morphism(g), wrong)
 
     def test_composition_chains_both_parts(self):
-        terms = TermAlg(PLUS_SIGNATURE, ("u",))
+        terms = TermAlg(("u",))
         g = Graph(SIG, {"x": "p"}, {})
         pattern = AttributedGraph(g, terms, {"x": [Var("u")]})
         mid = AttributedGraph(g, NAT, {"x": [4]})
@@ -225,5 +224,5 @@ class TestAttrIsomorphism:
     def test_algebra_must_agree(self):
         g = Graph(SIG, {"x": "p"}, {})
         a = AttributedGraph(g, NAT, {"x": [1]})
-        b = AttributedGraph(g, TermAlg(PLUS_SIGNATURE, ()), {"x": [Lit(1)]})
+        b = AttributedGraph(g, TermAlg(()), {"x": [Lit(1)]})
         assert is_attr_isomorphic(a, b) is None

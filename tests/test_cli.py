@@ -251,6 +251,31 @@ class TestInputErrors:
                      "--rule", "sum", "--match", "7"]) == 2
         assert "index 7 is out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, code, out, err", [
+        (["match"], 0, "2 matches\n[0] shift#0: x->x, y->y where u=a, v=b\n"
+                       "[1] sum#0: x->x, y->y where u=a, v=b\n", ""),
+        (["apply", "--rule", "shift", "--match", "0"], 0,
+         "applied shift#0\ncontext: 3 elements\nresult: 3 elements\n", ""),
+        (["pct"], 2, "", "invalid input: operation '+' is not interpreted "
+                         "in the target algebra\n"),
+        (["run", "--steps", "2", "--mode", "seq"], 2, "",
+         "invalid input: operation '+' is not interpreted in the target algebra\n"),
+    ], ids=["match", "apply-shift", "pct", "run-seq"])
+    def test_a_sum_has_no_value_in_an_enumerated_host(self, files, tmp_path, capsys,
+                                                      command, code, out, err):
+        # the Fibonacci rules match registers holding enumerated values, and
+        # "shift" copies one, but "sum" writes u+v, which no enumeration has
+        host = tmp_path / "enum-host.json"
+        host.write_text(json.dumps({
+            "sorts": {"nodes": ["reg"], "edges": {"next": ["reg", "reg"]}},
+            "algebra": {"enum": ["a", "b"]},
+            "nodes": [{"id": "x", "sort": "reg", "label": ["a"]},
+                      {"id": "y", "sort": "reg", "label": ["b"]}],
+            "edges": [{"id": "e", "sort": "next", "src": "x", "tgt": "y"}]}))
+        fib = str(files / "fib.json")
+        assert main([*command, "--rules", fib, "--host", str(host)]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_pct_index_out_of_range(self, files, capsys):
         fib = str(files / "fib.json")
         assert main(["pct", "--rules", fib, "--host", fib, "--matches", "0,9"]) == 2

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -91,7 +90,7 @@ class TestPushout:
         assert po.apex.label(eid) == LabelSet([3])
 
     def test_first_leg_must_be_neutral_and_sources_must_agree(self):
-        terms = TermAlg(PLUS_SIGNATURE, ())
+        terms = TermAlg(())
         pattern = AttributedGraph(Graph(SIG, {"x": "p"}, {}), terms, {})
         target = obj(["z"])
         carrier_change = AttrMorphism(

@@ -33,8 +33,6 @@ SEEDS = (1, 2, 20)
 
 EXEMPT = {
     "algebras.Algebra.contains": "abstract: every algebra a file declares overrides it",
-    "algebras.Algebra.interprets": "abstract default: no run evaluates an operation "
-                                   "into an enumeration",
     "cli.entry": "the installed script's entry point; the corpus calls main",
     "cli._Parser.error": "a usage error, which the corpus does not make",
     "attrgraphs.AttributedGraph.with_labels": "perfbench builds its Fibonacci hosts with it",

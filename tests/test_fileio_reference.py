@@ -17,7 +17,6 @@ import random
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -147,7 +146,7 @@ def odd_system():
 def term_rule_system():
     """A nat host and one rule with variables, literals and sums in its labels."""
     signature = SortSignature(["p"], {"a": ("p", "p")})
-    terms = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+    terms = TermAlg(("u", "v"))
     u, v = Var("u"), Var("v")
     shape = Graph(signature, {"x": "p", "y": "p"}, {"e": ("a", "x", "y")})
     left = AttributedGraph(shape, terms, {"x": [u, Lit(3)], "y": [v], "e": [Lit(0)]})

@@ -184,8 +184,8 @@ EXPORTS = (
     "AlgebraMorphism", "AttrMorphism", "AttributedGraph", "ChangeSet",
     "ComplementResult", "DeletionPlan", "DirectTransformation", "EvaluationError",
     "FiniteEnum", "GluingError", "Graph", "GraphMorphism", "HexGridSpec", "HexcaResult",
-    "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "OpSignature",
-    "PLUS_SIGNATURE", "ParseError", "PullbackResult", "PushoutResult", "RulePlan",
+    "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "ParseError",
+    "PullbackResult", "PushoutResult", "RulePlan",
     "RunResult", "SortSignature", "StepReport", "SystemSpec", "TermAlg",
     "TermSyntaxError", "ValidationError", "Var", "Violation", "WeakSpan", "all_matches",
     "apply_direct", "apply_parallel_step", "apply_sequential_step", "apply_span_dpo",

@@ -16,7 +16,6 @@ import random
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -380,7 +379,7 @@ def test_each_match_is_listed_once():
         listed += listed_once(fib.rules, host)
     assert listed >= 1000
     # u+v+z = 30 has C(32, 2) = 496 solutions over the naturals
-    terms = TermAlg(PLUS_SIGNATURE, ("u", "v", "z"))
+    terms = TermAlg(("u", "v", "z"))
     point = Graph(TERM_SIG, {"x": "p"}, {})
     left = AttributedGraph(point, terms, {"x": [OpApp("+", (OpApp("+", (Var("u"), Var("v"))),
                                                              Var("z")))]})
@@ -412,7 +411,7 @@ def test_sum_constraints_solve_as_a_brute_force_over_values():
         want = set()
         for values in itertools.product(range(8), repeat=len(names)):
             assignment = dict(zip(names, values))
-            alpha = AlgebraMorphism(TermAlg(PLUS_SIGNATURE, names), NAT, assignment)
+            alpha = AlgebraMorphism(TermAlg(names), NAT, assignment)
             if all(evaluate_term(t, alpha) in allowed for t, allowed in constraints):
                 want.add(frozenset(assignment.items()))
         got = [frozenset(a.items()) for a in _solve_label_constraints(constraints, NAT)]

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -249,7 +248,7 @@ def test_random_overlapping_pairs_when_coherent():
 
 def test_fresh_ids_step_around_host_ids():
     sig = SortSignature(["p"], {})
-    alg = TermAlg(PLUS_SIGNATURE, ["u"])
+    alg = TermAlg(["u"])
     kept = AttributedGraph(Graph(sig, {"x": "p"}, {}), alg, {"x": [Var("u")]})
     grown = AttributedGraph(Graph(sig, {"x": "p", "n": "p"}, {}), alg,
                             {"x": [Var("u")], "n": [Lit(1)]})

@@ -1,10 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from weakspan import (
-    PLUS_SIGNATURE,
     AlgebraMorphism,
     AttrMorphism,
     AttributedGraph,
@@ -69,7 +69,7 @@ def point(algebra, labels):
 
 def point_rule(name, variables, l_labels, k_labels, i_labels, r_labels):
     """A single-node rule; the node is never deleted, only relabeled."""
-    alg = TermAlg(PLUS_SIGNATURE, variables)
+    alg = TermAlg(variables)
     L, K, I, R = (point(alg, ls) for ls in (l_labels, k_labels, i_labels, r_labels))
     arrow = identity_morphism(L.graph)
     ident = AlgebraMorphism.identity(alg)
@@ -97,7 +97,7 @@ class TestWeakSpanValidation:
             point_rule("bad", ("u",), [Lit(1)], [], [], [Var("u")])
 
     def test_structure_maps_must_be_injective(self):
-        alg = TermAlg(PLUS_SIGNATURE, ())
+        alg = TermAlg(())
         two = Graph(POINT_SIG, {"x": "p", "y": "p"}, {})
         one = Graph(POINT_SIG, {"x": "p"}, {})
         K = AttributedGraph(two, alg)
@@ -115,7 +115,7 @@ class TestWeakSpanValidation:
                      r=identity_attr(ident_piece))
 
     def test_structure_maps_must_be_neutral(self):
-        alg = TermAlg(PLUS_SIGNATURE, ("u",))
+        alg = TermAlg(("u",))
         L = point(alg, [Var("u")])
         K = point(alg, [])
         relabel = AlgebraMorphism(alg, alg, {"u": Lit(3)})
@@ -128,7 +128,7 @@ class TestWeakSpanValidation:
         with pytest.raises(ValueError, match=(
                 r"^rule 'bad': declared variables \['v'\] do not occur in the left side$")):
             point_rule("bad", ("u", "v"), [Var("u")], [], [], [])
-        alg = TermAlg(PLUS_SIGNATURE, ())
+        alg = TermAlg(())
         one = point(alg, [])
         two = AttributedGraph(Graph(POINT_SIG, {"x": "p", "y": "p"}, {}), alg)
         with pytest.raises(ValueError, match=(
@@ -183,7 +183,7 @@ class TestFindMatches:
     def test_a_sum_of_bound_variables_is_evaluated_not_split(self, monkeypatch):
         """u, v and u+v against a host whose sum holds a million: once u and
         v are bound the sum is evaluated, not split a million ways."""
-        alg = TermAlg(PLUS_SIGNATURE, ("u", "v"))
+        alg = TermAlg(("u", "v"))
         u, v = Var("u"), Var("v")
         nodes = {"a": "p", "b": "p", "c": "p"}
         pattern = AttributedGraph(Graph(POINT_SIG, nodes, {}), alg,
@@ -246,7 +246,7 @@ class TestApplyDirect:
 
     def test_gluing_failure_surfaces_from_application(self):
         sig = SortSignature(["p"], {"a": ("p", "p")})
-        alg = TermAlg(PLUS_SIGNATURE, ())
+        alg = TermAlg(())
         lone = Graph(sig, {"x": "p"}, {})
         empty = Graph(sig, {}, {})
         L = AttributedGraph(lone, alg)
@@ -421,6 +421,42 @@ class TestParallelTransformation:
         assert joint.label(only) == LabelSet()
         after5 = apply_direct(match_on(erase7, hprime([g5]), {"w": 7}))
         assert is_attr_isomorphic(joint, hprime([after5])) is not None
+
+    def test_the_change_set_does_not_depend_on_the_order(self, fib):
+        """Permuting a coherent set and its addition names alike leaves its
+        change set as it is: D' intersects the context labels and H' unions
+        the written ones, and neither cares which application comes first."""
+        def assert_order_free(gammas, orders):
+            names = [f"{c}:" for c in range(len(gammas))]
+            changes = pct(gammas, names)
+            for order in orders:
+                assert pct([gammas[c] for c in order], [names[c] for c in order]) == changes
+            return changes
+
+        rng = random.Random(22)
+        gammas = [apply_direct(find_matches(r, fib.host)[0]) for r in fib.rules]
+        assert_order_free(gammas, [(1, 0)])
+
+        gen1 = ca_oracle(HexGridSpec(radius=7, seeds=((0, 0),)), 1)[1]
+        births = hexgrid.hex_system(HexGridSpec(radius=3, seeds=tuple(sorted(gen1))))
+        gammas = [apply_direct(m) for m in runner.all_matches(births, births.host)]
+        assert len(gammas) == 6
+        assert_order_free(gammas, rng.sample(list(itertools.permutations(range(6))), 60))
+
+        for trial in range(100):
+            _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
+            assert_order_free([apply_direct(m1), apply_direct(m2)], [(1, 0)])
+
+        # two rules write 5 and 7 onto x = {1, 2}, and two matches of a
+        # third erase 1 and 2 from it
+        host = point(NAT, [1, 2])
+        writes = [point_rule(f"write{k}", (), [], [], [], [Lit(k)]) for k in (5, 7)]
+        eraser = point_rule("erase", ("u",), [Var("u")], [], [], [])
+        gammas = [apply_direct(match_on(rule, host, {})) for rule in writes]
+        gammas += [apply_direct(m) for m in find_matches(eraser, host)]
+        assert len(gammas) == 4
+        changes = assert_order_free(gammas, itertools.permutations(range(4)))
+        assert changes.relabelled == {"x": (LabelSet([1, 2]), LabelSet([5, 7]))}
 
     def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
         """No run builds a context or the intersected context D': a step
