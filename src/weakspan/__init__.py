@@ -28,8 +28,8 @@ from .presets import fibonacci_system
 from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,
                         Match, RulePlan, SystemSpec, WeakSpan, apply_direct,
                         coherent_set_check, deletion_plan, deletion_record, find_matches, pct)
-from .runner import (HexcaResult, RunResult, StepReport, all_matches,
-                     apply_parallel_step, apply_sequential_step, cmd_hexca,
-                     cmd_run, rule_matches, transport_match)
+from .runner import (HexcaResult, RunResult, StepReport, apply_parallel_step,
+                     apply_sequential_step, cmd_hexca, cmd_run, rule_matches,
+                     transport_match)
 
 __version__ = "0.1.0"

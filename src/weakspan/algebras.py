@@ -23,8 +23,15 @@ class Lit:
 
 @dataclass(frozen=True)
 class OpApp:
+    """A sum: ``+`` applied to two terms, the one operation of every term."""
+
     op: str
     args: tuple
+
+    def __post_init__(self):
+        if self.op != "+" or len(self.args) != 2:
+            raise ValueError(f"a term operation is binary '+', not {self.op!r} "
+                             f"with {len(self.args)} arguments")
 
 
 Term = Union[Var, Lit, OpApp]
@@ -181,8 +188,7 @@ class TermAlg(Algebra):
         if isinstance(value, Lit):
             return value.value >= 0
         if isinstance(value, OpApp):
-            return (value.op == "+" and len(value.args) == 2
-                    and all(self.contains(a) for a in value.args))
+            return all(self.contains(a) for a in value.args)
         return False
 
     def __eq__(self, other) -> bool:

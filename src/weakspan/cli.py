@@ -18,13 +18,12 @@ import sys
 from functools import cache
 
 from .algebras import render_value
-from .attrgraphs import AttributedGraph, derive_graph
+from .attrgraphs import AttributedGraph
 from .fileio import ValidationError, export_dot, load_system, save_graph, save_system
 from .hexgrid import HexGridSpec, hex_system
 from .presets import fibonacci_system
-from .rewriting import GluingError, IncoherentSetError, Match, SystemSpec, apply_direct, pct
-from .runner import (StepReport, added_names, apply_parallel_step, cmd_hexca, cmd_run,
-                     finish_parallel_step, rule_matches)
+from .rewriting import GluingError, IncoherentSetError, Match, SystemSpec, apply_direct
+from .runner import StepReport, apply_parallel_step, cmd_hexca, cmd_run, joint_step, rule_matches
 
 __all__ = ["main", "entry", "UsageError",
            "EXIT_OK", "EXIT_USAGE", "EXIT_INVALID", "EXIT_GLUING", "EXIT_INCOHERENT"]
@@ -222,11 +221,12 @@ def _cmd_apply(args) -> int:
             f"rule {name!r} has {len(matches)} matches; index {args.match} is out of range")
     gamma = apply_direct(matches[args.match])
     offset = sum(len(earlier) for earlier in found[:position])
-    result = derive_graph(host, pct([gamma], added_names(0, [offset + args.match])))
+    step = StepReport(index=0, mode="sequential")
+    result = joint_step([gamma], step, [offset + args.match])
     report = [
         f"applied {name}#{args.match}",
-        f"context: {host.element_count() - len(gamma.record.deleted)} elements",
-        f"result: {result.graph.element_count()} elements",
+        f"context: {step.dprime_elements} elements",
+        f"result: {step.hprime_elements} elements",
     ]
     _emit("\n".join(report), args.report)
     if args.out:
@@ -255,7 +255,7 @@ def _cmd_pct(args) -> int:
         report = StepReport(index=0, mode="pct",
                             matches_per_rule={rule.name: len(rule_found)
                                               for rule, rule_found in zip(system.rules, found)})
-        result, report = finish_parallel_step(gammas, report, indices)
+        result = joint_step(gammas, report, indices)
     _emit(report.describe() if report.matched else "no matches: nothing to apply", args.report)
     if args.out:
         save_graph(result, args.out)

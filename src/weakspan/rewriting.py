@@ -115,8 +115,9 @@ def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> ChangeSet:
 class IncoherentSetError(Exception):
     """A set of direct transformations fails pairwise coherence.
 
-    ``pair`` gives the two positions in the application list, ``rules`` the
-    names of their rules, ``element`` the obstructing host element, and
+    ``pair`` gives the two positions in the application list (the runner
+    gives their global match indices instead), ``rules`` the names of their
+    rules, ``element`` the obstructing host element, and
     ``reason`` what the one application does to what the other requires.
     """
 
@@ -128,13 +129,6 @@ class IncoherentSetError(Exception):
         self.rules = rules
         self.element = element
         self.reason = reason
-
-    def renumbered(self, numbers: Sequence[int]) -> IncoherentSetError:
-        """The same refusal with each position p in ``pair`` given as
-        ``numbers[p]``, for callers that number applications otherwise."""
-        a, b = self.pair
-        return IncoherentSetError((numbers[a], numbers[b]), self.rules, self.element,
-                                  self.reason)
 
 
 def _labels_variables(g: AttributedGraph) -> set[str]:
@@ -356,10 +350,6 @@ def _match_value(t: Value, w: Value, partial: dict, host_alg: Algebra) -> Iterab
                 for ta, wa in zip(t.args, w.args):
                     states = [ext for st in states for ext in _match_value(ta, wa, st, host_alg)]
                 yield from states
-    else:
-        # ground enumerated value
-        if t == w:
-            yield partial
 
 
 def _bound_sum(t: Value, partial: dict) -> Optional[int]:

@@ -10,17 +10,18 @@ A step of either mode searches each distinct left side once
 canonical match order.  A step that applies nothing is a fixpoint: the
 next one would find the same matches on the same graph.
 
-Surviving elements keep their host ids, and ``pct`` names each created
-element `s<step>:<n>:<id>` from the prefixes `added_names` gives it, where
-n is the global index of its match in that order.  Ids then stay stable
-across steps, which keeps reports readable and lets matches be carried from
-one intermediate graph to the next.
+Every application, single or joint, goes through `joint_step`, the
+engine's one caller of ``pct``.  Surviving elements keep their host ids,
+and each created element is named `s<step>:<n>:<id>`, where n is the
+global index of its match in that order.  Ids then stay stable across
+steps, which keeps reports readable and lets matches be carried from one
+intermediate graph to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph
 from .graphs import GraphMorphism
@@ -39,7 +40,9 @@ class StepReport:
     Applying them in order to the step's host (``derive_graph``) gives its
     result.  A fixpoint step has none.  ``describe`` does not read them.
     A joint step reports D' and H' by their element counts: D' is the part
-    of the host no context deletes, and H' is D' plus the additions.
+    of the host no context deletes, and H' is D' plus the additions.  In
+    sequential mode ``dprime_elements`` and ``hprime_elements`` hold the
+    last application's counts, which ``describe`` does not print.
     """
 
     index: int
@@ -93,12 +96,6 @@ class RunResult:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def added_names(step_index: int, numbers: Iterable[int]) -> list[str]:
-    """The ``pct`` name prefixes of a step's applications: the additions of
-    the one whose match has global index n are called `s<step>:<n>:<id>`."""
-    return [f"s{step_index}:{n}:" for n in numbers]
-
-
 def transport_match(match: Match, host: AttributedGraph) -> Match:
     """Re-anchor a match on another graph by element ids, with full revalidation.
 
@@ -144,11 +141,6 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     return found
 
 
-def all_matches(system: SystemSpec, host: AttributedGraph) -> list[Match]:
-    """Every match of every rule, rules in declaration order."""
-    return [match for matches in rule_matches(system, host) for match in matches]
-
-
 def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
                         step_index: int) -> tuple[AttributedGraph, StepReport]:
     report = StepReport(index=step_index, mode="pct")
@@ -166,27 +158,31 @@ def apply_parallel_step(system: SystemSpec, host: AttributedGraph,
             index += 1
     if not gammas:
         return host, report
-    return finish_parallel_step(gammas, report, indices)
+    return joint_step(gammas, report, indices), report
 
 
-def finish_parallel_step(gammas: list[DirectTransformation], report: StepReport,
-                         indices: Sequence[int]) -> tuple[AttributedGraph, StepReport]:
-    """Apply the applications jointly and record the step in the report.
+def joint_step(gammas: list[DirectTransformation], report: StepReport,
+               numbers: Sequence[int]) -> AttributedGraph:
+    """Apply the applications jointly, record them in the report and
+    return the derived graph.
 
-    ``indices`` gives each application's global match index, as ``weakspan
-    match`` lists them: the additions of each are named by it, and an
-    IncoherentSetError names its pair by these.
+    ``numbers`` gives each application's global match index, as ``weakspan
+    match`` lists them: the additions of each are named
+    `s<report.index>:<n>:<id>` by it, and an IncoherentSetError names its
+    pair by these.
     """
     try:
-        changes = pct(gammas, added_names(report.index, indices))
+        changes = pct(gammas, [f"s{report.index}:{n}:" for n in numbers])
     except IncoherentSetError as err:
-        raise err.renumbered(indices) from None
+        a, b = err.pair
+        raise IncoherentSetError((numbers[a], numbers[b]), err.rules, err.element,
+                                 err.reason) from None
     host = gammas[0].host
-    report.applied = len(gammas)
+    report.applied += len(gammas)
     report.dprime_elements = host.element_count() - len(changes.deleted)
     report.hprime_elements = report.dprime_elements + len(changes.added)
     report.changes.append(changes)
-    return derive_graph(host, changes), report
+    return derive_graph(host, changes)
 
 
 def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index: int,
@@ -218,10 +214,7 @@ def apply_sequential_step(system: SystemSpec, host: AttributedGraph, step_index:
         except GluingError as err:
             report.skipped_gluing.append(f"{match.rule.name}@{pos}: {err}")
             continue
-        changes = pct([gamma], added_names(step_index, [pos]))
-        report.changes.append(changes)
-        current = derive_graph(current, changes)
-        report.applied += 1
+        current = joint_step([gamma], report, [pos])
     return current, report
 
 

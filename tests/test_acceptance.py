@@ -13,7 +13,6 @@ import pytest
 from weakspan import (
     HexGridSpec,
     Var,
-    all_matches,
     apply_direct,
     apply_parallel_step,
     apply_sequential_step,
@@ -38,6 +37,7 @@ from weakspan import (
     pullback_of_neutrals,
     pushout_along_neutral,
     pushout_complement,
+    rule_matches,
     transport_match,
 )
 from weakspan.constructions import is_plain_span
@@ -102,7 +102,7 @@ def test_derived_span_of_the_register_rules():
 def test_seed_generation_births_are_coherent_yet_dependent():
     started = perf_counter()
     system = hex_system(HexGridSpec(radius=5, seeds=((0, 0),)))
-    matches = all_matches(system, system.host)
+    matches = [m for found in rule_matches(system, system.host) for m in found]
     assert len(matches) == 6
     gammas = [apply_direct(m) for m in matches]
     assert coherent_set_check(gammas) is None
@@ -132,7 +132,7 @@ def test_second_generation_births_commute_every_way():
     system = hex_system(HexGridSpec(radius=3, seeds=tuple(sorted(gen1))))
     host = system.host
 
-    matches = all_matches(system, host)
+    matches = [m for found in rule_matches(system, host) for m in found]
     assert len(matches) == 6
     gammas = [apply_direct(m) for m in matches]
     for a in range(6):

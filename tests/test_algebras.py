@@ -86,8 +86,10 @@ class TestCarriers:
         assert alg.contains(Var("u"))
         assert not alg.contains(Var("v"))
         assert alg.contains(OpApp("+", (Var("u"), Lit(2))))
-        assert not alg.contains(OpApp("+", (Var("u"),)))
-        assert not alg.contains(OpApp("*", (Var("u"), Lit(1))))
+        with pytest.raises(ValueError, match="^a term operation is binary"):
+            OpApp("+", (Var("u"),))
+        with pytest.raises(ValueError, match="^a term operation is binary"):
+            OpApp("*", (Var("u"), Lit(1)))
 
 
 class TestAlgebraMorphism:

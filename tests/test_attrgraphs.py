@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from weakspan import (
@@ -9,6 +11,7 @@ from weakspan import (
     LabelSet,
     Lit,
     NatPlus,
+    OpApp,
     SortSignature,
     TermAlg,
     Var,
@@ -48,6 +51,13 @@ class TestAttributedGraph:
         terms = TermAlg(("u",))
         with pytest.raises(ValueError, match="carrier"):
             AttributedGraph(g, terms, {"x": [Var("w")]})
+
+    @pytest.mark.parametrize("op, args", [("*", (Var("u"), Lit(1))), ("+", (Var("u"),))])
+    def test_an_ill_formed_term_is_refused_where_it_is_built(self, op, args):
+        g = Graph(SIG, {"x": "p"}, {})
+        message = f"a term operation is binary '+', not {op!r} with {len(args)} arguments"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttributedGraph(g, TermAlg(("u",)), {"x": [OpApp(op, args)]})
 
     def test_a_carrier_error_names_the_first_element_in_id_order(self):
         g = Graph(SIG, {"z": "p", "x": "p", "y": "p"}, {"e": ("a", "z", "x")})

@@ -440,7 +440,8 @@ class TestAdditionNames:
         both = ["--rules", str(system), "--host", str(system)]
         commands = {"apply": ["apply", *both, "--rule", "grow", "--match", "1"],
                     "pct": ["pct", *both, "--matches", "3"],
-                    "run": ["run", *both, "--steps", "1"]}
+                    "run": ["run", *both, "--steps", "1"],
+                    "seq": ["run", *both, "--steps", "1", "--mode", "seq"]}
         named = {}
         for name, command in commands.items():
             out = tmp_path / f"{name}.json"

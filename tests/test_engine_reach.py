@@ -36,7 +36,6 @@ EXEMPT = {
     "cli.entry": "the installed script's entry point; the corpus calls main",
     "cli._Parser.error": "a usage error, which the corpus does not make",
     "attrgraphs.AttributedGraph.with_labels": "perfbench builds its Fibonacci hosts with it",
-    "runner.all_matches": "perfbench's tracer times it on its Fibonacci workload",
     "hexgrid.ca_oracle": "the hex preset's independent oracle, which no run consults",
 }
 # a value's printed form and its equality are for callers and tests

@@ -126,12 +126,11 @@ def test_the_engine_never_imports_the_specification():
     assert stems - {"__init__", "__main__"} - imported_below == {"constructions"}
 
 
-def unchecked_builds(source, module):
-    """(module, function, class) for each ``object.__new__(X)`` call in
-    ``source``: an object made without its constructor's checks.  The
-    function is the top-level function or ``Class.method`` the call sits
-    in, nested functions included, or ``<module>``."""
-    found = set()
+def calls(source):
+    """(function, call) for each call in ``source``.  The function is the
+    top-level function or ``Class.method`` the call sits in, nested
+    functions included, or ``<module>``."""
+    found = []
 
     def visit(node, where, in_class=False):
         for child in ast.iter_child_nodes(node):
@@ -140,14 +139,27 @@ def unchecked_builds(source, module):
                 name = child.name if where == "<module>" else f"{where}.{child.name}"
                 visit(child, name, isinstance(child, ast.ClassDef))
                 continue
-            call = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(call, ast.Attribute) and call.attr == "__new__"
-                    and isinstance(call.value, ast.Name) and call.value.id == "object"):
-                found.add((module, where, ast.unparse(child.args[0])))
+            if isinstance(child, ast.Call):
+                found.append((where, child))
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def unchecked_builds(source, module):
+    """(module, function, class) for each ``object.__new__(X)`` call in
+    ``source``: an object made without its constructor's checks."""
+    return {(module, where, ast.unparse(call.args[0])) for where, call in calls(source)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "__new__"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "object"}
+
+
+def callers(source, module, name):
+    """(module, function) for each call in ``source`` of ``name``, by its
+    bare name or as an attribute."""
+    return {(module, where) for where, call in calls(source)
+            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -173,6 +185,23 @@ def test_only_the_search_and_derive_graph_build_unchecked():
                      ("rewriting", "find_matches", "Match")}
 
 
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    def g():\n        return pct(x)\n    return g\n", {("m", "f")}),
+    ("class C:\n    def step(self):\n        return rewriting.pct(x)\n", {("m", "C.step")}),
+    ("apply = pct\nx = pct.__name__\n", set()),
+])
+def test_every_call_of_a_name_is_seen(source, found):
+    assert callers(source, "m", "pct") == found
+
+
+def test_every_application_goes_through_the_joint_step():
+    # a single application (`weakspan apply`, each one of a sequential
+    # step) is the one-element joint step, named and recorded the same way
+    found = set().union(*(callers(path.read_text(encoding="utf-8"), path.stem, "pct")
+                          for path in MODULES if path.stem != "constructions"))
+    assert found == {("runner", "joint_step")}
+
+
 def test_only_the_command_line_reads_the_file_format():
     assert [path.stem for path in MODULES if path.stem not in ("cli", "__init__")
             and "fileio" in package_imports(path.read_text(encoding="utf-8"))] == []
@@ -187,7 +216,7 @@ EXPORTS = (
     "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "ParseError",
     "PullbackResult", "PushoutResult", "RulePlan",
     "RunResult", "SortSignature", "StepReport", "SystemSpec", "TermAlg",
-    "TermSyntaxError", "ValidationError", "Var", "Violation", "WeakSpan", "all_matches",
+    "TermSyntaxError", "ValidationError", "Var", "Violation", "WeakSpan",
     "apply_direct", "apply_parallel_step", "apply_sequential_step", "apply_span_dpo",
     "apply_to_labelset", "associated_span", "ca_oracle", "check_parallel_coherent",
     "check_parallel_independent", "check_universal_property", "cmd_hexca", "cmd_run",

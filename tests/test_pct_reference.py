@@ -34,14 +34,12 @@ from weakspan import (
     TermAlg,
     Var,
     WeakSpan,
-    all_matches,
     apply_direct,
     cmd_hexca,
     cmd_run,
     coherent_set_check,
     colimit_of_neutrals,
     compose_attr,
-    derive_graph,
     fibonacci_system,
     find_matches,
     hex_system,
@@ -50,11 +48,12 @@ from weakspan import (
     pushout_along_neutral,
     pushout_complement,
     rename_attributed,
+    rule_matches,
     transport_match,
     validate_attr_morphism,
 )
 from weakspan.constructions import WitnessMatrix, identity_morphism
-from weakspan.runner import StepReport, added_names, finish_parallel_step
+from weakspan.runner import StepReport, joint_step
 
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 
@@ -145,9 +144,10 @@ def assert_agrees_with_reference(gammas, step_index=0):
     The engine's step is the runner's: its change set deletes exactly the
     host ids outside the reference D', and its report counts D' and H'."""
     numbers = range(len(gammas))
-    result, report = finish_parallel_step(gammas, StepReport(step_index, "pct"), numbers)
+    report = StepReport(step_index, "pct")
+    result = joint_step(gammas, report, numbers)
     [changes] = report.changes
-    assert changes == pct(gammas, added_names(step_index, numbers))
+    assert changes == pct(gammas, [f"s{step_index}:{n}:" for n in numbers])
     witnesses = WitnessMatrix(gammas)
     assert_composites_are_lax(gammas, witnesses)
     into_host = [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas]
@@ -163,8 +163,8 @@ def assert_agrees_with_reference(gammas, step_index=0):
 
 
 def assert_direct_agrees(gamma, step_index, number):
-    """One application through `pct` equals the pushout route; returns it."""
-    result = derive_graph(gamma.host, pct([gamma], added_names(step_index, [number])))
+    """One application through `joint_step` equals the pushout route; returns it."""
+    result = joint_step([gamma], StepReport(step_index, "sequential"), [number])
     assert_composites_are_lax([gamma], WitnessMatrix([gamma]))
     assert_same_graph(result, reference_direct(gamma, step_index, number))
     return result
@@ -176,7 +176,8 @@ def replay_sequential_step(system, host, step_index):
     Returns the result and the number of applications made.
     """
     current, applied = host, 0
-    for pos, match in enumerate(all_matches(system, host)):
+    matches = [match for found in rule_matches(system, host) for match in found]
+    for pos, match in enumerate(matches):
         try:
             gamma = apply_direct(transport_match(match, current))
         except (ValueError, GluingError):

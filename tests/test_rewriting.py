@@ -404,10 +404,6 @@ class TestParallelTransformation:
             pct(gammas)
         assert (refused.value.pair, refused.value.rules) == ((0, 1), ("keep", "erase"))
         assert refused.value.element == "x"
-        renumbered = refused.value.renumbered([7, 3])
-        assert (renumbered.pair, renumbered.rules, renumbered.reason) == (
-            (7, 3), ("keep", "erase"), refused.value.reason)
-        assert str(renumbered) == str(refused.value).replace("pair (0, 1)", "pair (7, 3)")
 
     def test_parallel_label_erasure(self):
         host = point(NAT, [5, 7])
@@ -439,7 +435,7 @@ class TestParallelTransformation:
 
         gen1 = ca_oracle(HexGridSpec(radius=7, seeds=((0, 0),)), 1)[1]
         births = hexgrid.hex_system(HexGridSpec(radius=3, seeds=tuple(sorted(gen1))))
-        gammas = [apply_direct(m) for m in runner.all_matches(births, births.host)]
+        gammas = [apply_direct(m) for ms in runner.rule_matches(births, births.host) for m in ms]
         assert len(gammas) == 6
         assert_order_free(gammas, rng.sample(list(itertools.permutations(range(6))), 60))
 

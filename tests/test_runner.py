@@ -10,7 +10,6 @@ from weakspan import (
     LabelSet,
     RunResult,
     SystemSpec,
-    all_matches,
     apply_direct,
     apply_parallel_step,
     apply_sequential_step,
@@ -27,7 +26,7 @@ from weakspan import (
     transport_match,
 )
 from weakspan import derive_graph, limit_of_neutrals, pushout_complement, runner
-from weakspan.runner import StepReport, added_names, finish_parallel_step
+from weakspan.runner import StepReport, joint_step
 from weakspan.rewriting import pct
 
 from randgen import NAT, SIG, left_side_twin, random_host, random_instance, random_independent_pair
@@ -58,8 +57,8 @@ DELETE_ON_AN_EDGE = {
 
 class TestRelabeling:
     def test_parallel_result_lands_back_on_host_ids(self, fib):
-        gammas = [apply_direct(m) for m in all_matches(fib, fib.host)]
-        renamed = derive_graph(fib.host, pct(gammas, added_names(0, range(len(gammas)))))
+        gammas = [apply_direct(m) for ms in rule_matches(fib, fib.host) for m in ms]
+        renamed = joint_step(gammas, StepReport(index=0, mode="pct"), range(len(gammas)))
         assert renamed.element_ids() == ["x", "y", "e"]
         assert renamed.label("x") == LabelSet([2])
         assert renamed.label("y") == LabelSet([3])
@@ -68,9 +67,10 @@ class TestRelabeling:
         rng = random.Random(4)
         host = random_host(rng)
         grow = left_side_twin(random_instance(rng, host).rule, "grow")
-        changes = pct([apply_direct(find_matches(grow, host)[0])], added_names(4, [1]))
+        report = StepReport(index=4, mode="sequential")
+        result = joint_step([apply_direct(find_matches(grow, host)[0])], report, [1])
+        [changes] = report.changes
         assert changes.added == {"s4:1:grow.new": ("q", None, LabelSet())}
-        result = derive_graph(host, changes)
         assert set(result.element_ids()) == {*host.element_ids(), "s4:1:grow.new"}
 
 
@@ -137,7 +137,8 @@ class TestParallelStep:
         for trial in range(40):
             host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
             gammas = [apply_direct(m1), apply_direct(m2)]
-            _, report = finish_parallel_step(gammas, StepReport(index=0, mode="pct"), [0, 1])
+            report = StepReport(index=0, mode="pct")
+            joint_step(gammas, report, [0, 1])
             changes = pct(gammas)
             dprime, _legs = limit_of_neutrals(
                 [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas])
@@ -333,7 +334,6 @@ class TestSharedSearch:
                 [(m.m.sigma.node_map, m.m.sigma.edge_map, m.alpha.assignment)
                  for m in alone]
             assert all(m.host is system.host for m in matches)
-        assert all_matches(system, system.host) == [m for ms in shared for m in ms]
 
     def test_fibonacci_in_memory(self, fib):
         assert fib.rules[0].L is fib.rules[1].L

@@ -20,8 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from weakspan import (IncoherentSetError, all_matches, apply_direct,  # noqa: E402
-                      loads_system, rewriting)
+from weakspan import (IncoherentSetError, apply_direct, loads_system,  # noqa: E402
+                      rewriting, rule_matches)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -52,7 +52,8 @@ def _clash():
     system = loads_system(json.dumps({
         "sorts": {"nodes": ["p"], "edges": {}}, "algebra": "nat", "rules": rules,
         "host": {"nodes": [{"id": "x", "sort": "p", "label": [5]}]}}))
-    return [apply_direct(match) for match in all_matches(system, system.host)]
+    return [apply_direct(match) for found in rule_matches(system, system.host)
+            for match in found]
 
 
 def test_a_refusal_passes_the_tracer_unchanged():
