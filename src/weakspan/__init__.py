@@ -11,7 +11,7 @@ from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet, L
                        NatPlus, OpApp, TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation,
-                         derive_graph, inclusion, validate_attr_morphism)
+                         derive_graph, inclusion)
 from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             apply_span_dpo, associated_span, check_parallel_coherent,
                             check_parallel_independent, check_universal_property,

@@ -64,9 +64,15 @@ def render_term(t: Term) -> str:
 
 
 def render_value(v: Value) -> str:
+    """A value as text; an integer too long to convert shows its size."""
     if isinstance(v, (Var, Lit, OpApp)):
         return render_term(v)
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:   # past the interpreter's limit; v has d or d + 1 digits
+        # log10(2) as a literal: importing math loads one more shared library
+        d = int(v.bit_length() * 0.3010299956639812)
+        return f"<integer of {d + (10 ** d <= v)} digits>"
 
 
 def value_sort_key(v: Value):
@@ -111,9 +117,9 @@ def _tokenize(text: str) -> list[str]:
         elif c in "+()":
             tokens.append(c)
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -157,7 +163,10 @@ def _parse_atom(tokens: list[str], pos: int, depth: int) -> tuple[Term, int, int
             raise TermSyntaxError("missing closing parenthesis")
         return inner, pos + 1, height
     if tok.isdigit():
-        return Lit(int(tok)), pos + 1, 0
+        try:
+            return Lit(int(tok)), pos + 1, 0
+        except ValueError:   # longer than the interpreter converts from decimal
+            raise TermSyntaxError(f"literal of {len(tok)} digits is too long to read") from None
     if tok[0].isalpha():
         return Var(tok), pos + 1, 0
     raise TermSyntaxError(f"unexpected token {tok!r}")

@@ -194,9 +194,10 @@ class AttrMorphism:
 
     Lax means the image of each source label set is contained in the label
     set of the image element; a morphism is neutral when its algebra part is
-    an identity.  The constructor checks both parts' ends and the label
-    condition on every element, and has no unchecked mode: a map that is not
-    lax raises ValueError naming each violation in element id order.
+    an identity.  The constructor, the one test of the label condition,
+    checks both parts' ends and every element's labels, and has no unchecked
+    mode.  One pass stops at the first failure; only then does a second list
+    every violation, in element id order, in the ValueError it raises.
     """
 
     def __init__(self, source: AttributedGraph, target: AttributedGraph,
@@ -209,10 +210,20 @@ class AttrMorphism:
             raise ValueError("graph part does not run between the underlying graphs")
         if alpha.source != source.algebra or alpha.target != target.algebra:
             raise ValueError("algebra part does not run between the algebras")
-        violations = validate_attr_morphism(self)
-        if violations:
-            raise ValueError("label condition fails: "
-                             + "; ".join(v.describe() for v in violations))
+        labels, have = source.labeling, target.labeling
+        identity = alpha.is_identity
+        for x, y in itertools.chain(sigma.node_map.items(), sigma.edge_map.items()):
+            label = labels[x]
+            if label and not (label if identity else apply_to_labelset(alpha, label)) <= have[y]:
+                break
+        else:
+            return
+        violations = []
+        for x in source.element_ids():
+            y, mapped = sigma.apply(x), apply_to_labelset(alpha, labels[x])
+            if not mapped <= have[y]:
+                violations.append(Violation(x, y, mapped, have[y]).describe())
+        raise ValueError("label condition fails: " + "; ".join(violations))
 
     @property
     def is_neutral(self) -> bool:
@@ -230,33 +241,6 @@ class AttrMorphism:
 
     def __repr__(self) -> str:
         return f"AttrMorphism({self.sigma.node_map}, {self.alpha!r})"
-
-
-def validate_attr_morphism(m: AttrMorphism) -> list[Violation]:
-    """The elements of ``m``'s source whose mapped labels are not contained
-    in their image's label, in element id order; empty when ``m`` is lax.
-
-    Every element is tested in one pass; the violations are gathered only
-    when one fails.  An empty label holds anywhere, and under an identity
-    algebra part a label is its own image.
-    """
-    source, target = m.source.labeling, m.target.labeling
-    alpha, sigma = m.alpha, m.sigma
-    identity = alpha.is_identity
-    for x, y in itertools.chain(sigma.node_map.items(), sigma.edge_map.items()):
-        label = source[x]
-        if label and not (label if identity else apply_to_labelset(alpha, label)) <= target[y]:
-            break
-    else:
-        return []
-    violations = []
-    for x in m.source.element_ids():
-        image = sigma.apply(x)
-        mapped = apply_to_labelset(alpha, source[x])
-        have = target[image]
-        if not mapped <= have:
-            violations.append(Violation(x, image, LabelSet(mapped), have))
-    return violations
 
 
 def inclusion(small: AttributedGraph, big: AttributedGraph) -> AttrMorphism:

@@ -26,7 +26,7 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, Label
 from .attrgraphs import AttrMorphism, AttributedGraph, derive_graph, inclusion
 from .graphs import Graph, GraphMorphism, enumerate_morphisms, is_mono
 from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match,
-                        WeakSpan, apply_direct, coherent_set_check, obstruction, pct)
+                        WeakSpan, apply_direct, coherent_set_check, pct)
 
 
 @dataclass
@@ -440,9 +440,9 @@ def pushout_complement(l_neutral: AttrMorphism, m: AttrMorphism) -> ComplementRe
 def _witness(required: AttributedGraph, image: Mapping[str, str], alpha: AlgebraMorphism,
              context: AttributedGraph) -> AttrMorphism:
     """The morphism j from ``required`` into ``context`` that sends each
-    element x to its host id ``image[x]``, through the checked constructor:
-    the engine's verdict that the image embeds is checked again here, on
-    the context the specification builds."""
+    element x to its host id ``image[x]``, through the checked constructors,
+    which raise ValueError when the image does not embed in the context the
+    specification builds."""
     graph = required.graph
     sigma = GraphMorphism(graph, context.graph, {x: image[x] for x in graph.nodes},
                           {x: image[x] for x in graph.edges})
@@ -503,17 +503,16 @@ def check_parallel_coherent(g1: DirectTransformation,
 def check_parallel_independent(g1: DirectTransformation,
                                g2: DirectTransformation) -> tuple[AttrMorphism, AttrMorphism] | None:
     """The witness morphisms embedding each full left side into the other's
-    context, or None."""
+    context, or None when the checked constructors refuse one: the pair is
+    independent exactly when both witnesses exist."""
     if g1.host != g2.host:
         raise ValueError("direct transformations live on different hosts")
-    pair = ((g1, g2), (g2, g1))
-    embeddings = [(ga.rule.L, ga.match.m.sigma.element_map(), ga.match.alpha, gb)
-                  for ga, gb in pair]
-    if any(obstruction(*embedding) is not None for embedding in embeddings):
+    d1, d2 = (pushout_complement(g.rule.l, g.match.m).complement for g in (g1, g2))
+    try:
+        return tuple(_witness(g.rule.L, g.match.m.sigma.element_map(), g.match.alpha, d)
+                     for g, d in ((g1, d2), (g2, d1)))
+    except ValueError:
         return None
-    return tuple(_witness(left, image, alpha,
-                          pushout_complement(gb.rule.l, gb.match.m).complement)
-                 for left, image, alpha, gb in embeddings)
 
 
 def associated_span(rule: WeakSpan) -> tuple[WeakSpan, AttrMorphism]:
@@ -538,7 +537,7 @@ def apply_span_dpo(span_rule: WeakSpan, match: Match) -> DirectTransformation:
     """Classical double-pushout application of a plain span (I equals K)."""
     if not is_plain_span(span_rule):
         raise ValueError("rule is not a plain span (its required part must equal K)")
-    rebased = match if match.rule is span_rule else Match(span_rule, match.host, match.m)
+    rebased = match if match.rule is span_rule else Match(span_rule, match.m)
     return apply_direct(rebased)
 
 
@@ -639,7 +638,7 @@ def derive_span_from_pct(rules: Sequence[WeakSpan]) -> WeakSpan:
     for rule in rules[1:]:
         if rule.L != shared_l:
             raise ValueError("rules do not share an identical left side")
-    gammas = [apply_direct(Match(rule, shared_l, identity_attr(shared_l))) for rule in rules]
+    gammas = [apply_direct(Match(rule, identity_attr(shared_l))) for rule in rules]
     hprime = derive_graph(shared_l, pct(gammas))
     into_l = [pushout_complement(g.rule.l, g.match.m).complement_to_host for g in gammas]
     limit, legs = limit_of_neutrals(into_l)

@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum, LabelSet, Lit,
-                       NatPlus, TermAlg, TermSyntaxError, Value, parse_term, render_value,
+                       NatPlus, TermAlg, TermSyntaxError, Value, parse_term, render_term,
                        value_sort_key)
 from .attrgraphs import AttrMorphism, AttributedGraph
 from .graphs import Graph, GraphMorphism, SortSignature
@@ -47,10 +47,7 @@ def _parse_signature(data) -> SortSignature:
         _require(_is_names(pair) and len(pair) == 2,
                  f"edge sort {name!r} needs [source sort, target sort]")
         edges[name] = (pair[0], pair[1])
-    try:
-        return SortSignature(data["nodes"], edges)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    return SortSignature(data["nodes"], edges)
 
 
 def _parse_algebra(data) -> Algebra:
@@ -178,11 +175,8 @@ def _parse_rule(data, signature: SortSignature, host_algebra: Algebra) -> WeakSp
     l = _parse_map(data.get("l"), graphs["K"], graphs["L"], ident, f"{where} map l")
     i = _parse_map(data.get("i"), graphs["I"], graphs["K"], ident, f"{where} map i")
     r = _parse_map(data.get("r"), graphs["I"], graphs["R"], ident, f"{where} map r")
-    try:
-        return WeakSpan(name=name, L=graphs["L"], K=graphs["K"], I=graphs["I"],
-                        R=graphs["R"], l=l, i=i, r=r)
-    except ValueError as exc:   # it already names the rule
-        raise ValidationError(str(exc)) from None
+    return WeakSpan(name=name, L=graphs["L"], K=graphs["K"], I=graphs["I"],
+                    R=graphs["R"], l=l, i=i, r=r)
 
 
 # The last text with rules that loaded in full, and the signature, algebra
@@ -195,13 +189,14 @@ _LAST: tuple[str, SortSignature, Algebra, tuple[WeakSpan, ...]] | None = None
 
 def loads_system(text: str, source: str = "<string>") -> SystemSpec:
     """Parse a system file's text.  The host is parsed on every call; the
-    rules of a text loaded before are the same objects, in a new list.
-    Every refusal is a ParseError or ValidationError that starts with
-    ``source``."""
+    rules of a text loaded before are the same objects, in a new list.  A
+    ValueError raised while it loads is relayed after ``source``: as a
+    ParseError if it is one, else as a ValidationError."""
     try:
         return _loads(text)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+    except ValueError as exc:
+        kind = ParseError if isinstance(exc, ParseError) else ValidationError
+        raise kind(f"{source}: {exc}") from None
 
 
 def _loads(text: str) -> SystemSpec:
@@ -277,7 +272,7 @@ def _value_text(v: Value) -> str:
         return int.__repr__(v)
     if isinstance(v, str):
         return _quote(v)
-    return _quote(render_value(v))
+    return _quote(render_term(v))
 
 
 def _bracketed(items: list[str], depth: int, brackets: str) -> str:
@@ -299,8 +294,15 @@ def _graph_members(graph: AttributedGraph, depth: int) -> list[str]:
     labeling = graph.labeling
     label_text = {}
     for labels in set(labeling.values()):
-        values = ("," + item).join(map(_value_text, sorted(labels, key=value_sort_key)))
+        try:
+            values = ("," + item).join(map(_value_text, sorted(labels, key=value_sort_key)))
+        except ValueError:   # an integer longer than the interpreter writes in decimal
+            continue
         label_text[labels] = "[" + item + values + fields + "]" if labels else "[]"
+    if len(label_text) < len(set(labeling.values())):   # refuse at the first, in id order
+        x = next(x for x in graph.element_ids() if labeling[x] not in label_text)
+        raise ValueError(f"label set {labeling[x].render()} on element {x!r} holds a value "
+                         "too long to write")
     signature = graph.graph.signature
     sort_text = {s: _quote(s) for s in (*signature.node_sorts, *signature.edge_sorts)}
     nodes, edges = graph.graph.nodes, graph.graph.edges

@@ -267,17 +267,21 @@ class SystemSpec:
 
 @dataclass
 class Match:
-    """An injective occurrence of a rule's left side in a host graph."""
+    """An injective occurrence m: L -> host of a rule's left side, whose host
+    is ``m.target``; ``m`` must start at ``rule.L`` and be injective."""
 
     rule: WeakSpan
-    host: AttributedGraph
     m: AttrMorphism
 
     def __post_init__(self):
-        if self.m.source != self.rule.L or self.m.target != self.host:
-            raise ValueError("match morphism does not run from the rule's left side to the host")
+        if self.m.source != self.rule.L:
+            raise ValueError("match morphism does not start at the rule's left side")
         if not is_mono(self.m.sigma):
             raise ValueError("match must be injective")
+
+    @property
+    def host(self) -> AttributedGraph:
+        return self.m.target
 
     @property
     def alpha(self) -> AlgebraMorphism:
@@ -462,7 +466,7 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
             m = object.__new__(AttrMorphism)
             m.source, m.target, m.sigma, m.alpha = rule.L, host, sigma, alpha
             match = object.__new__(Match)
-            match.rule, match.host, match.m = rule, host, m
+            match.rule, match.m = rule, m
             matches.append(match)
     return matches
 
@@ -481,8 +485,8 @@ def obstruction(required: AttributedGraph, image: Mapping[str, str], alpha: Alge
 
     The context keeps host ids, so the embedding exists exactly when no
     image is deleted and each image's context label holds the mapped label.
-    ``coherent_set_check`` asks this of a rule's required part I, and the
-    specification's independence check of its whole left side L.
+    Its one caller is ``coherent_set_check``, which asks this of a rule's
+    required part I; the specification builds the embeddings themselves.
     """
     record, host_labels = ctx.record, ctx.host.labeling
     ids = required.element_ids()

@@ -108,7 +108,7 @@ def transport_match(match: Match, host: AttributedGraph) -> Match:
     sigma = match.m.sigma
     if host.graph is not match.host.graph:
         sigma = GraphMorphism(match.rule.L.graph, host.graph, sigma.node_map, sigma.edge_map)
-    return Match(match.rule, host, AttrMorphism(match.rule.L, host, sigma, match.m.alpha))
+    return Match(match.rule, AttrMorphism(match.rule.L, host, sigma, match.m.alpha))
 
 
 def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]:
@@ -132,7 +132,7 @@ def rule_matches(system: SystemSpec, host: AttributedGraph) -> list[list[Match]]
     for rule in system.rules:
         for left, matches in searched:
             if left == rule.L:
-                found.append([Match(rule, host, match.m) for match in matches])
+                found.append([Match(rule, match.m) for match in matches])
                 break
         else:
             matches = find_matches(rule, host, groups)

@@ -174,7 +174,7 @@ def random_instance(rng, host, ids=None, var_names=("u", "v"), name="rnd"):
                           {n: n for n in L.graph.nodes},
                           {e: e for e in L.graph.edges})
     alpha = AlgebraMorphism(algebra, NAT, values)
-    return Match(rule, host, AttrMorphism(L, host, sigma, alpha))
+    return Match(rule, AttrMorphism(L, host, sigma, alpha))
 
 
 def random_independent_pair(rng):
@@ -217,7 +217,7 @@ def coproduct_match(m1, m2):
     assignment = dict(m1.m.alpha.assignment)
     assignment.update(m2.m.alpha.assignment)
     alpha = AlgebraMorphism(rule.algebra, m1.host.algebra, assignment)
-    return Match(rule, m1.host, AttrMorphism(rule.L, m1.host, sigma, alpha))
+    return Match(rule, AttrMorphism(rule.L, m1.host, sigma, alpha))
 
 
 def left_side_twin(rule, name):

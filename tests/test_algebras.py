@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from weakspan import (
@@ -15,9 +17,15 @@ from weakspan import (
     evaluate_term,
     parse_term,
     render_term,
+    render_value,
 )
 from weakspan.algebras import MAX_TERM_DEPTH
 from weakspan.constructions import compose_algebra
+
+# Python 3.11 refuses to convert integers past a digit limit to and from
+# decimal text; earlier interpreters may have no limit
+DIGIT_LIMITED = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                   reason="the interpreter converts integers of any length")
 
 
 class TestParseTerm:
@@ -53,6 +61,17 @@ class TestParseTerm:
         parse_term(nest(MAX_TERM_DEPTH))
         with pytest.raises(TermSyntaxError, match="deeper than"):
             parse_term(nest(MAX_TERM_DEPTH + 1))
+
+    @DIGIT_LIMITED
+    def test_a_literal_longer_than_the_interpreter_reads_is_a_syntax_error(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(TermSyntaxError) as raised:
+            parse_term("u+" + "9" * digits)
+        assert str(raised.value) == f"literal of {digits} digits is too long to read"
+
+    def test_a_digit_outside_ascii_is_a_bad_character(self):
+        with pytest.raises(TermSyntaxError, match="bad character '²'"):
+            parse_term("u+²")
 
     @pytest.mark.parametrize("text", ["u", "17", "u+v", "u+v+w", "u+(v+w)", "(u+v)+3"])
     def test_round_trip(self, text):
@@ -165,6 +184,15 @@ def test_apply_to_labelset_shares_a_label_set_under_an_identity():
     for other in ([1, 3], {1, 3}, frozenset([1, 3]), (v for v in (1, 3))):
         mapped = apply_to_labelset(ident, other)
         assert type(mapped) is LabelSet and mapped == labels and mapped is not other
+
+
+@DIGIT_LIMITED
+def test_an_integer_longer_than_the_interpreter_writes_renders_by_its_size():
+    limit = sys.get_int_max_str_digits()
+    assert render_value(10 ** limit - 1) == "9" * limit
+    assert render_value(10 ** limit) == f"<integer of {limit + 1} digits>"
+    assert render_value(10 ** (2 * limit) - 1) == f"<integer of {2 * limit} digits>"
+    assert LabelSet([10 ** limit, 1]).render() == f"{{1, <integer of {limit + 1} digits>}}"
 
 
 def test_labelset_renders_sorted_and_braced():

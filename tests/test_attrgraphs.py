@@ -19,7 +19,6 @@ from weakspan import (
     identity_attr,
     is_attr_isomorphic,
     rename_attributed,
-    validate_attr_morphism,
 )
 from weakspan.constructions import identity_morphism
 
@@ -139,9 +138,8 @@ class TestAttrMorphism:
             "label condition fails: "
             "element 'x': mapped labels {1, 3} not contained in {1} at 'x'; "
             "element 'y': mapped labels {9} not contained in {} at 'y'")
-        lax = AttrMorphism(small, chain(labels_x=(1, 3), labels_y=(9,)), sigma,
-                           AlgebraMorphism.identity(NAT))
-        assert validate_attr_morphism(lax) == []
+        AttrMorphism(small, chain(labels_x=(1, 3), labels_y=(9,)), sigma,
+                     AlgebraMorphism.identity(NAT))
 
     def test_violations_follow_element_id_order(self):
         g = Graph(SIG, {"z": "p", "x": "p", "y": "p"},
@@ -173,8 +171,7 @@ class TestAttrMorphism:
             "label condition fails: "
             "element 'x': mapped labels {2} not contained in {7} at 'x'; "
             "element 'y': mapped labels {7} not contained in {8} at 'y'")
-        fixed = AttrMorphism(pattern, host.with_labels({"x": [2], "y": [7]}), sigma, alpha)
-        assert validate_attr_morphism(fixed) == []
+        AttrMorphism(pattern, host.with_labels({"x": [2], "y": [7]}), sigma, alpha)
 
     def test_variable_assignment_is_applied_before_comparing(self):
         terms = TermAlg(("u",))

@@ -15,6 +15,11 @@ from weakspan.rewriting import MAX_LEFT_SIZE
 
 from randgen import random_system
 
+# Python 3.11 refuses to convert integers past a digit limit to and from
+# decimal text; earlier interpreters may have no limit
+DIGIT_LIMITED = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                   reason="the interpreter converts integers of any length")
+
 P_SIG = {"nodes": ["p"], "edges": {"a": ["p", "p"]}}
 
 DANGLING = {
@@ -167,6 +172,38 @@ class TestInputErrors:
         assert captured.err.startswith(
             f"invalid input: {path}: Exceeds the limit (4300 digits) for integer string "
             "conversion")
+
+    @DIGIT_LIMITED
+    def test_a_term_literal_past_the_digit_limit_names_the_rule_and_element(
+            self, files, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 1
+        data = json.loads((files / "fib.json").read_text())
+        total = next(rule for rule in data["rules"] if rule["name"] == "sum")
+        y = next(node for node in total["R"]["nodes"] if node["id"] == "y")
+        y["label"] = ["u+" + "9" * digits]
+        path = tmp_path / "long-literal.json"
+        path.write_text(json.dumps(data))
+        assert main(["match", "--rules", str(path), "--host", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: rule 'sum' R node 'y': literal of {digits} digits "
+            "is too long to read\n")
+
+    @DIGIT_LIMITED
+    def test_a_label_too_long_to_write_is_refused_before_the_file_is_written(
+            self, files, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        data = json.loads((files / "fib.json").read_text())
+        for node in data["host"]["nodes"]:
+            node["label"] = ["NINES"]
+        path = tmp_path / "nines.json"
+        path.write_text(json.dumps(data).replace('"NINES"', "9" * limit))
+        out = tmp_path / "out.json"
+        # the joint step writes x + y, twice the largest value that loads, on y
+        assert main(["pct", "--rules", str(path), "--host", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: label set {{<integer of {limit + 1} digits>}} on element 'y' "
+            "holds a value too long to write\n")
+        assert not out.exists()
 
     def test_a_boolean_term_label_exits_with_code_2(self, files, tmp_path, capsys):
         data = json.loads((files / "fib.json").read_text())

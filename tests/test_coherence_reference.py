@@ -1,10 +1,15 @@
-"""The indexed coherence check against the all-pairs loop it replaces.
+"""The indexed coherence check against the all-pairs loop it replaces, and
+`obstruction` against the specification's witnesses.
 
 `coherent_set_check` runs `obstruction` only on the pairs (a, b) where b's
 deletion record deletes or relabels an element a requires.  `all_pairs`
 runs it on every ordered pair in (a, b) order, as the check did before.
 Both must give the same verdict: coherent, or the same failing pair,
-element and reason.
+element and reason.  On every ordered pair of the random sets,
+`obstruction` must find nothing exactly when the checked constructors
+build the witness into the context `pushout_complement` builds, and
+`check_parallel_independent`, which decides by building its witnesses,
+must agree with `obstruction` on both full left sides.
 """
 
 import random
@@ -12,15 +17,17 @@ import random
 import pytest
 
 from weakspan import (
+    AttrMorphism,
+    GraphMorphism,
     HexGridSpec,
     IncoherentSetError,
     apply_direct,
+    check_parallel_independent,
     cmd_hexca,
     coherent_set_check,
     fibonacci_system,
     hex_system,
     pushout_complement,
-    validate_attr_morphism,
 )
 from weakspan.constructions import WitnessMatrix
 from weakspan.rewriting import obstruction
@@ -70,7 +77,7 @@ def assert_same_verdict(gammas):
         assert witness is matrix[(a, b)]
         assert witness.target == contexts[b]
         assert witness.source is gammas[a].rule.I
-        assert validate_attr_morphism(witness) == []
+        AttrMorphism(witness.source, witness.target, witness.sigma, witness.alpha)
     return True
 
 
@@ -79,6 +86,27 @@ def random_set(rng, size):
     return [apply_direct(random_instance(rng, host, var_names=(f"u{c}", f"v{c}"),
                                          name=f"r{c}"))
             for c in range(size)]
+
+
+def random_sets():
+    """The sets of three to six applications of seeds 7000-7299."""
+    for trial in range(300):
+        rng = random.Random(7000 + trial)
+        yield random_set(rng, rng.randint(3, 6))
+
+
+def embeds(part, image, alpha, context):
+    """Whether the checked constructors build the morphism that sends each
+    element x of ``part`` to ``image[x]`` in ``context``."""
+    graph = part.graph
+    try:
+        AttrMorphism(part, context,
+                     GraphMorphism(graph, context.graph, {x: image[x] for x in graph.nodes},
+                                   {x: image[x] for x in graph.edges}),
+                     alpha)
+    except ValueError:
+        return False
+    return True
 
 
 def test_random_overlapping_pairs():
@@ -95,14 +123,44 @@ def test_random_overlapping_pairs():
 def test_random_sets_of_three_to_six():
     verdicts = []
     pairs_refused = set()
-    for trial in range(300):
-        rng = random.Random(7000 + trial)
-        gammas = random_set(rng, rng.randint(3, 6))
+    for gammas in random_sets():
         verdicts.append(assert_same_verdict(gammas))
         pairs_refused.add(getattr(refusal(gammas), "pair", None))
     assert 30 <= sum(verdicts) <= 270
     # refusals are not all found at the first pair the loop reaches
     assert len(pairs_refused - {None, (0, 1)}) >= 5
+
+
+def test_obstruction_finds_nothing_exactly_when_the_witness_builds():
+    """Every ordered pair (a, b), the diagonal included: I_a -> D_b."""
+    verdicts = []
+    for gammas in random_sets():
+        contexts = [pushout_complement(g.rule.l, g.match.m).complement for g in gammas]
+        for ga in gammas:
+            for gb, context in zip(gammas, contexts):
+                found = obstruction(ga.rule.I, ga.required_image, ga.match.alpha, gb)
+                built = embeds(ga.rule.I, ga.required_image, ga.match.alpha, context)
+                assert (found is None) == built, (ga.rule.name, gb.rule.name, found)
+                verdicts.append(built)
+    assert (len(verdicts), verdicts.count(False)) == (6548, 645)
+
+
+def test_independence_is_refused_exactly_when_a_left_side_is_obstructed():
+    """Every ordered pair, the diagonal included: the witnesses exist
+    exactly when the engine's `obstruction` finds nothing for either full
+    left side L, through its match's element map, in the other
+    application's context."""
+    verdicts = []
+    for gammas in random_sets():
+        for ga in gammas:
+            for gb in gammas:
+                obstructed = any(
+                    obstruction(g.rule.L, g.match.m.sigma.element_map(), g.match.alpha, other)
+                    is not None for g, other in ((ga, gb), (gb, ga)))
+                witnesses = check_parallel_independent(ga, gb)
+                assert (witnesses is None) == obstructed, (ga.rule.name, gb.rule.name)
+                verdicts.append(witnesses is not None)
+    assert (len(verdicts), verdicts.count(True)) == (6548, 3376)
 
 
 def test_hex_steps_and_their_subsets():

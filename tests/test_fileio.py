@@ -43,6 +43,20 @@ def with_host(**host):
 
 
 class TestRoundTrips:
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter converts integers of any length")
+    def test_a_label_too_long_to_write_is_refused_before_the_file_is_written(self, tmp_path):
+        system = fibonacci_system()
+        big = 10 ** sys.get_int_max_str_digits()
+        system.host = system.host.with_labels({"x": [big], "y": [2, big]})
+        path = tmp_path / "fib.json"
+        with pytest.raises(ValueError) as raised:
+            save_system(system, path)
+        digits = sys.get_int_max_str_digits() + 1
+        assert str(raised.value) == (f"label set {{<integer of {digits} digits>}} on element "
+                                     "'x' holds a value too long to write")
+        assert not path.exists()
+
     def test_whole_system_survives_a_save_and_load(self, tmp_path):
         system = fibonacci_system()
         path = tmp_path / "fib.json"

@@ -229,7 +229,6 @@ EXPORTS = (
     "parse_term", "pct", "pullback_of_neutrals", "pushout_along_neutral",
     "pushout_complement", "rename_attributed", "render_term", "render_value",
     "rule_matches", "save_graph", "save_system", "transport_match",
-    "validate_attr_morphism",
 )
 
 

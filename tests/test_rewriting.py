@@ -40,12 +40,12 @@ from weakspan import (
     pushout_complement,
 )
 from weakspan import (ChangeSet, apply_parallel_step, derive_graph, hexgrid, limit_of_neutrals,
-                      rewriting, runner, validate_attr_morphism)
+                      rewriting, runner)
 from weakspan.constructions import WitnessMatrix, identity_morphism, is_plain_span
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
 
-from randgen import random_independent_pair
+from randgen import random_independent_pair, random_system
 
 NAT = NatPlus()
 POINT_SIG = SortSignature(["p"], {})
@@ -84,7 +84,7 @@ def match_on(rule, host, assignment):
                           {n: n for n in rule.L.graph.nodes},
                           {e: e for e in rule.L.graph.edges})
     alpha = AlgebraMorphism(rule.algebra, host.algebra, assignment)
-    return Match(rule, host, AttrMorphism(rule.L, host, sigma, alpha))
+    return Match(rule, AttrMorphism(rule.L, host, sigma, alpha))
 
 
 class TestWeakSpanValidation:
@@ -260,8 +260,7 @@ class TestApplyDirect:
         host_graph = Graph(sig, {"n1": "p", "n2": "p"}, {"e": ("a", "n1", "n2")})
         host = AttributedGraph(host_graph, NAT)
         sigma = GraphMorphism(lone, host_graph, {"x": "n1"}, {})
-        match = Match(deleter, host,
-                      AttrMorphism(L, host, sigma, AlgebraMorphism(alg, NAT, {})))
+        match = Match(deleter, AttrMorphism(L, host, sigma, AlgebraMorphism(alg, NAT, {})))
         with pytest.raises(GluingError, match="dangle"):
             apply_direct(match)
 
@@ -359,7 +358,7 @@ class TestCoherence:
                     # j: (part of) a's left side -> b's context, over a's match
                     context = pushout_complement(gb.rule.l, gb.match.m)
                     assert j.target == context.complement
-                    assert validate_attr_morphism(j) == []
+                    AttrMorphism(j.source, j.target, j.sigma, j.alpha)
                     assert compose_attr(context.complement_to_host, j) == part(ga)
 
 
@@ -453,6 +452,45 @@ class TestParallelTransformation:
         assert len(gammas) == 4
         changes = assert_order_free(gammas, itertools.permutations(range(4)))
         assert changes.relabelled == {"x": (LabelSet([1, 2]), LabelSet([5, 7]))}
+
+    def test_an_independent_set_equals_every_order_of_single_applications(self):
+        """The joint step conservatively extends interleaving.  For each
+        random system, take the largest set of three to five step-0
+        applications that glue and pass `check_parallel_independent`
+        pairwise (the first such set in match order).  Its `pct` equals, id
+        for id, applying it one application at a time in every order, each
+        carried on by `transport_match` and named as in the joint step."""
+        systems = orders = 0
+        for seed in range(200):
+            system = random_system(seed)
+            host = system.host
+            numbered = []   # (global match index, application) of each that glues
+            for n, match in enumerate(m for ms in runner.rule_matches(system, host)
+                                      for m in ms):
+                try:
+                    numbered.append((n, apply_direct(match)))
+                except GluingError:
+                    pass
+            independent = {(a, b) for a, b in itertools.combinations(range(len(numbered)), 2)
+                           if check_parallel_independent(numbered[a][1], numbered[b][1])}
+            chosen = next((subset for size in (5, 4, 3)
+                           for subset in itertools.combinations(range(len(numbered)), size)
+                           if independent.issuperset(itertools.combinations(subset, 2))),
+                          None)
+            if chosen is None:
+                continue
+            systems += 1
+            gammas = [numbered[c][1] for c in chosen]
+            names = [f"{numbered[c][0]}:" for c in chosen]
+            joint = derive_graph(host, pct(gammas, names))
+            for order in itertools.permutations(range(len(chosen))):
+                current = host
+                for c in order:
+                    gamma = apply_direct(runner.transport_match(gammas[c].match, current))
+                    current = derive_graph(current, pct([gamma], [names[c]]))
+                assert current == joint, (seed, order)
+                orders += 1
+        assert (systems, orders) == (51, 1626)
 
     def test_runs_read_only_the_deletion_records(self, fib, monkeypatch):
         """No run builds a context or the intersected context D': a step

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import random
+import sys
 
 import pytest
 
@@ -193,6 +194,17 @@ class TestSequentialStep:
         assert report.applied == 1
         assert len(report.skipped_invalid) == 1
         assert report.skipped_invalid[0].startswith("shift@0")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter converts integers of any length")
+    def test_a_reason_renders_a_value_too_long_to_write_by_its_size(self, fib):
+        big = 10 ** sys.get_int_max_str_digits()
+        host = fib.host.with_labels({"x": [big], "y": [big + 1]})
+        _result, report = apply_sequential_step(fib, host, 0)
+        size = f"<integer of {sys.get_int_max_str_digits() + 1} digits>"
+        assert report.skipped_invalid == [
+            f"sum@1: label condition fails: element 'x': mapped labels {{{size}}} "
+            f"not contained in {{{size}}} at 'x'"]
 
     def test_order_must_be_a_permutation(self, fib):
         with pytest.raises(ValueError, match="permutation"):

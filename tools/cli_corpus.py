@@ -11,6 +11,12 @@ another checkout's package:
     PYTHONPATH=src python tools/cli_corpus.py this.jsonl
     cmp other.jsonl this.jsonl
 
+This checkout's output is recorded in ``tests/cli_corpus.jsonl``, and
+``tests/test_engine_reach.py`` fails when a record differs from it.  A
+change that means to change the output writes the file again:
+
+    PYTHONPATH=src python tools/cli_corpus.py tests/cli_corpus.jsonl
+
 The inputs are written to a temporary directory: the Fibonacci preset, a
 copy of it over a term-algebra host, a two-seed radius-4 hex preset, a
 system whose rule deletes a node and one whose rule adds one, and the
