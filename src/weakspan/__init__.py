@@ -10,8 +10,7 @@ applications reproduces it.
 from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet, Lit,
                        NatPlus, OpApp, TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
-from .attrgraphs import (AttrMorphism, AttributedGraph, ChangeSet, Violation,
-                         derive_graph, inclusion)
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph, inclusion
 from .constructions import (ComplementResult, PullbackResult, PushoutResult,
                             apply_span_dpo, associated_span, check_parallel_coherent,
                             check_parallel_independent, check_universal_property,
@@ -25,9 +24,9 @@ from .fileio import (ParseError, ValidationError, export_dot, load_system, loads
 from .graphs import Graph, GraphMorphism, SortSignature, enumerate_morphisms, is_mono
 from .hexgrid import HexGridSpec, ca_oracle, encode_grid, hex_system, huw_rules, live_cells
 from .presets import fibonacci_system
-from .rewriting import (DeletionPlan, DirectTransformation, GluingError, IncoherentSetError,
-                        Match, RulePlan, SystemSpec, WeakSpan, apply_direct,
-                        coherent_set_check, deletion_plan, deletion_record, find_matches, pct)
+from .rewriting import (DirectTransformation, GluingError, IncoherentSetError, Match, RulePlan,
+                        SystemSpec, WeakSpan, apply_direct, coherent_set_check, find_matches,
+                        pct)
 from .runner import (HexcaResult, RunResult, StepReport, apply_parallel_step,
                      apply_sequential_step, cmd_hexca, cmd_run, rule_matches,
                      transport_match)

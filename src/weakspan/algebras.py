@@ -50,23 +50,30 @@ def term_variables(t: Term) -> set[str]:
 
 
 def render_term(t: Term) -> str:
+    """A term as the text that parses back to it; raises ValueError for a
+    literal longer than the interpreter converts."""
+    return _render_term(t, str)
+
+
+def _render_term(t: Term, literal) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Lit):
-        return str(t.value)
+        return literal(t.value)
     if isinstance(t, OpApp):
         left, right = t.args
-        rs = render_term(right)
+        rs = _render_term(right, literal)
         if isinstance(right, OpApp):
             rs = f"({rs})"
-        return f"{render_term(left)}+{rs}"
+        return f"{_render_term(left, literal)}+{rs}"
     raise TypeError(f"not a term: {t!r}")
 
 
 def render_value(v: Value) -> str:
-    """A value as text; an integer too long to convert shows its size."""
+    """A value as text; an integer too long to convert, bare or as a term's
+    literal, shows its size."""
     if isinstance(v, (Var, Lit, OpApp)):
-        return render_term(v)
+        return _render_term(v, render_value)
     try:
         return str(v)
     except ValueError:   # past the interpreter's limit; v has d or d + 1 digits
@@ -83,7 +90,7 @@ def value_sort_key(v: Value):
         return (0, v, "")
     if isinstance(v, str):
         return (1, 0, v)
-    return (2, 0, render_term(v))
+    return (2, 0, render_value(v))
 
 
 class TermSyntaxError(ValueError):

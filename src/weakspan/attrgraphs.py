@@ -177,16 +177,11 @@ def derive_graph(parent: AttributedGraph, changes: ChangeSet) -> AttributedGraph
     return derived
 
 
-@dataclass
-class Violation:
-    element: str
-    image: str
-    mapped_labels: LabelSet
-    target_labels: LabelSet
-
-    def describe(self) -> str:
-        return (f"element {self.element!r}: mapped labels {self.mapped_labels.render()} "
-                f"not contained in {self.target_labels.render()} at {self.image!r}")
+def label_violation(element: str, image: str, mapped: LabelSet, have: LabelSet) -> str:
+    """Why ``element``'s labels, ``mapped`` into the target, fail the lax
+    label condition at its ``image``, whose labels are ``have``."""
+    return (f"element {element!r}: mapped labels {mapped.render()} "
+            f"not contained in {have.render()} at {image!r}")
 
 
 class AttrMorphism:
@@ -222,7 +217,7 @@ class AttrMorphism:
         for x in source.element_ids():
             y, mapped = sigma.apply(x), apply_to_labelset(alpha, labels[x])
             if not mapped <= have[y]:
-                violations.append(Violation(x, y, mapped, have[y]).describe())
+                violations.append(label_violation(x, y, mapped, have[y]))
         raise ValueError("label condition fails: " + "; ".join(violations))
 
     @property

@@ -1,5 +1,6 @@
-"""Weak rewrite rules and rule systems, matching, deletion records, the
-coherence check, and the parallel coherent transformation.
+"""Weak rewrite rules and their plans, rule systems, matching, direct
+transformations, the coherence check, and the parallel coherent
+transformation.
 
 This module is engine.  It never imports ``constructions``, the
 specification, which builds the general contexts, limits, colimits and
@@ -17,7 +18,7 @@ from .algebras import (EMPTY_LABELS, Algebra, AlgebraMorphism, FiniteEnum,
                        LabelSet, Lit, NatPlus, OpApp, TermAlg, Value, Var,
                        apply_to_labelset, render_value, term_variables,
                        value_sort_key)
-from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, Violation
+from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, label_violation
 from .graphs import SortSignature, enumerate_morphisms, is_mono
 
 
@@ -27,89 +28,6 @@ class GluingError(Exception):
     def __init__(self, message: str, dangling_edge: str | None = None):
         super().__init__(message)
         self.dangling_edge = dangling_edge
-
-
-@dataclass(frozen=True, eq=False)
-class DeletionPlan:
-    """What a rule's left leg l: K -> L deletes and relabels, in L ids.
-
-    ``deleted`` lists the elements of L outside l(K) with their labels, and
-    ``relabelled`` each kept element whose K label differs from its L label,
-    as (its L id, its L label, its K label).  A plan is fixed by the leg, so
-    a rule builds it once and every match visits only these elements.
-    """
-
-    left: AttributedGraph
-    deleted: tuple[tuple[str, LabelSet], ...]
-    relabelled: tuple[tuple[str, LabelSet, LabelSet], ...]
-
-
-def deletion_plan(l_neutral: AttrMorphism) -> DeletionPlan:
-    """The deletion part of a rule's plan; ``l_neutral`` is the preserved-part
-    inclusion K -> L, which must be neutral and injective."""
-    if not l_neutral.is_neutral:
-        raise ValueError("rule leg must be neutral")
-    if not is_mono(l_neutral.sigma):
-        raise ValueError("rule leg must be injective")
-    left, kept = l_neutral.target.labeling, l_neutral.source.labeling
-    image = l_neutral.sigma.element_map()
-    relabelled = tuple((v, left[v], kept[u]) for u, v in sorted(image.items())
-                       if kept[u] != left[v])
-    survivors = set(image.values())
-    deleted = tuple((v, left[v]) for v in sorted(left) if v not in survivors)
-    return DeletionPlan(left=l_neutral.target, deleted=deleted, relabelled=relabelled)
-
-
-def deletion_record(plan: DeletionPlan, m: AttrMorphism) -> ChangeSet:
-    """Check the gluing conditions of a match and record its context D as a
-    change set against the host.
-
-    ``plan`` is the deletion plan of the rule's left leg; ``m`` the match
-    into the host.  ``deleted`` holds the host elements outside the image of
-    the preserved part, and ``relabelled`` maps each kept element whose
-    context label differs from its host label to (host label, context
-    label); every other kept element keeps its host label.  Raises
-    ``GluingError`` when a deleted node would leave an edge dangling (naming
-    the smallest such edge id) or a deleted element carries labels the left
-    side did not place.  Only the planned elements and the edges at deleted
-    nodes are visited.
-    """
-    if not is_mono(m.sigma):
-        raise ValueError("match must be injective")
-    if plan.left != m.source:
-        raise ValueError("rule leg and match do not meet in the same object")
-
-    host, alpha, place = m.target, m.alpha, m.sigma.apply
-    placed = {place(v): label for v, label in plan.deleted}
-    deleted = frozenset(placed)
-
-    # a rule that deletes nothing leaves the incidence table unbuilt
-    incident = host.graph.index.incident if deleted else {}
-    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
-    if dangling:
-        eid = min(dangling)
-        raise GluingError(
-            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
-            dangling_edge=eid)
-
-    # a deleted element leaves no survivor to carry its labels, so the host
-    # label must be exactly what the left side placed there; anything extra
-    # would be lost and the removal could not be undone by regluing
-    for x in sorted(deleted):
-        extra = host.label(x) - apply_to_labelset(alpha, placed[x])
-        if extra:
-            raise GluingError(
-                f"element {x!r} is deleted but carries labels "
-                f"{LabelSet(extra).render()} beyond the matched left side")
-
-    relabelled = {}
-    for v, erased, back in plan.relabelled:
-        w = place(v)
-        have = host.label(w)
-        label = LabelSet((have - apply_to_labelset(alpha, erased)) | apply_to_labelset(alpha, back))
-        if label != have:
-            relabelled[w] = (have, label)
-    return ChangeSet(deleted, relabelled)
 
 
 class IncoherentSetError(Exception):
@@ -144,8 +62,10 @@ def _labels_variables(g: AttributedGraph) -> set[str]:
 class RulePlan:
     """What a rule does at any match, worked out once from its legs.
 
-    ``deletion`` is the plan of the left leg: the elements a match deletes
-    and the ones whose label it erases.  ``required`` pairs each element y
+    ``deleted`` lists the elements of L outside l(K), in id order, with
+    their L labels, and ``relabelled`` each kept element whose K label
+    differs from its L label, as (its L id, its L label, its K label): the
+    only elements ``apply_direct`` visits.  ``required`` pairs each element y
     of I, in id order, with its L id l(i(y)) and its R id r(y).  ``added``
     lists the R elements outside r(I) in id order, each with its sort and,
     for an edge, its endpoints as R ids.  ``written`` lists the R elements
@@ -157,7 +77,8 @@ class RulePlan:
     admits host edges for.
     """
 
-    deletion: DeletionPlan
+    deleted: tuple[tuple[str, LabelSet], ...]
+    relabelled: tuple[tuple[str, LabelSet, LabelSet], ...]
     required: tuple[tuple[str, str, str], ...]
     added: tuple[tuple[str, str, Optional[tuple[str, str]]], ...]
     written: tuple[tuple[str, LabelSet], ...]
@@ -167,6 +88,12 @@ class RulePlan:
 
 def rule_plan(rule: WeakSpan) -> RulePlan:
     """The plan of a rule whose legs are already checked."""
+    left, kept = rule.L.labeling, rule.K.labeling
+    image = rule.l.sigma.element_map()
+    relabelled = tuple((v, left[v], kept[u]) for u, v in sorted(image.items())
+                       if kept[u] != left[v])
+    survivors = set(image.values())
+    deleted = tuple((v, left[v]) for v in sorted(left) if v not in survivors)
     required = tuple((y, rule.l.apply(rule.i.apply(y)), rule.r.apply(y))
                      for y in rule.I.element_ids())
     glued = {ry for _y, _ly, ry in required}
@@ -175,13 +102,12 @@ def rule_plan(rule: WeakSpan) -> RulePlan:
                   else (x, graph.edges[x][0], graph.edges[x][1:])
                   for x in rule.R.element_ids() if x not in glued)
     written = tuple((x, label) for x, label in sorted(rule.R.labeling.items()) if label)
-    constraints = sorted(((x, t) for x, label in rule.L.labeling.items() for t in label),
+    constraints = sorted(((x, t) for x, label in left.items() for t in label),
                          key=lambda c: (_term_size(c[1]), render_value(c[1]), c[0]))
-    left = rule.L
-    labelled_edges = tuple((e, sort, left.labeling[e])
-                           for e, (sort, _src, _tgt) in sorted(left.graph.edges.items())
-                           if left.labeling[e])
-    return RulePlan(deletion=deletion_plan(rule.l), required=required, added=added,
+    labelled_edges = tuple((e, sort, left[e])
+                           for e, (sort, _src, _tgt) in sorted(rule.L.graph.edges.items())
+                           if left[e])
+    return RulePlan(deleted=deleted, relabelled=relabelled, required=required, added=added,
                     written=written, constraints=tuple(constraints),
                     labelled_edges=labelled_edges)
 
@@ -290,7 +216,8 @@ class Match:
 
 @dataclass
 class DirectTransformation:
-    """One rule application: its match and the deletion record of its context.
+    """One rule application, as ``apply_direct`` makes it: its match and
+    the deletion record of its context.
 
     The context D keeps host ids, and ``record`` is D as a change set
     against the host: D is ``derive_graph(host, record)``.  Coherence and
@@ -472,10 +399,52 @@ def find_matches(rule: WeakSpan, host: AttributedGraph,
 
 
 def apply_direct(match: Match) -> DirectTransformation:
-    """A weak double-pushout application, kept as its deletion record;
-    ``pct([gamma])`` glues the right side on, as a change set."""
-    return DirectTransformation(match=match,
-                                record=deletion_record(match.rule.plan.deletion, match.m))
+    """A weak double-pushout application: check the gluing conditions of
+    the match and keep its context D as a deletion record against the host;
+    ``pct([gamma])`` glues the right side on, as a change set.
+
+    The record's ``deleted`` holds the host images of the plan's deleted
+    elements, and its ``relabelled`` maps each kept element whose context
+    label differs from its host label to (host label, context label); every
+    other kept element keeps its host label.  Raises ``GluingError`` when a
+    deleted node would leave an edge dangling (naming the smallest such edge
+    id, also as ``dangling_edge``) or a deleted element carries labels the
+    left side did not place.  Only the planned elements of
+    ``match.rule.plan`` and the edges at deleted nodes are visited; the rule
+    and the match were checked when they were made.
+    """
+    plan, m = match.rule.plan, match.m
+    host, alpha, place = m.target, m.alpha, m.sigma.apply
+    placed = {place(v): label for v, label in plan.deleted}
+    deleted = frozenset(placed)
+
+    # a rule that deletes nothing leaves the incidence table unbuilt
+    incident = host.graph.index.incident if deleted else {}
+    dangling = [eid for x in deleted for eid in incident.get(x, ()) if eid not in deleted]
+    if dangling:
+        eid = min(dangling)
+        raise GluingError(
+            f"edge {eid!r} would dangle: an endpoint is deleted but the edge is not",
+            dangling_edge=eid)
+
+    # a deleted element leaves no survivor to carry its labels, so the host
+    # label must be exactly what the left side placed there; anything extra
+    # would be lost and the removal could not be undone by regluing
+    for x in sorted(deleted):
+        extra = host.label(x) - apply_to_labelset(alpha, placed[x])
+        if extra:
+            raise GluingError(
+                f"element {x!r} is deleted but carries labels "
+                f"{LabelSet(extra).render()} beyond the matched left side")
+
+    relabelled = {}
+    for v, erased, back in plan.relabelled:
+        w = place(v)
+        have = host.label(w)
+        label = LabelSet((have - apply_to_labelset(alpha, erased)) | apply_to_labelset(alpha, back))
+        if label != have:
+            relabelled[w] = (have, label)
+    return DirectTransformation(match=match, record=ChangeSet(deleted, relabelled))
 
 
 def obstruction(required: AttributedGraph, image: Mapping[str, str], alpha: AlgebraMorphism,
@@ -499,7 +468,7 @@ def obstruction(required: AttributedGraph, image: Mapping[str, str], alpha: Alge
         changed = record.relabelled.get(target)
         have = host_labels[target] if changed is None else changed[1]
         if not mapped <= have:
-            return x, Violation(x, target, mapped, have).describe()
+            return x, label_violation(x, target, mapped, have)
     return None
 
 

@@ -19,7 +19,7 @@ from weakspan import (
     render_term,
     render_value,
 )
-from weakspan.algebras import MAX_TERM_DEPTH
+from weakspan.algebras import MAX_TERM_DEPTH, value_sort_key
 from weakspan.constructions import compose_algebra
 
 # Python 3.11 refuses to convert integers past a digit limit to and from
@@ -193,6 +193,19 @@ def test_an_integer_longer_than_the_interpreter_writes_renders_by_its_size():
     assert render_value(10 ** limit) == f"<integer of {limit + 1} digits>"
     assert render_value(10 ** (2 * limit) - 1) == f"<integer of {2 * limit} digits>"
     assert LabelSet([10 ** limit, 1]).render() == f"{{1, <integer of {limit + 1} digits>}}"
+
+
+@DIGIT_LIMITED
+def test_a_term_literal_longer_than_the_interpreter_writes_renders_by_its_size():
+    limit = sys.get_int_max_str_digits()
+    big = OpApp("+", (Var("u"), Lit(10 ** limit)))
+    size = f"<integer of {limit + 1} digits>"
+    assert render_value(big) == f"u+{size}"
+    assert LabelSet([big, Var("u")]).render() == f"{{u, u+{size}}}"
+    assert sorted([big, Var("v"), Var("u")], key=value_sort_key) == [Var("u"), big, Var("v")]
+    # the writer's path stays strict: a term that cannot be read back is not written
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        render_term(big)
 
 
 def test_labelset_renders_sorted_and_braced():

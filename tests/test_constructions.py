@@ -5,22 +5,24 @@ import pytest
 from weakspan import (
     AlgebraMorphism,
     AttrMorphism,
+    FiniteEnum,
     AttributedGraph,
     GluingError,
     Graph,
     GraphMorphism,
     HexGridSpec,
     LabelSet,
+    Match,
     NatPlus,
     PushoutResult,
     SortSignature,
     TermAlg,
+    WeakSpan,
+    apply_direct,
     check_universal_property,
     cmd_run,
     colimit_of_neutrals,
     compose_attr,
-    deletion_plan,
-    deletion_record,
     fibonacci_system,
     find_matches,
     hex_system,
@@ -41,9 +43,9 @@ NAT = NatPlus()
 IDENT = AlgebraMorphism.identity(NAT)
 
 
-def obj(nodes, edges=None, labels=None):
+def obj(nodes, edges=None, labels=None, algebra=NAT):
     g = Graph(SIG, {n: "p" for n in nodes}, edges or {})
-    return AttributedGraph(g, NAT, labels or {})
+    return AttributedGraph(g, algebra, labels or {})
 
 
 class TestPushout:
@@ -164,19 +166,20 @@ def refusal_of(build, *args):
         return None, (err.dangling_edge, str(err))
 
 
-def assert_planned_record_agrees(l_neutral, m, plan):
-    """The planned record agrees with the specification's context D, which
-    ``pushout_complement`` builds by a visit of every left-side and preserved
-    element: the record deletes what D drops, gives every host element its
-    label in D, relabels only with a real change from the host label, adds
-    nothing, and refuses with the same error.  Returns what the record did:
-    "refused", "deleted", "relabelled" or "kept"."""
-    record, got_refusal = refusal_of(deletion_record, plan, m)
-    context, want_refusal = refusal_of(pushout_complement, l_neutral, m)
+def assert_record_agrees(match):
+    """The record ``apply_direct`` keeps agrees with the specification's
+    context D, which ``pushout_complement`` builds by a visit of every
+    left-side and preserved element: the record deletes what D drops, gives
+    every host element its label in D, relabels only with a real change
+    from the host label, adds nothing, and refuses with the same error.
+    Returns what the record did: "refused", "deleted", "relabelled" or
+    "kept"."""
+    gamma, got_refusal = refusal_of(apply_direct, match)
+    context, want_refusal = refusal_of(pushout_complement, match.rule.l, match.m)
     assert got_refusal == want_refusal
     if context is None:
         return "refused"
-    host, labels = m.target, context.complement.labeling
+    host, labels, record = match.host, context.complement.labeling, gamma.record
     assert record.deleted == host.labeling.keys() - labels.keys()
     assert not record.added
     assert record.relabelled.keys() <= labels.keys()
@@ -190,12 +193,9 @@ def assert_planned_record_agrees(l_neutral, m, plan):
     return "relabelled" if record.relabelled else "kept"
 
 
-def assert_match_record_agrees(match):
-    rule = match.rule
-    return assert_planned_record_agrees(rule.l, match.m, rule.plan.deletion)
-
-
 class TestDeletionPlan:
+    """The deletion half of a rule's plan, as ``apply_direct`` reads it."""
+
     def test_preset_matches_record_what_the_full_visit_records(self):
         seen = set()
         for system, steps in ((fibonacci_system(), 12),
@@ -203,41 +203,30 @@ class TestDeletionPlan:
             for graph in cmd_run(system, steps).history:
                 for rule in system.rules:
                     for match in find_matches(rule, graph):
-                        seen.add(assert_match_record_agrees(match))
+                        seen.add(assert_record_agrees(match))
         assert seen == {"relabelled"}
 
     def test_random_family_matches_record_what_the_full_visit_records(self):
         seen = {"deleted": 0, "relabelled": 0, "kept": 0}
         for trial in range(150):
             rng = random.Random(trial)
-            seen[assert_match_record_agrees(random_instance(rng, random_host(rng)))] += 1
+            seen[assert_record_agrees(random_instance(rng, random_host(rng)))] += 1
             _host, m1, m2 = random_independent_pair(random.Random(9000 + trial))
             for match in (m1, m2, coproduct_match(m1, m2)):
-                seen[assert_match_record_agrees(match)] += 1
+                seen[assert_record_agrees(match)] += 1
             # the pieces are disjoint, so m2 survives m1's context unchanged
             first = pushout_complement(m1.rule.l, m1.m).complement
-            seen[assert_match_record_agrees(transport_match(m2, first))] += 1
+            seen[assert_record_agrees(transport_match(m2, first))] += 1
         assert min(seen.values()) >= 20, seen
 
     def test_a_plan_lists_only_what_the_rule_changes(self):
         rule = hex_system(HexGridSpec(radius=2)).rules[0]
         plan = rule.plan
-        assert plan.deletion.deleted == ()
-        assert plan.deletion.relabelled == (("x", LabelSet(["0"]), LabelSet()),)
+        assert plan.deleted == ()
+        assert plan.relabelled == (("x", LabelSet(["0"]), LabelSet()),)
         assert plan.required == (("x", "x", "x"),)
         assert plan.added == ()
         assert plan.written == (("x", LabelSet(["1"])),)
-
-    def test_the_left_leg_is_checked_when_the_plan_is_built(self):
-        _left, l_neutral = TestComplement().rule_left()
-        squash = AttrMorphism(obj(["k0", "k1"]), obj(["l0"]), GraphMorphism(
-            obj(["k0", "k1"]).graph, obj(["l0"]).graph, {"k0": "l0", "k1": "l0"}, {}), IDENT)
-        with pytest.raises(ValueError, match="injective"):
-            deletion_plan(squash)
-        other = obj(["l0", "l1"], labels={"l0": [1], "l1": [3]})
-        m = inclusion(other, obj(["l0", "l1"], labels={"l0": [1, 2], "l1": [3]}))
-        with pytest.raises(ValueError, match="same object"):
-            deletion_record(deletion_plan(l_neutral), m)
 
 
 class TestComplement:
@@ -311,41 +300,48 @@ class TestComplement:
 
     def test_refusals_agree_with_a_full_edge_scan(self):
         """Random hosts with self-loops and parallel edges, and deletions that
-        leave several edges dangling: the record refuses exactly as a scan
-        of every host edge in id order does, and records what the full
-        visit of the left side records."""
+        leave several edges dangling: ``pushout_complement`` and
+        ``apply_direct`` refuse exactly as a scan of every host edge in id
+        order does, and ``apply_direct`` records what the full visit of the
+        left side records.  Each rule deletes and relabels only: I and R are
+        empty."""
+        enum = FiniteEnum("0123")
+        empty = obj([], algebra=enum)
         seen = {"accepted": 0, "orphaned label": 0, "dangling": 0, "several dangling": 0}
         for trial in range(300):
             rng = random.Random(trial)
             nodes = [f"h{k}" for k in range(rng.randint(1, 6))]
             edges = {f"e{k}": ("a", rng.choice(nodes), rng.choice(nodes))
                      for k in range(rng.randint(0, 12))}
-            host = obj(nodes, edges, {x: rng.sample(range(4), rng.randint(0, 2))
-                                      for x in nodes + list(edges)})
+            host = obj(nodes, edges, {x: [str(v) for v in rng.sample(range(4), rng.randint(0, 2))]
+                                      for x in nodes + list(edges)}, enum)
             image = rng.sample(nodes, rng.randint(1, len(nodes)))
             image_edges = [e for e, (_a, src, tgt) in edges.items()
                            if src in image and tgt in image and rng.random() < 0.5]
             left = obj(image, {e: edges[e] for e in image_edges},
                        {x: [v for v in host.label(x) if rng.random() < 0.75]
-                        for x in image + image_edges})
-            kept = [n for n in image if rng.random() < 0.4]
-            kept_edges = [e for e in image_edges
-                          if edges[e][1] in kept and edges[e][2] in kept and rng.random() < 0.5]
+                        for x in image + image_edges}, enum)
+            kept_nodes = [n for n in image if rng.random() < 0.4]
+            kept_edges = [e for e in image_edges if edges[e][1] in kept_nodes
+                          and edges[e][2] in kept_nodes and rng.random() < 0.5]
             k_labels = {x: [v for v in left.label(x) if rng.random() < 0.6]
-                        for x in kept + kept_edges}
-            l_neutral = inclusion(obj(kept, {e: edges[e] for e in kept_edges}, k_labels), left)
-            m = inclusion(left, host)
-            want = full_scan_refusal(l_neutral, m)
-            assert refusal_of(pushout_complement, l_neutral, m)[1] == want, trial
-            assert refusal_of(deletion_record, deletion_plan(l_neutral), m)[1] == want, trial
-            assert_planned_record_agrees(l_neutral, m, deletion_plan(l_neutral))
+                        for x in kept_nodes + kept_edges}
+            kept = obj(kept_nodes, {e: edges[e] for e in kept_edges}, k_labels, enum)
+            rule = WeakSpan(name="cut", L=left, K=kept, I=empty, R=empty,
+                            l=inclusion(kept, left), i=inclusion(empty, kept),
+                            r=inclusion(empty, empty))
+            match = Match(rule, inclusion(left, host))
+            want = full_scan_refusal(rule.l, match.m)
+            assert refusal_of(pushout_complement, rule.l, match.m)[1] == want, trial
+            assert refusal_of(apply_direct, match)[1] == want, trial
+            assert_record_agrees(match)
             if want is None:
                 seen["accepted"] += 1
             elif want[0] is None:
                 seen["orphaned label"] += 1
             else:
                 seen["dangling"] += 1
-                deleted = set(image) - set(kept)
+                deleted = set(image) - set(kept_nodes)
                 seen["several dangling"] += sum(
                     e not in image_edges and (src in deleted or tgt in deleted)
                     for e, (_a, src, tgt) in edges.items()) > 1

@@ -15,8 +15,10 @@ from weakspan import (
     LabelSet,
     Lit,
     NatPlus,
+    OpApp,
     ParseError,
     SortSignature,
+    TermAlg,
     ValidationError,
     Var,
     export_dot,
@@ -55,6 +57,21 @@ class TestRoundTrips:
         digits = sys.get_int_max_str_digits() + 1
         assert str(raised.value) == (f"label set {{<integer of {digits} digits>}} on element "
                                      "'x' holds a value too long to write")
+        assert not path.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter converts integers of any length")
+    def test_a_term_literal_too_long_to_write_is_refused_before_the_file_is_written(
+            self, tmp_path):
+        digits = sys.get_int_max_str_digits() + 1
+        big = OpApp("+", (Var("u"), Lit(10 ** (digits - 1))))
+        graph = AttributedGraph(Graph(SortSignature(["p"], {}), {"x": "p"}, {}),
+                                TermAlg(["u"]), {"x": [big]})
+        path = tmp_path / "g.json"
+        with pytest.raises(ValueError) as raised:
+            save_graph(graph, path)
+        assert str(raised.value) == (f"label set {{u+<integer of {digits} digits>}} on "
+                                     "element 'x' holds a value too long to write")
         assert not path.exists()
 
     def test_whole_system_survives_a_save_and_load(self, tmp_path):

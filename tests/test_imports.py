@@ -211,17 +211,17 @@ def test_only_the_command_line_reads_the_file_format():
 # a function between modules keeps each of them
 EXPORTS = (
     "AlgebraMorphism", "AttrMorphism", "AttributedGraph", "ChangeSet",
-    "ComplementResult", "DeletionPlan", "DirectTransformation", "EvaluationError",
+    "ComplementResult", "DirectTransformation", "EvaluationError",
     "FiniteEnum", "GluingError", "Graph", "GraphMorphism", "HexGridSpec", "HexcaResult",
     "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "ParseError",
     "PullbackResult", "PushoutResult", "RulePlan",
     "RunResult", "SortSignature", "StepReport", "SystemSpec", "TermAlg",
-    "TermSyntaxError", "ValidationError", "Var", "Violation", "WeakSpan",
+    "TermSyntaxError", "ValidationError", "Var", "WeakSpan",
     "apply_direct", "apply_parallel_step", "apply_sequential_step", "apply_span_dpo",
     "apply_to_labelset", "associated_span", "ca_oracle", "check_parallel_coherent",
     "check_parallel_independent", "check_universal_property", "cmd_hexca", "cmd_run",
     "coherent_set_check", "colimit_of_neutrals", "compose", "compose_attr",
-    "coproduct_rule", "deletion_plan", "deletion_record", "derive_graph",
+    "coproduct_rule", "derive_graph",
     "derive_span_from_pct", "disjoint_union", "encode_grid", "enumerate_morphisms",
     "evaluate_term", "export_dot", "fibonacci_system", "find_matches", "hex_system",
     "huw_rules", "identity_attr", "inclusion", "is_attr_isomorphic", "is_isomorphic",

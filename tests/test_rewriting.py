@@ -87,6 +87,23 @@ def match_on(rule, host, assignment):
     return Match(rule, AttrMorphism(rule.L, host, sigma, alpha))
 
 
+class TestMatchValidation:
+    def test_a_match_starts_at_the_left_side_and_is_injective(self):
+        alg = TermAlg(())
+        two = AttributedGraph(Graph(POINT_SIG, {"x": "p", "y": "p"}, {}), alg)
+        one = point(alg, [])
+        same = identity_attr(two)
+        rule = WeakSpan(name="pair", L=two, K=two, I=two, R=two, l=same, i=same, r=same)
+        squash = AttrMorphism(two, one, GraphMorphism(two.graph, one.graph,
+                                                      {"x": "x", "y": "x"}, {}),
+                              AlgebraMorphism.identity(alg))
+        with pytest.raises(ValueError, match="^match must be injective$"):
+            Match(rule, squash)
+        with pytest.raises(ValueError,
+                           match="^match morphism does not start at the rule's left side$"):
+            Match(rule, identity_attr(one))
+
+
 class TestWeakSpanValidation:
     def test_declared_variables_must_occur_in_the_left_side(self):
         with pytest.raises(ValueError, match="do not occur in the left side"):

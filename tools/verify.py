@@ -12,12 +12,15 @@ order of the tests nor the order of hashing may change a result.  Then
 set the exit status, since its known failures belong to the benchmark
 (ROADMAP item 1).  Last, it prints the line counts of the engine modules
 (every ``src/weakspan`` module but ``constructions``, ``__init__`` and
-``__main__``), of ``constructions`` and of the whole package.  Exits 1 when
-a tier-1 run fails, else 0.  Standard library only.
+``__main__``), of ``constructions`` and of the whole package, and how many
+public names ``weakspan`` exports, read from ``src/weakspan/__init__.py``
+without importing it.  Exits 1 when a tier-1 run fails, else 0.  Standard
+library only.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,13 +47,27 @@ def run(name: str, args: list[str], **env: str) -> bool:
 
 
 def line_counts() -> str:
-    """The summary line of the package's line counts."""
+    """The summary line of the package's line counts and exported names."""
+    package = ROOT / "src" / "weakspan"
     counts = {path.stem: len(path.read_text(encoding="utf-8").splitlines())
-              for path in (ROOT / "src" / "weakspan").glob("*.py")}
+              for path in package.glob("*.py")}
     engine = sum(n for stem, n in counts.items()
                  if stem not in ("constructions", "__init__", "__main__"))
     return (f"lines: engine modules {engine}, constructions {counts['constructions']}, "
-            f"src/weakspan {sum(counts.values())}")
+            f"src/weakspan {sum(counts.values())}; "
+            f"exported names {len(exported_names(package / '__init__.py'))}")
+
+
+def exported_names(init: Path) -> set[str]:
+    """The public names the module at ``init`` binds at its top level by
+    import or assignment."""
+    names = set()
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def main() -> int:
