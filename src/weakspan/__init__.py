@@ -5,20 +5,15 @@ sets: K is what survives deletion and I is the part a rule actively extends.
 A set of matches whose required parts all embed in each other's deletion
 contexts can be applied in a single step even when no order of one-at-a-time
 applications reproduces it.
+
+The root exports the engine.  The specification is imported as
+``weakspan.constructions``, and no command loads it.
 """
 
 from .algebras import (AlgebraMorphism, EvaluationError, FiniteEnum, LabelSet, Lit,
                        NatPlus, OpApp, TermAlg, TermSyntaxError, Var, apply_to_labelset,
                        evaluate_term, parse_term, render_term, render_value)
 from .attrgraphs import AttrMorphism, AttributedGraph, ChangeSet, derive_graph, inclusion
-from .constructions import (ComplementResult, PullbackResult, PushoutResult,
-                            apply_span_dpo, associated_span, check_parallel_coherent,
-                            check_parallel_independent, check_universal_property,
-                            colimit_of_neutrals, compose, compose_attr, coproduct_rule,
-                            derive_span_from_pct, disjoint_union, identity_attr,
-                            is_attr_isomorphic, is_isomorphic, limit_of_neutrals,
-                            pullback_of_neutrals, pushout_along_neutral, pushout_complement,
-                            rename_attributed)
 from .fileio import (ParseError, ValidationError, export_dot, load_system, loads_system,
                      save_graph, save_system)
 from .graphs import Graph, GraphMorphism, SortSignature, enumerate_morphisms, is_mono

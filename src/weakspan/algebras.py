@@ -20,6 +20,10 @@ class Var:
 class Lit:
     value: int
 
+    def __repr__(self) -> str:
+        # the dataclass repr raises for a value longer than the interpreter converts
+        return f"Lit(value={render_value(self.value)})"
+
 
 @dataclass(frozen=True)
 class OpApp:

@@ -10,8 +10,9 @@ a brute-force universal-property checker.
 
 The package has two layers.  This module is the only specification module;
 every other module is the engine.  This module may import the engine, and
-no engine module imports this one, so the tests can hold the engine's
-results against these constructions as an oracle the engine cannot touch.
+neither the engine nor the package root imports this one, so the tests can
+hold the engine's results against these constructions as an oracle the
+engine cannot touch, and a run never loads it.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ from weakspan import (
     TermAlg,
     Var,
     WeakSpan,
-    coproduct_rule,
     inclusion,
 )
 from weakspan.algebras import value_sort_key
+from weakspan.constructions import coproduct_rule
 
 SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q")})
 NAT = NatPlus()

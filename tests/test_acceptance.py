@@ -16,31 +16,33 @@ from weakspan import (
     apply_direct,
     apply_parallel_step,
     apply_sequential_step,
-    apply_span_dpo,
-    associated_span,
     ca_oracle,
-    check_parallel_coherent,
-    check_parallel_independent,
-    check_universal_property,
     cmd_hexca,
     cmd_run,
     coherent_set_check,
     derive_graph,
-    derive_span_from_pct,
     encode_grid,
     fibonacci_system,
     find_matches,
     hex_system,
-    is_attr_isomorphic,
     parse_term,
     pct,
-    pullback_of_neutrals,
-    pushout_along_neutral,
-    pushout_complement,
     rule_matches,
     transport_match,
 )
-from weakspan.constructions import is_plain_span
+from weakspan.constructions import (
+    apply_span_dpo,
+    associated_span,
+    check_parallel_coherent,
+    check_parallel_independent,
+    check_universal_property,
+    derive_span_from_pct,
+    is_attr_isomorphic,
+    is_plain_span,
+    pullback_of_neutrals,
+    pushout_along_neutral,
+    pushout_complement,
+)
 from weakspan.hexgrid import DIRECTIONS, parse_cell_id
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance
 from test_pct_reference import reference_direct

@@ -208,6 +208,16 @@ def test_a_term_literal_longer_than_the_interpreter_writes_renders_by_its_size()
         render_term(big)
 
 
+@DIGIT_LIMITED
+def test_a_term_literal_longer_than_the_interpreter_writes_shows_its_size_in_repr():
+    limit = sys.get_int_max_str_digits()
+    size = f"<integer of {limit + 1} digits>"
+    assert repr(Lit(10 ** limit)) == f"Lit(value={size})"
+    assert repr(OpApp("+", (Var("u"), Lit(10 ** limit)))) == (
+        f"OpApp(op='+', args=(Var(name='u'), Lit(value={size})))")
+    assert repr(Lit(5)) == "Lit(value=5)"
+
+
 def test_labelset_renders_sorted_and_braced():
     assert LabelSet([3, 1]).render() == "{1, 3}"
     assert LabelSet([Var("u"), Lit(2)]).render() == "{2, u}"

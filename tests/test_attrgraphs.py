@@ -15,12 +15,14 @@ from weakspan import (
     SortSignature,
     TermAlg,
     Var,
+)
+from weakspan.constructions import (
     compose_attr,
     identity_attr,
+    identity_morphism,
     is_attr_isomorphic,
     rename_attributed,
 )
-from weakspan.constructions import identity_morphism
 
 SIG = SortSignature(["p"], {"a": ("p", "p")})
 NAT = NatPlus()

@@ -22,14 +22,12 @@ from weakspan import (
     HexGridSpec,
     IncoherentSetError,
     apply_direct,
-    check_parallel_independent,
     cmd_hexca,
     coherent_set_check,
     fibonacci_system,
     hex_system,
-    pushout_complement,
 )
-from weakspan.constructions import WitnessMatrix
+from weakspan.constructions import WitnessMatrix, check_parallel_independent, pushout_complement
 from weakspan.rewriting import obstruction
 
 from randgen import random_host, random_instance

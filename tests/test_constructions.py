@@ -14,26 +14,28 @@ from weakspan import (
     LabelSet,
     Match,
     NatPlus,
-    PushoutResult,
     SortSignature,
     TermAlg,
     WeakSpan,
     apply_direct,
-    check_universal_property,
     cmd_run,
-    colimit_of_neutrals,
-    compose_attr,
     fibonacci_system,
     find_matches,
     hex_system,
-    identity_attr,
     inclusion,
+    transport_match,
+)
+from weakspan.constructions import (
+    PushoutResult,
+    check_universal_property,
+    colimit_of_neutrals,
+    compose_attr,
+    identity_attr,
     is_attr_isomorphic,
     limit_of_neutrals,
     pullback_of_neutrals,
     pushout_along_neutral,
     pushout_complement,
-    transport_match,
 )
 
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance

@@ -6,13 +6,16 @@ from weakspan import (
     Graph,
     GraphMorphism,
     SortSignature,
-    compose,
-    disjoint_union,
     enumerate_morphisms,
-    is_isomorphic,
     is_mono,
 )
-from weakspan.constructions import identity_morphism, rename_graph
+from weakspan.constructions import (
+    compose,
+    disjoint_union,
+    identity_morphism,
+    is_isomorphic,
+    rename_graph,
+)
 
 SIG = SortSignature(["p", "q"], {"a": ("p", "p"), "b": ("p", "q")})
 

@@ -5,18 +5,17 @@ from weakspan import (
     LabelSet,
     apply_direct,
     ca_oracle,
-    check_parallel_independent,
     cmd_hexca,
     derive_graph,
     encode_grid,
     find_matches,
     hex_system,
     huw_rules,
-    is_attr_isomorphic,
     live_cells,
     pct,
 )
 from weakspan import graphs, hexgrid
+from weakspan.constructions import check_parallel_independent, is_attr_isomorphic
 from weakspan.hexgrid import (
     DIRECTIONS,
     MAX_RADIUS,

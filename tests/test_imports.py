@@ -9,16 +9,22 @@ The package has two layers.  ``constructions`` is the specification; every
 other module is the engine.  The specification may import the engine, and
 no engine module imports the specification, so the tests can hold the
 engine's results against the specification as an oracle the engine cannot
-touch.  ``__init__`` re-exports both layers.
+touch.  ``__init__`` exports the engine alone and does not import the
+specification either, so a process that runs a command never loads it; the
+tests import it as ``weakspan.constructions``.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import weakspan
+from weakspan import constructions
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakspan"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -117,13 +123,24 @@ def test_the_engine_never_imports_the_specification():
     stems = {path.stem for path in MODULES}
     imports = {path.stem: package_imports(path.read_text(encoding="utf-8")) & stems
                for path in MODULES}
-    assert [name for name, imported in imports.items()
-            if name != "__init__" and "constructions" in imported] == []
-    # the specification: every module that no module but __init__ imports,
-    # apart from the entry point __main__
-    imported_below = set().union(*(imported for name, imported in imports.items()
-                                   if name != "__init__"))
-    assert stems - {"__init__", "__main__"} - imported_below == {"constructions"}
+    assert [name for name, imported in imports.items() if "constructions" in imported] == []
+    # the specification: the one module that no module imports, apart from
+    # the entry point __main__
+    assert stems - {"__init__", "__main__"} - set().union(*imports.values()) == {"constructions"}
+
+
+def test_a_process_that_imports_the_command_line_loads_the_engine_alone():
+    # a module imported by a name built at run time escapes the walk above
+    src = str(PACKAGE.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import weakspan, weakspan.cli, sys; "
+         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'weakspan'))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, check=True)
+    engine = {path.stem for path in MODULES} - {"__init__", "__main__", "constructions"}
+    assert set(ast.literal_eval(done.stdout)) == {"weakspan", *(f"weakspan.{stem}"
+                                                               for stem in engine)}
 
 
 def calls(source):
@@ -210,25 +227,28 @@ def test_only_the_command_line_reads_the_file_format():
 # every public name of ``weakspan`` but its submodules: a change that moves
 # a function between modules keeps each of them
 EXPORTS = (
-    "AlgebraMorphism", "AttrMorphism", "AttributedGraph", "ChangeSet",
-    "ComplementResult", "DirectTransformation", "EvaluationError",
-    "FiniteEnum", "GluingError", "Graph", "GraphMorphism", "HexGridSpec", "HexcaResult",
-    "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp", "ParseError",
-    "PullbackResult", "PushoutResult", "RulePlan",
-    "RunResult", "SortSignature", "StepReport", "SystemSpec", "TermAlg",
-    "TermSyntaxError", "ValidationError", "Var", "WeakSpan",
-    "apply_direct", "apply_parallel_step", "apply_sequential_step", "apply_span_dpo",
-    "apply_to_labelset", "associated_span", "ca_oracle", "check_parallel_coherent",
-    "check_parallel_independent", "check_universal_property", "cmd_hexca", "cmd_run",
-    "coherent_set_check", "colimit_of_neutrals", "compose", "compose_attr",
-    "coproduct_rule", "derive_graph",
-    "derive_span_from_pct", "disjoint_union", "encode_grid", "enumerate_morphisms",
-    "evaluate_term", "export_dot", "fibonacci_system", "find_matches", "hex_system",
-    "huw_rules", "identity_attr", "inclusion", "is_attr_isomorphic", "is_isomorphic",
-    "is_mono", "limit_of_neutrals", "live_cells", "load_system", "loads_system",
-    "parse_term", "pct", "pullback_of_neutrals", "pushout_along_neutral",
-    "pushout_complement", "rename_attributed", "render_term", "render_value",
-    "rule_matches", "save_graph", "save_system", "transport_match",
+    "AlgebraMorphism", "AttrMorphism", "AttributedGraph", "ChangeSet", "DirectTransformation",
+    "EvaluationError", "FiniteEnum", "GluingError", "Graph", "GraphMorphism", "HexGridSpec",
+    "HexcaResult", "IncoherentSetError", "LabelSet", "Lit", "Match", "NatPlus", "OpApp",
+    "ParseError", "RulePlan", "RunResult", "SortSignature", "StepReport", "SystemSpec",
+    "TermAlg", "TermSyntaxError", "ValidationError", "Var", "WeakSpan", "apply_direct",
+    "apply_parallel_step", "apply_sequential_step", "apply_to_labelset", "ca_oracle",
+    "cmd_hexca", "cmd_run", "coherent_set_check", "derive_graph", "encode_grid",
+    "enumerate_morphisms", "evaluate_term", "export_dot", "fibonacci_system", "find_matches",
+    "hex_system", "huw_rules", "inclusion", "is_mono", "live_cells", "load_system",
+    "loads_system", "parse_term", "pct", "render_term", "render_value", "rule_matches",
+    "save_graph", "save_system", "transport_match",
+)
+
+# public names of the specification that the root does not export: a run
+# imports the root and never ``weakspan.constructions``
+SPECIFICATION = (
+    "ComplementResult", "PullbackResult", "PushoutResult", "apply_span_dpo", "associated_span",
+    "check_parallel_coherent", "check_parallel_independent", "check_universal_property",
+    "colimit_of_neutrals", "compose", "compose_attr", "coproduct_rule", "derive_span_from_pct",
+    "disjoint_union", "identity_attr", "is_attr_isomorphic", "is_isomorphic",
+    "limit_of_neutrals", "pullback_of_neutrals", "pushout_along_neutral", "pushout_complement",
+    "rename_attributed",
 )
 
 
@@ -239,3 +259,8 @@ def test_the_package_keeps_every_public_name():
     namespace = {}
     exec(f"from weakspan import {', '.join(EXPORTS)}", namespace)
     assert all(namespace[name] is getattr(weakspan, name) for name in EXPORTS)
+
+
+def test_the_specification_keeps_every_name_the_root_does_not_export():
+    assert [name for name in SPECIFICATION if not hasattr(constructions, name)] == []
+    assert [name for name in SPECIFICATION if hasattr(weakspan, name)] == []

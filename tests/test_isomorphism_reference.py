@@ -19,10 +19,8 @@ from weakspan import (
     Graph,
     LabelSet,
     SortSignature,
-    is_attr_isomorphic,
-    is_isomorphic,
 )
-from weakspan.constructions import rename_graph
+from weakspan.constructions import is_attr_isomorphic, is_isomorphic, rename_graph
 
 nx = pytest.importorskip("networkx")
 

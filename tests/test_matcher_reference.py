@@ -34,7 +34,6 @@ from weakspan import (
     WeakSpan,
     cmd_hexca,
     cmd_run,
-    coproduct_rule,
     enumerate_morphisms,
     evaluate_term,
     fibonacci_system,
@@ -47,7 +46,7 @@ from weakspan import (
 )
 from weakspan.algebras import render_value, term_variables
 from weakspan.cli import main
-from weakspan.constructions import identity_morphism
+from weakspan.constructions import coproduct_rule, identity_morphism
 from weakspan.rewriting import _solve_label_constraints
 
 from randgen import (NAT, SIG as TERM_SIG, left_side_twin, random_host, random_independent_pair,

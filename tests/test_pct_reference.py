@@ -38,20 +38,23 @@ from weakspan import (
     cmd_hexca,
     cmd_run,
     coherent_set_check,
-    colimit_of_neutrals,
-    compose_attr,
     fibonacci_system,
     find_matches,
     hex_system,
-    limit_of_neutrals,
     pct,
-    pushout_along_neutral,
-    pushout_complement,
-    rename_attributed,
     rule_matches,
     transport_match,
 )
-from weakspan.constructions import WitnessMatrix, identity_morphism
+from weakspan.constructions import (
+    WitnessMatrix,
+    colimit_of_neutrals,
+    compose_attr,
+    identity_morphism,
+    limit_of_neutrals,
+    pushout_along_neutral,
+    pushout_complement,
+    rename_attributed,
+)
 from weakspan.runner import StepReport, joint_step
 
 from randgen import coproduct_match, random_host, random_independent_pair, random_instance

@@ -23,25 +23,29 @@ from weakspan import (
     Var,
     WeakSpan,
     apply_direct,
+    coherent_set_check,
+    fibonacci_system,
+    find_matches,
+    pct,
+)
+from weakspan import ChangeSet, apply_parallel_step, derive_graph, hexgrid, rewriting, runner
+from weakspan.constructions import (
+    WitnessMatrix,
     apply_span_dpo,
     associated_span,
     check_parallel_coherent,
     check_parallel_independent,
-    coherent_set_check,
     compose_attr,
     coproduct_rule,
     derive_span_from_pct,
-    fibonacci_system,
-    find_matches,
     identity_attr,
+    identity_morphism,
     is_attr_isomorphic,
-    pct,
+    is_plain_span,
+    limit_of_neutrals,
     pushout_along_neutral,
     pushout_complement,
 )
-from weakspan import (ChangeSet, apply_parallel_step, derive_graph, hexgrid, limit_of_neutrals,
-                      rewriting, runner)
-from weakspan.constructions import WitnessMatrix, identity_morphism, is_plain_span
 from weakspan.hexgrid import HexGridSpec, ca_oracle
 from weakspan.runner import cmd_hexca, cmd_run
 

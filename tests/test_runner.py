@@ -26,7 +26,8 @@ from weakspan import (
     save_system,
     transport_match,
 )
-from weakspan import derive_graph, limit_of_neutrals, pushout_complement, runner
+from weakspan import derive_graph, runner
+from weakspan.constructions import limit_of_neutrals, pushout_complement
 from weakspan.runner import StepReport, joint_step
 from weakspan.rewriting import pct
 

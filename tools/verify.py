@@ -12,10 +12,12 @@ order of the tests nor the order of hashing may change a result.  Then
 set the exit status, since its known failures belong to the benchmark
 (ROADMAP item 1).  Last, it prints the line counts of the engine modules
 (every ``src/weakspan`` module but ``constructions``, ``__init__`` and
-``__main__``), of ``constructions`` and of the whole package, and how many
-public names ``weakspan`` exports, read from ``src/weakspan/__init__.py``
-without importing it.  Exits 1 when a tier-1 run fails, else 0.  Standard
-library only.
+``__main__``), of ``constructions`` and of the whole package; the source
+lines a process loads, summed over the ``weakspan`` modules that a fresh
+``import weakspan.cli`` (with ``src`` on ``PYTHONPATH``) leaves in
+``sys.modules``; and how many public names ``weakspan`` exports, read from
+``src/weakspan/__init__.py`` without importing it.  Exits 1 when a tier-1
+run fails, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,14 +31,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-q"]
 TIER1 = [*PYTEST, "--continue-on-collection-errors"]
+LOADED = ("import sys, weakspan.cli; print(sorted(module.__file__ for name, module in "
+          "sys.modules.items() if name.split('.')[0] == 'weakspan'))")
+
+
+def environment(**env: str) -> dict[str, str]:
+    """This process's environment with ``env`` added and ``src`` first on
+    ``PYTHONPATH``."""
+    merged = {**os.environ, **env}
+    merged["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    return merged
 
 
 def run(name: str, args: list[str], **env: str) -> bool:
     """Run ``args`` in the repository root with ``env`` added; print its
     last output line, and each FAILED or ERROR line when it fails."""
-    merged = {**os.environ, **env}
-    merged["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(args, cwd=ROOT, env=merged, capture_output=True, text=True)
+    done = subprocess.run(args, cwd=ROOT, env=environment(**env), capture_output=True, text=True)
     lines = done.stdout.strip().splitlines() or ["(no output)"]
     print(f"{name}: {lines[-1]} (exit {done.returncode})", flush=True)
     if done.returncode:
@@ -47,15 +57,23 @@ def run(name: str, args: list[str], **env: str) -> bool:
 
 
 def line_counts() -> str:
-    """The summary line of the package's line counts and exported names."""
+    """The summary line of the package's line counts, the lines a process
+    loads, and the exported names."""
     package = ROOT / "src" / "weakspan"
-    counts = {path.stem: len(path.read_text(encoding="utf-8").splitlines())
-              for path in package.glob("*.py")}
+    counts = {path.stem: lines(path) for path in package.glob("*.py")}
     engine = sum(n for stem, n in counts.items()
                  if stem not in ("constructions", "__init__", "__main__"))
+    done = subprocess.run([sys.executable, "-c", LOADED], cwd=ROOT, env=environment(),
+                          capture_output=True, text=True, check=True)
+    loaded = sum(lines(Path(path)) for path in ast.literal_eval(done.stdout))
     return (f"lines: engine modules {engine}, constructions {counts['constructions']}, "
-            f"src/weakspan {sum(counts.values())}; "
+            f"src/weakspan {sum(counts.values())}, loaded by import weakspan.cli {loaded}; "
             f"exported names {len(exported_names(package / '__init__.py'))}")
+
+
+def lines(path: Path) -> int:
+    """The number of lines of the text file at ``path``."""
+    return len(path.read_text(encoding="utf-8").splitlines())
 
 
 def exported_names(init: Path) -> set[str]:
