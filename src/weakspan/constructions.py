@@ -153,17 +153,21 @@ def _isomorphism(a: Graph, b: Graph,
         raise ValueError("graphs use different sort signatures")
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
-    for iso in enumerate_morphisms(a, b, injective_only=True, admitted=admitted):
+    for iso in enumerate_morphisms(a, b, injective_only=True, admitted=admitted, limit=1):
         return GraphMorphism(a, b, iso.node_map, iso.edge_map)
     return None
 
 
 def is_isomorphic(a: Graph, b: Graph) -> Optional[GraphMorphism]:
     """A bijective sort- and incidence-preserving morphism a -> b, if one
-    exists: between graphs of equal node and edge counts, the first
-    injective morphism the matcher's search lists, through the checked
-    constructor.  The search lists every isomorphism, so this suits only
-    the small graphs that specifications and tests compare."""
+    exists: between graphs of equal node and edge counts, a witness, the
+    first injective morphism the matcher's search finds, through the checked
+    constructor.  The search stops at that witness, so a graph with very
+    many automorphisms costs no more than one with a few; a pair that is not
+    isomorphic still exhausts the search, so this suits the small graphs
+    that specifications and tests compare.  Where there are several
+    isomorphisms, which one is found follows set order, which may differ
+    between processes."""
     return _isomorphism(a, b, {})
 
 
@@ -171,7 +175,7 @@ def is_attr_isomorphic(a: AttributedGraph, b: AttributedGraph) -> Optional[AttrM
     """A label-preserving isomorphism a -> b (label sets equal, not merely
     included), if one exists, found as `is_isomorphic` finds one with each
     element of ``a`` admitted only the elements of ``b`` with its sort and
-    exact label set; it too suits only small graphs."""
+    exact label set; it too returns a witness and suits small graphs."""
     if a.algebra != b.algebra:
         return None
     sorts = [{**g.graph.nodes, **{e: ends[0] for e, ends in g.graph.edges.items()}}

@@ -20,9 +20,9 @@ class SortSignature:
             raise ValueError("node sorts and edge sorts must use distinct names")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SortSignature)
-                and self.node_sorts == other.node_sorts
-                and self.edge_sorts == other.edge_sorts)
+        return self is other or (isinstance(other, SortSignature)
+                                 and self.node_sorts == other.node_sorts
+                                 and self.edge_sorts == other.edge_sorts)
 
     def __repr__(self) -> str:
         return f"SortSignature({sorted(self.node_sorts)}, {self.edge_sorts})"
@@ -202,12 +202,16 @@ class SearchPlan:
     ``steps`` holds, per position in the node order, the pattern node, the
     anchors that give its candidates, and the pattern edges it closes.  An
     anchor ``(table, sort, earlier)`` is an edge to the node placed at
-    position ``earlier``: candidates are the host nodes that
-    ``(out_by, in_by)[table][sort, image of earlier]`` lists.  A closed edge
-    ``(edge, sort, src, tgt)`` has both ends, given as positions, placed once
-    this node is, so a loop closes at its node.  ``edge_order`` lists the
-    pattern edges in the order they close, and ``parallel`` says whether two
-    of them share (sort, src, tgt).  A plan keeps no reference to its graph.
+    position ``earlier``, and lists the host nodes
+    ``(out_by, in_by)[table][sort, image of earlier]``.  A node's candidates
+    are what its first anchor lists, narrowed by its other anchors only when
+    that is more than one host node: each anchor's edge is also a closed
+    edge, so a candidate the narrowing would drop finds its bucket empty.
+    A closed edge ``(edge, sort, src, tgt)`` has both ends, given as
+    positions, placed once this node is, so a loop closes at its node.
+    ``edge_order`` lists the pattern edges in the order they close, and
+    ``parallel`` says whether two of them share (sort, src, tgt).  A plan
+    keeps no reference to its graph.
     """
 
     def __init__(self, pattern: Graph, ranking: tuple[str, ...]):
@@ -245,19 +249,25 @@ class SearchPlan:
         self.parallel = len(set(pattern.edges.values())) < len(pattern.edges)
 
 
+class _Enough(Exception):
+    """Ends a search that has found as many morphisms as it was asked for."""
+
+
 def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
-                        admitted: Optional[Mapping[str, set[str]]] = None
-                        ) -> list[GraphMorphism]:
+                        admitted: Optional[Mapping[str, set[str]]] = None,
+                        limit: Optional[int] = None) -> list[GraphMorphism]:
     """Every morphism from pattern into host, in a canonical deterministic order.
 
     ``admitted`` maps a pattern element to the set of host ids it may take:
     a node's set holds host nodes of its sort, an edge's set host edges.  An
     element without an entry may take any host element of its sort.  The
     sets are read and never changed, so a caller may pass sets it shares.
-    A node whose placed neighbours give candidates takes those candidates
-    that its set also holds; a node that starts a search walks its set, and
-    its image is not checked again, so that a node's set holds host nodes
-    of its sort is what makes a start node's image one of its sort.
+    A node with placed neighbours takes its candidates from the first of
+    them its plan lists, intersected with the others' only when there is a
+    choice, and keeps those that its set also holds; a node that starts a
+    search walks its set, and its image is not checked again, so that a
+    node's set holds host nodes of its sort is what makes a start node's
+    image one of its sort.
 
     The search walks the pattern's `SearchPlan`, built once per ranking of
     the pattern nodes and kept on the pattern graph.  Placing a node binds
@@ -270,9 +280,17 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     Candidates are tried in set order, so the results are sorted
     at the end: lexicographically on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
+
+    With a positive ``limit`` the search stops once it has found that many
+    morphisms, and returns them in the order found, unsorted: with
+    ``limit=1``, a witness that some morphism exists.  Which morphisms these
+    are, when there are more, follows set order and so may differ between
+    processes.
     """
     if pattern.signature != host.signature:
         raise ValueError("pattern and host use different sort signatures")
+    if limit is not None and limit < 1:
+        raise ValueError("a search limit must be positive")
 
     index = host.index
     if admitted is None:
@@ -305,17 +323,23 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
                 morphism.node_map = dict(zip(order, images))
                 morphism.edge_map = dict(zip(edge_order, choice))
                 results.append(morphism)
+                if len(results) == limit:
+                    raise _Enough
             return
         pn, anchors, closes = steps[pos]
         if anchors:
-            # adjacency by edge sort already fixes the node sort; a set
-            # intersection walks its smaller side, so a large admitted set
-            # costs no more than a small one
-            found = [tables[table].get((sort, images[earlier]), empty)
-                     for table, sort, earlier in anchors]
+            # adjacency by edge sort already fixes the node sort; one
+            # candidate or none leaves the other anchors nothing to prune
+            # that the closed edges do not.  A set intersection walks its
+            # smaller side, so a large admitted set costs no more than a
+            # small one, and makes a new set: the index's sets are shared
+            table, sort, earlier = anchors[0]
+            candidates = tables[table].get((sort, images[earlier]), empty)
+            if len(candidates) > 1:
+                for t, s, k in anchors[1:]:
+                    candidates = candidates & tables[t].get((s, images[k]), empty)
             if pn in admitted:
-                found.append(admitted[pn])
-            candidates = set.intersection(*found)
+                candidates = candidates & admitted[pn]
         else:
             candidates = starts[pn]
         for c in candidates:
@@ -338,12 +362,15 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
                 del buckets[len(buckets) - len(bound):]
                 used.discard(c)
 
-    place(0)
+    try:
+        place(0)
+    except _Enough:
+        pass
     # the search calls itself through its closure; emptying the cell lets
     # the search state go at return instead of at the next gc
     del place
 
-    if len(results) > 1:
+    if len(results) > 1 and limit is None:
         node_key_ids = sorted(pattern.nodes)
         edge_key_ids = sorted(pattern.edges)
         results.sort(key=lambda m: (tuple(m.node_map[n] for n in node_key_ids),

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,19 @@ class TestEnumerateMorphisms:
         enumerate_morphisms(pattern, host, admitted={"x": shared, "e": {"e2"}})
         assert shared == {"n0", "n1"}
 
+    def test_a_limit_stops_the_search_at_that_many_morphisms(self):
+        pattern = Graph(SIG, {"x": "p", "y": "p"}, {})
+        host = triangle()
+        everything = enumerate_morphisms(pattern, host)
+        assert len(everything) == 4
+        for limit in (1, 3, 4, 5):
+            found = enumerate_morphisms(pattern, host, limit=limit)
+            assert len(found) == min(limit, 4)
+            assert all(m in everything for m in found)
+        assert enumerate_morphisms(pattern, host, True, {"x": {"n0"}, "y": {"n0"}}, 1) == []
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_morphisms(pattern, host, limit=0)
+
 
 class TestIsomorphism:
     def test_finds_relabeling(self):
@@ -218,6 +235,39 @@ class TestIsomorphism:
         g = Graph(SIG, {"x": "p"}, {})
         h = Graph(SIG, {"x": "p", "y": "p"}, {})
         assert is_isomorphic(g, h) is None
+
+
+# Random system 7 after three pct steps is 27 nodes and no edges in two
+# classes of 13 interchangeable nodes: at least (13!)^2 isomorphisms to its
+# renamed copy.  Run in a child capped at 512 MiB of address space, so a
+# search that lists them all fails with MemoryError rather than exhausting
+# the machine.
+MANY_AUTOMORPHISMS = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from randgen import random_system
+from weakspan import cmd_run
+from weakspan.constructions import is_attr_isomorphic, rename_attributed
+final = cmd_run(random_system(7), 3, "pct").final
+ids = final.element_ids()
+renamed = rename_attributed(final, {x: f"r{k}" for k, x in enumerate(reversed(ids))})
+start = time.perf_counter()
+witness = is_attr_isomorphic(final, renamed)
+took = time.perf_counter() - start
+print(len(final.graph.nodes), len(final.graph.edges), witness is not None, took)
+"""
+
+
+def test_the_isomorphism_test_stops_at_its_first_witness():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", MANY_AUTOMORPHISMS], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr[-500:]
+    nodes, edges, found, took = done.stdout.split()
+    assert (nodes, edges, found) == ("27", "0", "True")
+    assert float(took) < 1.0
 
 
 class TestDisjointUnion:

@@ -290,6 +290,89 @@ def test_every_hex_and_fibonacci_step_host(monkeypatch):
     assert len(searched) == 3 * 6 + 30 + 30 and sum(searched) >= 60
 
 
+def dense_digraph(rng, n_nodes, p, repeat):
+    """A loopless digraph over SIG's node sort ``p``: each ordered pair
+    gets an edge of sort ``a`` with probability ``p``, and each edge a
+    parallel twin with probability ``repeat``."""
+    nodes = {f"h{k}": "p" for k in range(n_nodes)}
+    edges = {}
+    for src, tgt in itertools.permutations(nodes, 2):
+        if rng.random() < p:
+            edges[f"e{len(edges)}"] = ("a", src, tgt)
+            if rng.random() < repeat:
+                edges[f"e{len(edges)}"] = ("a", src, tgt)
+    return Graph(SIG, nodes, edges)
+
+
+def clique(size, twin):
+    """Nodes x0 < x1 < ... with an ``a`` edge from each to every later one,
+    and with ``twin`` a parallel copy of the edge x0 -> x1."""
+    nodes = {f"x{k}": "p" for k in range(size)}
+    edges = {f"d{i}{j}": ("a", f"x{i}", f"x{j}") for i, j in itertools.combinations(range(size), 2)}
+    if twin:
+        edges["t01"] = ("a", "x0", "x1")
+    return Graph(SIG, nodes, edges)
+
+
+def narrowed(pattern, host, morphisms):
+    """How many placements on the way to ``morphisms`` take several
+    candidates from their first anchor and fewer after the other anchors."""
+    (plan,) = pattern._search_plans.values()
+    tables = (host.index.out_by, host.index.in_by)
+    count = 0
+    for m in morphisms:
+        images = [m.node_map[n] for n in plan.order]
+        for _pn, anchors, _closes in plan.steps:
+            listed = [tables[t].get((sort, images[k]), set()) for t, sort, k in anchors]
+            # the image is in every set, so fewer after means several before
+            if len(listed) > 1 and len(set.intersection(*listed)) < len(listed[0]):
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("injective_only", [True, False], ids=["injective", "any"])
+@pytest.mark.parametrize("twin", [False, True], ids=["simple", "parallel"])
+@pytest.mark.parametrize("size", [3, 4], ids=["triangle", "K4"])
+def test_cliques_in_dense_digraphs(size, twin, injective_only):
+    """Where a node's first anchor lists several host nodes and its other
+    anchors drop some of them, with and without admitted sets on the first
+    and last pattern nodes, each against the recursive search.  K4 stops at
+    p = 0.4, where a 30-node host already has hundreds of them."""
+    densities = (0.3, 0.4, 0.5) if size == 3 else (0.3, 0.4)
+    for trial, p in enumerate(densities):
+        rng = random.Random(13000 + 10 * size + trial)
+        host = dense_digraph(rng, 30, p, 0.2 if twin else 0)
+        # the first node starts the search, so the last node's set narrows
+        # candidates that anchors gave
+        ends = ("x0", f"x{size - 1}")
+        for sets in (None, {x: set(rng.sample(sorted(host.nodes), 24)) for x in ends}):
+            pattern = clique(size, twin)
+            got = enumerate_morphisms(pattern, host, injective_only, sets)
+            admits, classes = admission_of(host, sets or {})
+            assert maps(got) == maps(reference_morphisms(pattern, host, injective_only,
+                                                          admits, classes)), (trial, sets)
+            assert len(got) >= 20 and narrowed(pattern, host, got) >= 20, (trial, sets)
+
+
+def test_one_candidate_is_checked_against_the_other_anchors_by_hand():
+    """z's first anchor, the c edge from x's image u, lists w alone, and the
+    a edge from y's image v to w is missing: the closed edge rejects w."""
+    pattern = Graph(SIG, {"x": "p", "y": "p", "z": "p"},
+                    {"d": ("a", "x", "y"), "e1": ("c", "x", "z"), "e2": ("a", "y", "z")})
+    host = Graph(SIG, {"u": "p", "v": "p", "w": "p", "w2": "p"},
+                 {"f": ("a", "u", "v"), "g": ("c", "u", "w"), "h": ("a", "v", "w2")})
+    closed = Graph(SIG, host.nodes, {**host.edges, "k": ("a", "v", "w")})
+    for injective_only in (True, False):
+        assert enumerate_morphisms(pattern, host, injective_only) == []
+        assert reference_morphisms(pattern, host, injective_only) == []
+        got = enumerate_morphisms(pattern, closed, injective_only)
+        assert maps(got) == maps(reference_morphisms(pattern, closed, injective_only)) == \
+            [({"x": "u", "y": "v", "z": "w"}, {"d": "f", "e1": "g", "e2": "k"})]
+    (plan,) = pattern._search_plans.values()
+    assert plan.steps[2] == ("z", ((0, "c", 0), (0, "a", 1)),
+                             (("e1", "c", 0, 2), ("e2", "a", 1, 2)))
+
+
 class CountingPlan(graphs.SearchPlan):
     built = 0
 

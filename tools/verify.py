@@ -16,8 +16,14 @@ set the exit status, since its known failures belong to the benchmark
 lines a process loads, summed over the ``weakspan`` modules that a fresh
 ``import weakspan.cli`` (with ``src`` on ``PYTHONPATH``) leaves in
 ``sys.modules``; and how many public names ``weakspan`` exports, read from
-``src/weakspan/__init__.py`` without importing it.  Exits 1 when a tier-1
-run fails, else 0.  Standard library only.
+``src/weakspan/__init__.py`` without importing it.  Then it prints the
+counted work of a warm ``cmd_hexca`` from (0, 0) at radius 5 for 3
+generations and at radius 40 for 5, each run once before it is counted in
+a fresh process under ``PYTHONHASHSEED=0``: the calls of the matcher's
+``place`` and every Python call (``sys.setprofile`` "call" events,
+``cmd_hexca``'s own included).  Counts do not drift with the machine as
+wall time does; they are reported and do not gate.  Exits 1 when a
+tier-1 run fails, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +39,22 @@ PYTEST = [sys.executable, "-m", "pytest", "-q"]
 TIER1 = [*PYTEST, "--continue-on-collection-errors"]
 LOADED = ("import sys, weakspan.cli; print(sorted(module.__file__ for name, module in "
           "sys.modules.items() if name.split('.')[0] == 'weakspan'))")
+COUNTED = """
+import sys
+from weakspan import HexGridSpec, cmd_hexca
+for radius, generations in ((5, 3), (40, 5)):
+    grid = HexGridSpec(radius=radius, seeds=((0, 0),))
+    cmd_hexca(grid, generations)
+    counts = {"place": 0, "call": 0}
+    def profile(frame, event, _arg):
+        if event == "call":
+            counts["call"] += 1
+            counts["place"] += frame.f_code.co_name == "place"
+    sys.setprofile(profile)
+    cmd_hexca(grid, generations)
+    sys.setprofile(None)
+    print(radius, generations, counts["place"], counts["call"])
+"""
 
 
 def environment(**env: str) -> dict[str, str]:
@@ -71,6 +93,17 @@ def line_counts() -> str:
             f"exported names {len(exported_names(package / '__init__.py'))}")
 
 
+def counted_work() -> str:
+    """The summary line of the calls a warm ``cmd_hexca`` makes."""
+    done = subprocess.run([sys.executable, "-c", COUNTED], cwd=ROOT,
+                          env=environment(PYTHONHASHSEED="0"),
+                          capture_output=True, text=True, check=True)
+    runs = [line.split() for line in done.stdout.splitlines()]
+    return "counted work of a warm hexca from (0,0), PYTHONHASHSEED=0: " + "; ".join(
+        f"R={radius}/G={generations} {int(places):,} place calls, {int(calls):,} Python calls"
+        for radius, generations, places, calls in runs)
+
+
 def lines(path: Path) -> int:
     """The number of lines of the text file at ``path``."""
     return len(path.read_text(encoding="utf-8").splitlines())
@@ -97,6 +130,7 @@ def main() -> int:
               run("tier-1, PYTHONHASHSEED=1", TIER1, PYTHONHASHSEED="1")]
     run("perfbench (reported, not gating)", [*PYTEST, "perfbench"])
     print(line_counts(), flush=True)
+    print(counted_work(), flush=True)
     return 0 if all(passed) else 1
 
 
