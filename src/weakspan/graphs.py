@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from functools import cached_property, lru_cache
+from types import CodeType
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 
 class SortSignature:
@@ -204,14 +205,21 @@ class SearchPlan:
     anchor ``(table, sort, earlier)`` is an edge to the node placed at
     position ``earlier``, and lists the host nodes
     ``(out_by, in_by)[table][sort, image of earlier]``.  A node's candidates
-    are what its first anchor lists, narrowed by its other anchors only when
-    that is more than one host node: each anchor's edge is also a closed
-    edge, so a candidate the narrowing would drop finds its bucket empty.
-    A closed edge ``(edge, sort, src, tgt)`` has both ends, given as
+    are what its first anchor lists, narrowed by its other anchors only
+    while that is more than one host node: each anchor's edge is also a
+    closed edge, so a candidate the narrowing would drop finds its bucket
+    empty.  A closed edge ``(edge, sort, src, tgt)`` has both ends, given as
     positions, placed once this node is, so a loop closes at its node.
     ``edge_order`` lists the pattern edges in the order they close, and
-    ``parallel`` says whether two of them share (sort, src, tgt).  A plan
-    keeps no reference to its graph.
+    ``parallel`` says whether two of them share (sort, src, tgt).
+
+    ``search`` compiles the plan, on first use, into Python with one
+    ``for`` loop per node, in plan order, and keeps the function.  Each loop
+    takes the node's candidates from its first anchor, narrows them by the
+    other anchors while more than one is left, intersects them with the
+    node's admitted set, tests injectivity, and looks up one bucket per
+    closed edge, filtered by that edge's admitted set; so placing a node
+    makes no Python call.  A plan keeps no reference to its graph.
     """
 
     def __init__(self, pattern: Graph, ranking: tuple[str, ...]):
@@ -247,10 +255,127 @@ class SearchPlan:
         self.order = tuple(order)
         self.edge_order = tuple(e for step in closes for e, *_rest in step)
         self.parallel = len(set(pattern.edges.values())) < len(pattern.edges)
+        self._searches: dict[tuple[bool, frozenset[str]], Callable] = {}
+
+    def search(self, injective: bool, admitted: Collection[str]) -> Callable:
+        """This plan's search, for an injective node map or any, when the
+        pattern elements in ``admitted`` have admitted sets; compiled on
+        first use and then kept, as the plan is kept on its pattern.
+
+        The search is called as ``search(out_get, in_get, edges_get, starts,
+        admitted, leaf, set(), (), ())``: the ``get`` methods of the host
+        index's ``out_by``, ``in_by`` and ``edges_by_ends``, the candidates
+        of each node that starts a component, the admitted sets, the set it
+        keeps the placed images in, and the images and buckets placed
+        before it.  It calls ``leaf(images, buckets)`` at each complete
+        node map, with the images in plan order and the closed edges' host
+        buckets in ``edge_order``, and returns True as soon as ``leaf``
+        does."""
+        key = (injective, frozenset(admitted))
+        if key not in self._searches:
+            source, constants = _search_source(self.steps, *key)
+            namespace: dict = {}
+            exec(_compiled(source), namespace)
+            # the functions' globals are this namespace: keeping none of
+            # them in it leaves the collector no cycle
+            self._searches[key] = namespace.pop("make")(constants)
+        return self._searches[key]
 
 
-class _Enough(Exception):
-    """Ends a search that has found as many morphisms as it was asked for."""
+@lru_cache(maxsize=128)
+def _compiled(source: str) -> CodeType:
+    """``source`` compiled: patterns of one shape share their source, and
+    compiling costs far more than running the code to define the search."""
+    return compile(source, "<search plan>", "exec")
+
+
+# CPython refuses more than 20 statically nested blocks in one function, so
+# a compiled search nests at most this many loops and hands the positions
+# after them to the next function
+_CHUNK = 16
+
+
+def _search_source(steps: tuple, injective: bool,
+                   admitted: frozenset[str]) -> tuple[str, tuple[str, ...]]:
+    """The source of `SearchPlan.search` for a plan's ``steps``, and its
+    constants.  The source defines ``make(constants)``, which returns the
+    search: one function per ``_CHUNK`` positions, each taking the images
+    and buckets of the positions before it.
+
+    No id or sort name reaches the source: each goes into the tuple of
+    constants, which the source names by position, so the source depends on
+    the plan's shape alone and holds no text a file can spell.
+    """
+    constants: list[str] = []
+
+    def constant(value: str) -> str:
+        constants.append(value)
+        return f"k{len(constants) - 1}"
+
+    def tupled(names: list[str]) -> str:
+        return "(" + "".join(f"{name}, " for name in names) + ")"
+
+    getters = ("out_get", "in_get")
+    numbers = itertools.count()     # of the buckets, in edge_order
+    chunks = []
+    for start in range(0, max(len(steps), 1), _CHUNK):
+        end = min(start + _CHUNK, len(steps))
+        earlier: set[int] = set()  # positions this function reads
+        head: list[str] = []      # set up once per call
+        body: list[str] = []
+        tail: list[str] = []      # what a loop does after its inner loop
+        placed: list[str] = []
+        bound: list[str] = []
+        for pos in range(start, end):
+            pn, anchors, closes = steps[pos]
+            pad = "    " * (pos - start + 2)
+            if anchors:
+                for n, (table, sort, k) in enumerate(anchors):
+                    lookup = f"{getters[table]}(({constant(sort)}, n{k}), empty)"
+                    body.append(f"{pad}cs = {lookup}" if n == 0
+                                else f"{pad}if len(cs) > 1: cs = cs & {lookup}")
+                    earlier.add(k)
+                if pn in admitted:
+                    head.append(f"        a{pos} = admitted[{constant(pn)}]")
+                    body.append(f"{pad}cs = cs & a{pos}")
+                body.append(f"{pad}for n{pos} in cs:")
+            else:
+                head.append(f"        s{pos} = starts[{constant(pn)}]")
+                body.append(f"{pad}for n{pos} in s{pos}:")
+            pad += "    "
+            if injective and pos:
+                body.append(f"{pad}if n{pos} in used: continue")
+            for pe, sort, s, t in closes:
+                b = f"b{next(numbers)}"
+                earlier.update((s, t))
+                body.append(f"{pad}{b} = edges_get(({constant(sort)}, n{s}, n{t}))")
+                body.append(f"{pad}if {b} is None: continue")
+                if pe in admitted:
+                    head.append(f"        e{b} = admitted[{constant(pe)}]")
+                    body.append(f"{pad}{b} = e{b}.intersection({b})")
+                    body.append(f"{pad}if not {b}: continue")
+                bound.append(b)
+            if injective and pos + 1 < len(steps):
+                body.append(f"{pad}used.add(n{pos})")
+                tail.append(f"{pad}used.discard(n{pos})")
+            placed.append(f"n{pos}")
+        call = (f"search_{end}(out_get, in_get, edges_get, starts, admitted, leaf, used, "
+                if end < len(steps) else "leaf(")
+        body.append(f"{'    ' * (end - start + 2)}if {call}images + {tupled(placed)}, "
+                    f"buckets + {tupled(bound)}): return True")
+        chunks.append([
+            f"    def search{f'_{start}' if start else ''}(out_get, in_get, edges_get, "
+            f"starts, admitted, leaf, used, images, buckets):",
+            *(f"        n{k} = images[{k}]" for k in sorted(earlier) if k < start),
+            *head, *body, *reversed(tail), "        return False"])
+    source = "\n".join([
+        "def make(constants):",
+        *([f"    {', '.join(f'k{j}' for j in range(len(constants)))}, = constants"]
+          if constants else []),
+        "    empty = frozenset()",
+        *(line for chunk in reversed(chunks) for line in chunk),
+        "    return search", ""])
+    return source, tuple(constants)
 
 
 def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = False,
@@ -263,20 +388,22 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
     element without an entry may take any host element of its sort.  The
     sets are read and never changed, so a caller may pass sets it shares.
     A node with placed neighbours takes its candidates from the first of
-    them its plan lists, intersected with the others' only when there is a
-    choice, and keeps those that its set also holds; a node that starts a
+    them its plan lists, intersected with the others' only while there is
+    a choice, and keeps those that its set also holds; a node that starts a
     search walks its set, and its image is not checked again, so that a
     node's set holds host nodes of its sort is what makes a start node's
     image one of its sort.
 
-    The search walks the pattern's `SearchPlan`, built once per ranking of
-    the pattern nodes and kept on the pattern graph.  Placing a node binds
-    every pattern edge it closes to its bucket of host edges, narrowed to
-    the edge's set when it has one, and rejects the node when a bucket is
-    empty; a complete node map gives one morphism per choice across the
-    buckets.  A placed node has its sort, and a bound edge its sort and its
-    ends, by construction, so each morphism is built from the images and
-    buckets it took without the constructor's checks, and owns its maps.
+    The search runs the pattern's `SearchPlan`, built once per ranking of
+    the pattern nodes and kept on the pattern graph, as the nested loops
+    the plan compiles itself into.  Placing a node binds every pattern edge
+    it closes to its bucket of host edges, narrowed to the edge's set when
+    it has one, and rejects the node when a bucket is empty.  At a complete
+    node map the loops call ``leaf``, which makes one morphism per choice
+    across the buckets.  A placed node has its sort, and a bound edge its
+    sort and its ends, by construction, so each morphism is built from the
+    images and buckets it took without the constructor's checks, and owns
+    its maps.
     Candidates are tried in set order, so the results are sorted
     at the end: lexicographically on the tuple of host images taken over the
     sorted pattern node ids, then over the sorted pattern edge ids.
@@ -302,73 +429,27 @@ def enumerate_morphisms(pattern: Graph, host: Graph, injective_only: bool = Fals
         return []
 
     plan = pattern.search_plan(tuple(sorted(starts, key=lambda n: (len(starts[n]), n))))
-    steps, order, edge_order = plan.steps, plan.order, plan.edge_order
+    order, edge_order = plan.order, plan.edge_order
     # under an injective node map only parallel pattern edges share a bucket
     distinct = injective_only and plan.parallel
-    edge_index = index.edges_by_ends
-    tables = (index.out_by, index.in_by)
-    images: list[str] = [""] * len(steps)
-    used: set[str] = set()
-    empty: set[str] = set()
-    buckets: list[list[str]] = []
     results: list[GraphMorphism] = []
 
-    def place(pos: int) -> None:
-        if pos == len(steps):
-            for choice in itertools.product(*buckets):
-                if distinct and len(set(choice)) < len(choice):
-                    continue
-                morphism = object.__new__(GraphMorphism)
-                morphism.source, morphism.target = pattern, host
-                morphism.node_map = dict(zip(order, images))
-                morphism.edge_map = dict(zip(edge_order, choice))
-                results.append(morphism)
-                if len(results) == limit:
-                    raise _Enough
-            return
-        pn, anchors, closes = steps[pos]
-        if anchors:
-            # adjacency by edge sort already fixes the node sort; one
-            # candidate or none leaves the other anchors nothing to prune
-            # that the closed edges do not.  A set intersection walks its
-            # smaller side, so a large admitted set costs no more than a
-            # small one, and makes a new set: the index's sets are shared
-            table, sort, earlier = anchors[0]
-            candidates = tables[table].get((sort, images[earlier]), empty)
-            if len(candidates) > 1:
-                for t, s, k in anchors[1:]:
-                    candidates = candidates & tables[t].get((s, images[k]), empty)
-            if pn in admitted:
-                candidates = candidates & admitted[pn]
-        else:
-            candidates = starts[pn]
-        for c in candidates:
-            if injective_only and c in used:
+    def leaf(images: tuple[str, ...], buckets: tuple[list[str], ...]) -> bool:
+        for choice in itertools.product(*buckets):
+            if distinct and len(set(choice)) < len(choice):
                 continue
-            images[pos] = c
-            bound = []
-            for pe, sort, src, tgt in closes:
-                bucket = edge_index.get((sort, images[src], images[tgt]), ())
-                if bucket and pe in admitted:
-                    allowed = admitted[pe]
-                    bucket = [he for he in bucket if he in allowed]
-                if not bucket:
-                    break
-                bound.append(bucket)
-            else:
-                used.add(c)
-                buckets.extend(bound)
-                place(pos + 1)
-                del buckets[len(buckets) - len(bound):]
-                used.discard(c)
+            morphism = object.__new__(GraphMorphism)
+            morphism.source, morphism.target = pattern, host
+            morphism.node_map = dict(zip(order, images))
+            morphism.edge_map = dict(zip(edge_order, choice))
+            results.append(morphism)
+            if len(results) == limit:
+                return True
+        return False
 
-    try:
-        place(0)
-    except _Enough:
-        pass
-    # the search calls itself through its closure; emptying the cell lets
-    # the search state go at return instead of at the next gc
-    del place
+    search = plan.search(injective_only, admitted)
+    search(index.out_by.get, index.in_by.get, index.edges_by_ends.get, starts, admitted, leaf,
+           set(), (), ())
 
     if len(results) > 1 and limit is None:
         node_key_ids = sorted(pattern.nodes)

@@ -113,9 +113,10 @@ def rule_plan(rule: WeakSpan) -> RulePlan:
 
 
 # the most nodes, and the most label terms, a rule's left side may have: the
-# match search recurses once per left node and the label solver once per
-# (element, term) constraint, so a larger side would reach Python's
-# recursion limit (1000 frames) instead of being refused
+# label solver recurses once per (element, term) constraint, so more terms
+# would reach Python's recursion limit (1000 frames) instead of being
+# refused, and the first search of a left side compiles one loop per node,
+# about 0.07 s at 500 nodes
 MAX_LEFT_SIZE = 500
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from weakspan import (
+    Graph,
     HexGridSpec,
     LabelSet,
     RunResult,
@@ -17,6 +18,7 @@ from weakspan import (
     ca_oracle,
     cmd_hexca,
     cmd_run,
+    enumerate_morphisms,
     fibonacci_system,
     find_matches,
     hex_system,
@@ -406,15 +408,18 @@ def test_two_rules_with_one_name_are_refused_before_searching(fib, monkeypatch, 
 
 
 def test_runs_leave_no_reference_cycles():
-    """The recursive searches empty their closure cells, so a step's
-    matching state is freed as each search returns, not at the next
-    collection."""
+    """A step's matching state is freed as each search returns, not at the
+    next collection, and so is what compiling a search leaves: the first
+    search of a 40-node chain compiles it into three functions."""
+    chain = Graph(SIG, {f"c{k}": "p" for k in range(40)},
+                  {f"e{k}": ("a", f"c{k}", f"c{k + 1}") for k in range(39)})
     gc.collect()
     gc.disable()
     try:
         cmd_hexca(HexGridSpec(radius=5), generations=3)
         cmd_run(fibonacci_system(), steps=3, mode="sequential")
         cmd_run(fibonacci_system(), steps=3, mode="pct")
+        assert len(enumerate_morphisms(chain, chain, injective_only=True)) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()

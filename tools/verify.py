@@ -20,10 +20,11 @@ lines a process loads, summed over the ``weakspan`` modules that a fresh
 counted work of a warm ``cmd_hexca`` from (0, 0) at radius 5 for 3
 generations and at radius 40 for 5, each run once before it is counted in
 a fresh process under ``PYTHONHASHSEED=0``: the calls of the matcher's
-``place`` and every Python call (``sys.setprofile`` "call" events,
-``cmd_hexca``'s own included).  Counts do not drift with the machine as
-wall time does; they are reported and do not gate.  Exits 1 when a
-tier-1 run fails, else 0.  Standard library only.
+compiled searches, the calls of their leaf (one per complete node map),
+and every Python call (``sys.setprofile`` "call" events, ``cmd_hexca``'s
+own included).  Counts do not drift with the machine as wall time does;
+they are reported and do not gate.  Exits 1 when a tier-1 run fails,
+else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,19 +42,22 @@ LOADED = ("import sys, weakspan.cli; print(sorted(module.__file__ for name, modu
           "sys.modules.items() if name.split('.')[0] == 'weakspan'))")
 COUNTED = """
 import sys
-from weakspan import HexGridSpec, cmd_hexca
+from weakspan import HexGridSpec, cmd_hexca, graphs
+SEARCH, LEAF = ("<search plan>", "search"), (graphs.__file__, "leaf")
 for radius, generations in ((5, 3), (40, 5)):
     grid = HexGridSpec(radius=radius, seeds=((0, 0),))
     cmd_hexca(grid, generations)
-    counts = {"place": 0, "call": 0}
+    counts = {SEARCH: 0, LEAF: 0, "call": 0}
     def profile(frame, event, _arg):
         if event == "call":
             counts["call"] += 1
-            counts["place"] += frame.f_code.co_name == "place"
+            where = (frame.f_code.co_filename, frame.f_code.co_name)
+            if where in counts:
+                counts[where] += 1
     sys.setprofile(profile)
     cmd_hexca(grid, generations)
     sys.setprofile(None)
-    print(radius, generations, counts["place"], counts["call"])
+    print(radius, generations, counts[SEARCH], counts[LEAF], counts["call"])
 """
 
 
@@ -100,8 +104,9 @@ def counted_work() -> str:
                           capture_output=True, text=True, check=True)
     runs = [line.split() for line in done.stdout.splitlines()]
     return "counted work of a warm hexca from (0,0), PYTHONHASHSEED=0: " + "; ".join(
-        f"R={radius}/G={generations} {int(places):,} place calls, {int(calls):,} Python calls"
-        for radius, generations, places, calls in runs)
+        f"R={radius}/G={generations} {int(searches):,} searches, {int(leaves):,} leaves, "
+        f"{int(calls):,} Python calls"
+        for radius, generations, searches, leaves, calls in runs)
 
 
 def lines(path: Path) -> int:
